@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .predict import LinearModel, Predictor
-from .relax import DOWN, UP, hybrid_scores
+from .relax import DOWN, UP, RelaxedValues
 from .tabular import Cell, Dataset
 
 LM_BREAK = "lm-break"
@@ -160,57 +160,55 @@ def ag_break(
     reverse removal order for Down. Ties always break toward the lowest
     feature index, so results are deterministic.
     """
-    schema = dataset.schema()
-    x_new = schema.validate_observation(x_new)
-    p = schema.n_features
+    values = RelaxedValues(predictor, dataset, x_new)
+    x_new, p, names = values.x_new, values.p, values.schema.names
     f_new = predictor.score_one(x_new)
-
-    def rp(fixed: frozenset[int]) -> float:
-        return float(np.mean(hybrid_scores(predictor, dataset, x_new, fixed)))
 
     entries: list[AttributionEntry] = []
     if direction == DOWN:
-        fixed = frozenset(range(p))
-        current = rp(fixed)
+        fixed = (1 << p) - 1
+        current = values.mean(fixed)
         removal: list[AttributionEntry] = []
         for _ in range(p):
             best_j, best_dist, best_value = -1, np.inf, 0.0
-            for j in sorted(fixed):
-                candidate = rp(fixed - {j})
+            for j in range(p):
+                if not fixed >> j & 1:
+                    continue
+                candidate = values.mean(fixed & ~(1 << j))
                 dist = abs(candidate - f_new)
                 if dist < best_dist:
                     best_j, best_dist, best_value = j, dist, candidate
             removal.append(
                 AttributionEntry(
-                    schema.names[best_j], x_new[best_j], current - best_value
+                    names[best_j], x_new[best_j], current - best_value
                 )
             )
-            fixed = fixed - {best_j}
+            fixed &= ~(1 << best_j)
             current = best_value
         mean_score = current  # empty pinned set: mean model score
         entries = list(reversed(removal))
     elif direction == UP:
-        mean_score = rp(frozenset())
+        mean_score = values.mean(0)
         reference = mean_score if up_distance == UP_DISTANCE_TO_BASELINE else f_new
         if up_distance not in (UP_DISTANCE_TO_BASELINE, UP_DISTANCE_TO_FNEW):
             raise SchemaError(f"unknown up_distance {up_distance!r}")
-        fixed: frozenset[int] = frozenset()
+        fixed = 0
         current = mean_score
         for _ in range(p):
             best_j, best_dist, best_value = -1, -np.inf, 0.0
             for j in range(p):
-                if j in fixed:
+                if fixed >> j & 1:
                     continue
-                candidate = rp(fixed | {j})
+                candidate = values.mean(fixed | (1 << j))
                 dist = abs(candidate - reference)
                 if dist > best_dist:
                     best_j, best_dist, best_value = j, dist, candidate
             entries.append(
                 AttributionEntry(
-                    schema.names[best_j], x_new[best_j], best_value - current
+                    names[best_j], x_new[best_j], best_value - current
                 )
             )
-            fixed = fixed | {best_j}
+            fixed |= 1 << best_j
             current = best_value
     else:
         raise SchemaError(f"unknown direction {direction!r}")

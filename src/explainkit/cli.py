@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -51,7 +50,6 @@ class RunConfig:
     method: str
     permutations: int
     seed: int
-    threads: int
     json_path: str | None
     svg_path: str | None
     text_path: str | None
@@ -99,7 +97,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--method", choices=["exact", "sample"], default="exact")
         p.add_argument("--permutations", type=int, default=1000)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--json", dest="json_path")
         p.add_argument("--svg", dest="svg_path")
         p.add_argument("--text", dest="text_path")
@@ -123,17 +120,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("'-- <command>' is only valid with --model external")
     if (ns.row is None) == (ns.observation is None):
         raise UsageError("exactly one of --row or --observation is required")
-    if ns.threads is None:
-        env = os.environ.get("EXPLAIN_THREADS")
-        if env is not None:
-            try:
-                ns.threads = int(env)
-            except ValueError:
-                raise UsageError(f"EXPLAIN_THREADS must be an integer, got {env!r}")
-        else:
-            ns.threads = os.cpu_count() or 1
-    if ns.threads < 1:
-        raise UsageError("--threads must be at least 1")
     if ns.size < 0:
         raise UsageError("--size must be nonnegative")
     if ns.permutations < 2 and ns.subcommand == "shapley" and ns.method == "sample":
@@ -157,7 +143,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         method=ns.method,
         permutations=ns.permutations,
         seed=ns.seed,
-        threads=ns.threads,
         json_path=ns.json_path,
         svg_path=ns.svg_path,
         text_path=ns.text_path,

@@ -289,7 +289,7 @@ def fit_explanation(
 
     if white_box == "ols":
         try:
-            model = fit_ols_local(dataset, reference)
+            model = fit_ols(dataset, dataset.response_index, reference_levels=reference)
         except ModelError as exc:
             raise ModelError(
                 f"{exc} (local dataset may be degenerate; increase size)"
@@ -336,11 +336,6 @@ def fit_explanation(
     return SurrogateFit(
         model=model, lambda_=float(lambda_), selected_features=selected, r2=r2
     )
-
-
-def fit_ols_local(dataset: Dataset, reference: dict[str, str]) -> LinearModel:
-    """Least squares over a local dataset with explicit reference levels."""
-    return fit_ols(dataset, dataset.response_index, reference_levels=reference)
 
 
 def _r_squared(model: LinearModel, local: LocalDataset) -> float:

@@ -1,11 +1,18 @@
 """Relaxed predictions: conditional score estimates over hybrid rows.
 
 The relaxed prediction of an observation, given a set of pinned features,
-is the mean model score over "hybrid" rows: every training row with the
+is the mean model score over "hybrid" rows: every background row with the
 pinned coordinates overwritten by the explained observation's values.
 Pinning everything reproduces the model prediction; pinning nothing gives
-the mean score over the training set. All estimates here enumerate the
-full training set unless an explicit subsample is requested.
+the mean score over the background.
+
+`RelaxedValues` is the one engine behind every relaxed quantity: the greedy
+breakdown, both Shapley estimators, the relaxation trace and the functions
+below all build one per explanation. It checks the predictor's schema and
+normalises the observation once, builds the pinned columns once, rejects
+non-finite scores, and caches relaxed predictions by pinned-set bitmask
+(bit j set means feature j is pinned). The background is the whole
+dataset unless an explicit row subsample is passed.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ModelError, SchemaError
 from .predict import Predictor
 from .tabular import NUMERIC, Cell, Dataset
 
@@ -25,54 +32,74 @@ DOWN = "down"
 UP = "up"
 
 
-def _validate(predictor: Predictor, dataset: Dataset, x_new: Sequence[Cell]):
-    schema = dataset.schema()
-    if schema != predictor.schema:
-        raise SchemaError("predictor schema does not match the dataset's feature columns")
-    return schema.validate_observation(x_new)
+class RelaxedValues:
+    """Relaxed predictions of one observation against one background.
 
+    `background_rows` selects the dataset rows the hybrid rows are built
+    from (all rows by default). The pinned columns are shared by every
+    mask, so they are read-only.
+    """
 
-def _feature_set(dataset: Dataset, fixed: Iterable[int]) -> IndexSet:
-    fs = frozenset(int(j) for j in fixed)
-    p = dataset.n_features
-    for j in fs:
-        if not (0 <= j < p):
-            raise SchemaError(f"feature index {j} out of range for {p} features")
-    return fs
-
-
-def hybrid_scores(
-    predictor: Predictor,
-    dataset: Dataset,
-    x_new: Sequence[Cell],
-    fixed: Iterable[int],
-    subsample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Scores of all hybrid rows: training rows with `fixed` pinned to x_new."""
-    x_new = _validate(predictor, dataset, x_new)
-    fs = _feature_set(dataset, fixed)
-    cols = [c.values for c in dataset.feature_columns()]
-    kinds = dataset.schema().kinds
-    n = dataset.n_rows
-    if subsample is not None and subsample < n:
-        if subsample < 1:
-            raise DataError("subsample must be at least 1")
-        if rng is None:
-            raise DataError("subsample requires a random generator")
-        keep = np.sort(rng.choice(n, size=subsample, replace=False))
-        cols = [c[keep] for c in cols]
-        n = subsample
-    hybrid = []
-    for j, col in enumerate(cols):
-        if j in fs:
-            if kinds[j] == NUMERIC:
-                hybrid.append(np.full(n, float(x_new[j]), dtype=float))
+    def __init__(
+        self,
+        predictor: Predictor,
+        dataset: Dataset,
+        x_new: Sequence[Cell],
+        background_rows: np.ndarray | None = None,
+    ):
+        schema = dataset.schema()
+        if schema != predictor.schema:
+            raise SchemaError(
+                "predictor schema does not match the dataset's feature columns"
+            )
+        self.predictor = predictor
+        self.schema = schema
+        self.x_new = schema.validate_observation(x_new)
+        self.p = schema.n_features
+        self._background = [c.values for c in dataset.feature_columns()]
+        n = dataset.n_rows
+        if background_rows is not None:
+            self._background = [c[background_rows] for c in self._background]
+            n = len(background_rows)
+        self._pinned = []
+        for kind, cell in zip(schema.kinds, self.x_new):
+            if kind == NUMERIC:
+                col = np.full(n, float(cell), dtype=float)
             else:
-                hybrid.append(np.full(n, x_new[j], dtype=object))
-        else:
-            hybrid.append(col)
-    return predictor.score_columns(hybrid)
+                col = np.full(n, cell, dtype=object)
+            col.flags.writeable = False
+            self._pinned.append(col)
+        self._means: dict[int, float] = {}
+
+    def mask(self, fixed: Iterable[int]) -> int:
+        """Bitmask of a set of feature indices."""
+        mask = 0
+        for j in fixed:
+            j = int(j)
+            if not (0 <= j < self.p):
+                raise SchemaError(
+                    f"feature index {j} out of range for {self.p} features"
+                )
+            mask |= 1 << j
+        return mask
+
+    def scores(self, mask: int) -> np.ndarray:
+        """Scores of all hybrid rows: background rows with `mask` pinned to x_new."""
+        columns = [
+            self._pinned[j] if mask >> j & 1 else self._background[j]
+            for j in range(self.p)
+        ]
+        scores = self.predictor.score_columns(columns)
+        if not np.all(np.isfinite(scores)):
+            raise ModelError("predictor produced non-finite scores")
+        return scores
+
+    def mean(self, mask: int) -> float:
+        """Relaxed prediction for the pinned set `mask`, computed once."""
+        value = self._means.get(mask)
+        if value is None:
+            value = self._means[mask] = float(np.mean(self.scores(mask)))
+        return value
 
 
 def relaxed_prediction(
@@ -90,7 +117,16 @@ def relaxed_prediction(
     pass `subsample` (with an rng) to average over a uniform row subset
     instead, an explicit approximation for large n.
     """
-    return float(np.mean(hybrid_scores(predictor, dataset, x_new, fixed, subsample, rng)))
+    rows = None
+    n = dataset.n_rows
+    if subsample is not None and subsample < n:
+        if subsample < 1:
+            raise DataError("subsample must be at least 1")
+        if rng is None:
+            raise DataError("subsample requires a random generator")
+        rows = np.sort(rng.choice(n, size=subsample, replace=False))
+    values = RelaxedValues(predictor, dataset, x_new, rows)
+    return values.mean(values.mask(fixed))
 
 
 def relaxed_distance(
@@ -100,8 +136,8 @@ def relaxed_distance(
     fixed: Iterable[int],
 ) -> float:
     """|relaxed prediction - model prediction| for the pinned set."""
-    rp = relaxed_prediction(predictor, dataset, x_new, fixed)
-    return abs(rp - predictor.score_one(x_new))
+    values = RelaxedValues(predictor, dataset, x_new)
+    return abs(values.mean(values.mask(fixed)) - predictor.score_one(values.x_new))
 
 
 def added_contribution(
@@ -112,13 +148,12 @@ def added_contribution(
     j: int,
 ) -> float:
     """Signed change in relaxed prediction from additionally pinning feature j."""
-    fs = _feature_set(dataset, fixed)
-    j = int(j)
-    if j in fs:
-        raise SchemaError(f"feature {j} is already pinned")
-    with_j = relaxed_prediction(predictor, dataset, x_new, fs | {j})
-    without = relaxed_prediction(predictor, dataset, x_new, fs)
-    return with_j - without
+    values = RelaxedValues(predictor, dataset, x_new)
+    without = values.mask(fixed)
+    bit = values.mask([j])
+    if without & bit:
+        raise SchemaError(f"feature {int(j)} is already pinned")
+    return values.mean(without | bit) - values.mean(without)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +212,7 @@ def relaxation_trace(
     if direction not in (DOWN, UP):
         raise SchemaError(f"unknown direction {direction!r}")
 
+    values = RelaxedValues(predictor, dataset, x_new)
     if direction == DOWN:
         fixed = frozenset(range(p))
     else:
@@ -185,7 +221,7 @@ def relaxation_trace(
         TraceStep(
             fixed=fixed,
             relaxed_feature=None,
-            scores=hybrid_scores(predictor, dataset, x_new, fixed),
+            scores=values.scores(values.mask(fixed)),
         )
     ]
     for j in order:
@@ -194,7 +230,7 @@ def relaxation_trace(
             TraceStep(
                 fixed=fixed,
                 relaxed_feature=int(j),
-                scores=hybrid_scores(predictor, dataset, x_new, fixed),
+                scores=values.scores(values.mask(fixed)),
             )
         )
     return RelaxationTrace(

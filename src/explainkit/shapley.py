@@ -24,7 +24,7 @@ from .breakdown import (
 )
 from .errors import ModelError
 from .predict import Predictor
-from .relax import hybrid_scores
+from .relax import RelaxedValues
 from .tabular import Cell, Dataset
 
 SHAPLEY_EXACT = "shapley-exact"
@@ -58,23 +58,6 @@ class ShapleyEstimate:
         return out
 
 
-class _SubsetValues:
-    """Caches relaxed predictions keyed by pinned-set bitmask."""
-
-    def __init__(self, predictor: Predictor, dataset: Dataset, x_new: Sequence[Cell]):
-        self.predictor = predictor
-        self.dataset = dataset
-        self.x_new = x_new
-        self.cache: dict[int, float] = {}
-
-    def value(self, mask: int, p: int) -> float:
-        if mask not in self.cache:
-            fixed = frozenset(j for j in range(p) if mask >> j & 1)
-            scores = hybrid_scores(self.predictor, self.dataset, self.x_new, fixed)
-            self.cache[mask] = float(np.mean(scores))
-        return self.cache[mask]
-
-
 def _attribution_from_phis(
     schema_names: Sequence[str],
     x_new: Sequence[Cell],
@@ -106,14 +89,12 @@ def shapley_exact(
     weighted over all pinned subsets not containing j by |S|!(p-|S|-1)!/p!.
     The weights use log-factorials so p near the cap stays stable.
     """
-    schema = dataset.schema()
-    x_new = schema.validate_observation(x_new)
-    p = schema.n_features
+    values = RelaxedValues(predictor, dataset, x_new)
+    x_new, p, names = values.x_new, values.p, values.schema.names
     if p > feature_cap:
         raise ModelError(
             f"exact Shapley enumerates 2^p subsets; p={p} exceeds the cap of {feature_cap}"
         )
-    values = _SubsetValues(predictor, dataset, x_new)
     log_fact = [math.lgamma(i + 1) for i in range(p + 1)]
     weight_by_size = [
         math.exp(log_fact[s] + log_fact[p - s - 1] - log_fact[p]) for s in range(p)
@@ -124,17 +105,17 @@ def shapley_exact(
         size = mask.bit_count()
         if size == p:
             continue
-        v_s = values.value(mask, p)
+        v_s = values.mean(mask)
         w = weight_by_size[size]
         for j in range(p):
             if mask >> j & 1:
                 continue
-            v_sj = values.value(mask | (1 << j), p)
+            v_sj = values.mean(mask | (1 << j))
             phis[j] += w * (v_sj - v_s)
-    mean_score = values.value(0, p)
+    mean_score = values.mean(0)
     final = predictor.score_one(x_new)
     attribution = _attribution_from_phis(
-        schema.names, x_new, phis, mean_score, final, baseline_mode, SHAPLEY_EXACT
+        names, x_new, phis, mean_score, final, baseline_mode, SHAPLEY_EXACT
     )
     return ShapleyEstimate(attribution=attribution)
 
@@ -160,23 +141,21 @@ def shapley_sampled(
     """
     if n_permutations < 2:
         raise ModelError("need at least 2 permutations")
-    schema = dataset.schema()
-    x_new = schema.validate_observation(x_new)
-    p = schema.n_features
-    values = _SubsetValues(predictor, dataset, x_new)
+    values = RelaxedValues(predictor, dataset, x_new)
+    x_new, p, names = values.x_new, values.p, values.schema.names
     marginals = np.zeros((n_permutations, p))
     for t in range(n_permutations):
         order = rng.permutation(p)
         mask = 0
-        prev = values.value(0, p)
+        prev = values.mean(0)
         for j in order:
             mask |= 1 << int(j)
-            cur = values.value(mask, p)
+            cur = values.mean(mask)
             marginals[t, j] = cur - prev
             prev = cur
     phis = marginals.mean(axis=0)
     std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    mean_score = values.value(0, p)
+    mean_score = values.mean(0)
     final = predictor.score_one(x_new)
     residual = (final - mean_score) - float(phis.sum())
     adjusted = phis.copy()
@@ -186,7 +165,7 @@ def shapley_sampled(
     elif p:
         adjusted += residual / p
     attribution = _attribution_from_phis(
-        schema.names, x_new, adjusted, mean_score, final, baseline_mode, SHAPLEY_SAMPLED
+        names, x_new, adjusted, mean_score, final, baseline_mode, SHAPLEY_SAMPLED
     )
     return ShapleyEstimate(
         attribution=attribution,

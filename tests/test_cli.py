@@ -24,7 +24,6 @@ class TestParsing:
         assert cfg.seed == 42
         assert cfg.direction == "up"
         assert cfg.baseline == "zero"
-        assert cfg.threads >= 1
 
     def test_row_and_observation_mutually_exclusive(self):
         with pytest.raises(UsageError):
@@ -45,11 +44,6 @@ class TestParsing:
     def test_command_without_external_rejected(self):
         with pytest.raises(UsageError):
             parse_args(["breakdown", *wine_args("--row", "1"), "--", "cmd"])
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("EXPLAIN_THREADS", "3")
-        cfg = parse_args(["breakdown", *wine_args("--row", "1")])
-        assert cfg.threads == 3
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(UsageError):

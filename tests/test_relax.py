@@ -5,8 +5,10 @@ import pytest
 
 from explainkit import (
     ConstantPredictor,
+    ModelError,
     SchemaError,
     added_contribution,
+    ag_break,
     column_mean,
     dataset_from_rows,
     fit_kernel_ridge,
@@ -14,6 +16,8 @@ from explainkit import (
     relaxation_trace,
     relaxed_distance,
     relaxed_prediction,
+    shapley_exact,
+    shapley_sampled,
 )
 from explainkit.predict import Predictor
 from explainkit.tabular import FeatureSchema
@@ -30,6 +34,34 @@ class ProductPredictor(Predictor):
     def score_columns(self, columns):
         self._check_columns(columns)
         return np.asarray(columns[0], dtype=float) * np.asarray(columns[1], dtype=float)
+
+
+class OneNaNPredictor(Predictor):
+    """Wraps a model and spoils the first score of every multi-row batch,
+    so single-row predictions stay finite and only hybrid rows go bad."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.schema = inner.schema
+
+    def score_columns(self, columns):
+        scores = np.array(self.inner.score_columns(columns), dtype=float)
+        if len(scores) > 1:
+            scores[0] = np.nan
+        return scores
+
+
+class CountingPredictor(Predictor):
+    """Wraps a model and counts its score_columns calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.schema = inner.schema
+        self.calls = 0
+
+    def score_columns(self, columns):
+        self.calls += 1
+        return self.inner.score_columns(columns)
 
 
 def brute_force_relaxed(predictor, dataset, x_new, fixed):
@@ -120,6 +152,61 @@ class TestRelaxedPrediction:
     def test_bad_feature_index(self, wine, wine_ols):
         with pytest.raises(SchemaError):
             relaxed_prediction(wine_ols, wine, wine.observation(0), frozenset({99}))
+
+    def test_pinned_columns_are_read_only(self):
+        ds = make_regression(2, 10, seed=6)
+        m = fit_ols(ds, 2)
+
+        class InPlacePredictor(Predictor):
+            schema = m.schema
+
+            def score_columns(self, columns):
+                columns[0][:] = 0.0
+                return m.score_columns(columns)
+
+        with pytest.raises(ValueError, match="read-only"):
+            relaxed_prediction(InPlacePredictor(), ds, ds.observation(0), frozenset({0}))
+
+
+ENTRY_POINTS = {
+    "ag-break-up": lambda f, ds, x: ag_break(f, ds, x, direction="up"),
+    "ag-break-down": lambda f, ds, x: ag_break(f, ds, x, direction="down"),
+    "shapley-exact": lambda f, ds, x: shapley_exact(f, ds, x),
+    "shapley-sampled": lambda f, ds, x: shapley_sampled(
+        f, ds, x, n_permutations=4, rng=np.random.Generator(np.random.PCG64(1))
+    ),
+    "trace": lambda f, ds, x: relaxation_trace(f, ds, x, [2, 0, 1], "down"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_hybrid_scores_are_model_errors(entry):
+    ds = make_regression(3, 20, seed=23)
+    f = OneNaNPredictor(fit_ols(ds, 3))
+    with pytest.raises(ModelError, match="non-finite"):
+        ENTRY_POINTS[entry](f, ds, ds.observation(0))
+
+
+def test_scorer_calls_per_explanation(wine, wine_ols):
+    # wine has p=11: the greedy walk scores 1 + p(p+1)/2 pinned sets plus
+    # f(x_new); exact Shapley 2^p sets plus f(x_new); the trace p+1 steps.
+    # Each pinned set is scored once per explanation, so a lost cache or an
+    # added scoring pass changes these counts (bench/reference.json records
+    # the same numbers).
+    x = wine.observation(4)
+    cases = {
+        "ag-break-up": (lambda f: ag_break(f, wine, x, direction="up"), 68),
+        "ag-break-down": (lambda f: ag_break(f, wine, x, direction="down"), 68),
+        "shapley-exact": (lambda f: shapley_exact(f, wine, x), 2049),
+        "trace": (
+            lambda f: relaxation_trace(f, wine, x, list(range(wine.n_features)), "up"),
+            12,
+        ),
+    }
+    for name, (explain, expected) in cases.items():
+        f = CountingPredictor(wine_ols)
+        explain(f)
+        assert f.calls == expected, name
 
 
 class TestRelaxedDistance:
