@@ -82,6 +82,21 @@ class Attribution:
         }
 
 
+def _check_modes(
+    baseline_mode: str,
+    direction: str = UP,
+    up_distance: str = UP_DISTANCE_TO_BASELINE,
+) -> None:
+    """Reject unknown mode arguments before the scorer is first called."""
+    for name, value, allowed in (
+        ("baseline mode", baseline_mode, (BASELINE_ZERO, BASELINE_INTERCEPT)),
+        ("direction", direction, (UP, DOWN)),
+        ("up_distance", up_distance, (UP_DISTANCE_TO_BASELINE, UP_DISTANCE_TO_FNEW)),
+    ):
+        if value not in allowed:
+            raise SchemaError(f"unknown {name} {value!r}")
+
+
 def _finalize_entries(
     feature_entries: list[AttributionEntry],
     baseline_mode: str,
@@ -92,11 +107,9 @@ def _finalize_entries(
     if baseline_mode == BASELINE_INTERCEPT:
         baseline = mean_score
         entries = tuple(feature_entries)
-    elif baseline_mode == BASELINE_ZERO:
+    else:
         baseline = 0.0
         entries = (AttributionEntry(INTERCEPT_ENTRY, None, mean_score), *feature_entries)
-    else:
-        raise SchemaError(f"unknown baseline mode {baseline_mode!r}")
     return Attribution(
         method=method,
         baseline_mode=baseline_mode,
@@ -122,6 +135,7 @@ def lm_break(
     categorical features the one-hot terms are folded into a single entry.
     Entries are ordered by decreasing |contribution|.
     """
+    _check_modes(baseline_mode)
     x_new = model.schema.validate_observation(x_new)
     encoded = model.encoder.encode_observation(x_new)
     per_encoded = (encoded - model.feature_means) * model.coefficients
@@ -160,6 +174,7 @@ def ag_break(
     reverse removal order for Down. Ties always break toward the lowest
     feature index, so results are deterministic.
     """
+    _check_modes(baseline_mode, direction, up_distance)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
     f_new = predictor.score_one(x_new)
@@ -187,11 +202,9 @@ def ag_break(
             current = best_value
         mean_score = current  # empty pinned set: mean model score
         entries = list(reversed(removal))
-    elif direction == UP:
+    else:
         mean_score = values.mean(0)
         reference = mean_score if up_distance == UP_DISTANCE_TO_BASELINE else f_new
-        if up_distance not in (UP_DISTANCE_TO_BASELINE, UP_DISTANCE_TO_FNEW):
-            raise SchemaError(f"unknown up_distance {up_distance!r}")
         fixed = 0
         current = mean_score
         for _ in range(p):
@@ -210,11 +223,15 @@ def ag_break(
             )
             fixed |= 1 << best_j
             current = best_value
-    else:
-        raise SchemaError(f"unknown direction {direction!r}")
 
     method = AG_BREAK_DOWN if direction == DOWN else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)
+
+
+def _fmt(v: float) -> str:
+    """Fixed three-decimal formatting that never prints a negative zero."""
+    s = f"{v:.3f}"
+    return "0.000" if s == "-0.000" else s
 
 
 def _format_value(v: Cell | None) -> str:
@@ -241,8 +258,5 @@ def attribution_text(attribution: Attribution) -> str:
     number_width = max(number_width, len("contribution"))
     lines = [f"{'':<{label_width}} {'contribution':>{number_width}}"]
     for label, v in rows:
-        number = f"{v:.3f}"
-        if number == "-0.000":
-            number = "0.000"
-        lines.append(f"{label:<{label_width}} {number:>{number_width}}")
+        lines.append(f"{label:<{label_width}} {_fmt(v):>{number_width}}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .breakdown import ag_break, attribution_text
-from .errors import ExplainError, UsageError
+from .errors import DataError, ExplainError, UsageError
 from .live import add_predictions, fit_explanation, sample_locally
 from .predict import external_scorer, fit_kernel_ridge, fit_ols
 from .relax import relaxation_trace
@@ -122,32 +123,14 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("exactly one of --row or --observation is required")
     if ns.size < 0:
         raise UsageError("--size must be nonnegative")
+    if ns.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if not all(math.isfinite(v) for v in (ns.gamma, ns.ridge, ns.lambda_ or 0.0)):
+        raise UsageError("--gamma, --ridge and --lambda must be finite")
     if ns.permutations < 2 and ns.subcommand == "shapley" and ns.method == "sample":
         raise UsageError("--permutations must be at least 2")
 
-    return RunConfig(
-        subcommand=ns.subcommand,
-        data=ns.data,
-        response=ns.response,
-        row=ns.row,
-        observation=ns.observation,
-        model=ns.model,
-        gamma=ns.gamma,
-        ridge=ns.ridge,
-        direction=ns.direction,
-        baseline=ns.baseline,
-        up_distance=ns.up_distance,
-        size=ns.size,
-        white_box=ns.white_box,
-        lambda_=ns.lambda_,
-        method=ns.method,
-        permutations=ns.permutations,
-        seed=ns.seed,
-        json_path=ns.json_path,
-        svg_path=ns.svg_path,
-        text_path=ns.text_path,
-        external_command=external_command,
-    )
+    return RunConfig(**vars(ns), external_command=external_command)
 
 
 def export_json(result, path: str) -> None:
@@ -216,6 +199,8 @@ def _feature_order_from_entries(attribution, schema) -> list[int]:
 def _execute(config: RunConfig):
     """Returns (result payload dict, svg text or None, text fallback or None)."""
     dataset = load_csv(config.data, response_name=config.response)
+    if dataset.n_features == 0:
+        raise DataError(f"{config.data!r} has no feature columns besides the response")
     x_new = _resolve_observation(config, dataset)
     predictor = _build_predictor(config, dataset)
 

@@ -136,6 +136,8 @@ def sample_locally(
         chosen = np.sort(rng.choice(p, size=size, replace=False))
         for i in range(size):
             perturb(i, int(chosen[rng.integers(0, size)]))
+    for col in cols:
+        col.flags.writeable = False
 
     return LocalDataset(
         schema=schema,
@@ -152,13 +154,7 @@ def add_predictions(local: LocalDataset, predictor: Predictor) -> LocalDataset:
         raise DataError("local dataset already carries predictions")
     if predictor.schema != local.schema:
         raise SchemaError("predictor schema does not match the local dataset")
-    if local.n_rows == 0:
-        scores = np.empty(0, dtype=float)
-    else:
-        scores = predictor.score_columns(list(local.feature_values))
-        if not np.all(np.isfinite(scores)):
-            raise ModelError("predictor produced non-finite scores")
-    return replace(local, response=np.asarray(scores, dtype=float))
+    return replace(local, response=predictor.scores(list(local.feature_values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +296,8 @@ def fit_explanation(
 
     if white_box != "lasso":
         raise ModelError(f"unknown white box {white_box!r}")
-    if lambda_ is not None and lambda_ < 0:
-        raise ModelError("lambda must be nonnegative")
+    if lambda_ is not None and not 0.0 <= lambda_ < np.inf:
+        raise ModelError("lambda must be finite and nonnegative")
 
     encoder = Encoder.for_schema(local.schema, reference)
     encoded = encoder.encode_columns(list(local.feature_values))
@@ -342,7 +338,7 @@ def _r_squared(model: LinearModel, local: LocalDataset) -> float:
     y = local.response
     if len(y) == 0:
         raise ModelError("cannot score an empty local dataset")
-    pred = model.score_columns(list(local.feature_values))
+    pred = model.scores(list(local.feature_values))
     rss = float(np.sum((y - pred) ** 2))
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0.0:

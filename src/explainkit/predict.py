@@ -36,21 +36,41 @@ def _columns_from_rows(schema: FeatureSchema, rows: Sequence[Sequence[Cell]]) ->
 
 
 class Predictor:
-    """Base class: a deterministic scoring function over feature rows."""
+    """Base class: a deterministic scoring function over feature rows.
+
+    Subclasses implement `score_columns`; every caller goes through
+    `scores`, which checks the batch and what the scorer returns.
+    """
 
     schema: FeatureSchema
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Scores of a non-empty batch given as one read-only array per feature."""
         raise NotImplementedError
 
-    def score_rows(self, rows: Sequence[Sequence[Cell]]) -> np.ndarray:
-        """Score a batch of observations; empty batches yield an empty array."""
-        if len(rows) == 0:
+    def scores(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """One finite score per row of a batch given as feature columns.
+
+        Raises SchemaError for a malformed batch, and ModelError unless the
+        scorer returns a float array of shape (n,) with every value finite.
+        A zero-row batch yields an empty array without calling the scorer.
+        """
+        n = self._check_columns(columns)
+        if n == 0:
             return np.empty(0, dtype=float)
-        scores = self.score_columns(_columns_from_rows(self.schema, rows))
+        scores = np.asarray(self.score_columns(columns))
+        if scores.dtype.kind != "f" or scores.shape != (n,):
+            raise ModelError(
+                f"predictor returned {scores.dtype} scores of shape {scores.shape} "
+                f"for {n} rows"
+            )
         if not np.all(np.isfinite(scores)):
             raise ModelError("predictor produced non-finite scores")
         return scores
+
+    def score_rows(self, rows: Sequence[Sequence[Cell]]) -> np.ndarray:
+        """Score a batch of observations; empty batches yield an empty array."""
+        return self.scores(_columns_from_rows(self.schema, rows))
 
     def score_one(self, obs: Sequence[Cell]) -> float:
         return float(self.score_rows([obs])[0])
@@ -186,7 +206,6 @@ class LinearModel(Predictor):
                 raise ModelError("standard errors must be nonnegative")
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        self._check_columns(columns)
         design = self.encoder.encode_columns(columns)
         return self.intercept + design @ self.coefficients
 
@@ -288,7 +307,6 @@ class KernelRidgePredictor(Predictor):
     ridge: float
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        self._check_columns(columns)
         x = np.column_stack([np.asarray(c, dtype=float) for c in columns])
         z = (x - self.feature_means) / self.feature_scales
         sq = (
@@ -363,8 +381,7 @@ class ConstantPredictor(Predictor):
     value: float
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        n = self._check_columns(columns)
-        return np.full(n, self.value, dtype=float)
+        return np.full(len(columns[0]), self.value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +410,7 @@ class ExternalPredictor(Predictor):
     command: tuple[str, ...]
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        n = self._check_columns(columns)
-        if n == 0:
-            return np.empty(0, dtype=float)
+        n = len(columns[0])
         buf = io.StringIO()
         writer = csv.writer(buf, delimiter=",", lineterminator="\n")
         writer.writerow(self.schema.names)

@@ -9,10 +9,11 @@ the mean score over the background.
 `RelaxedValues` is the one engine behind every relaxed quantity: the greedy
 breakdown, both Shapley estimators, the relaxation trace and the functions
 below all build one per explanation. It checks the predictor's schema and
-normalises the observation once, builds the pinned columns once, rejects
-non-finite scores, and caches relaxed predictions by pinned-set bitmask
-(bit j set means feature j is pinned). The background is the whole
-dataset unless an explicit row subsample is passed.
+normalises the observation once, builds the pinned columns once, scores
+hybrid rows through the checked `Predictor.scores`, and caches relaxed
+predictions by pinned-set bitmask (bit j set means feature j is pinned).
+The background is the whole dataset unless an explicit row subsample is
+passed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ModelError, SchemaError
+from .errors import DataError, SchemaError
 from .predict import Predictor
 from .tabular import NUMERIC, Cell, Dataset
 
@@ -36,8 +37,8 @@ class RelaxedValues:
     """Relaxed predictions of one observation against one background.
 
     `background_rows` selects the dataset rows the hybrid rows are built
-    from (all rows by default). The pinned columns are shared by every
-    mask, so they are read-only.
+    from (all rows by default). Every column handed to the scorer is
+    shared by many masks, so all of them are read-only.
     """
 
     def __init__(
@@ -60,6 +61,8 @@ class RelaxedValues:
         n = dataset.n_rows
         if background_rows is not None:
             self._background = [c[background_rows] for c in self._background]
+            for col in self._background:
+                col.flags.writeable = False
             n = len(background_rows)
         self._pinned = []
         for kind, cell in zip(schema.kinds, self.x_new):
@@ -89,10 +92,7 @@ class RelaxedValues:
             self._pinned[j] if mask >> j & 1 else self._background[j]
             for j in range(self.p)
         ]
-        scores = self.predictor.score_columns(columns)
-        if not np.all(np.isfinite(scores)):
-            raise ModelError("predictor produced non-finite scores")
-        return scores
+        return self.predictor.scores(columns)
 
     def mean(self, mask: int) -> float:
         """Relaxed prediction for the pinned set `mask`, computed once."""

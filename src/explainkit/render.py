@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .breakdown import Attribution, attribution_text
+from .breakdown import Attribution, _fmt, _format_value, attribution_text
 from .errors import ModelError
 from .live import SurrogateFit
 from .relax import DOWN, RelaxationTrace
@@ -45,12 +45,6 @@ class PlotDocument:
     text_fallback: str
     width: int
     height: int
-
-
-def _fmt(v: float) -> str:
-    """Fixed locale-independent decimal formatting for all SVG numbers."""
-    s = f"{v:.3f}"
-    return "0.000" if s == "-0.000" else s
 
 
 def _svg_header(width: int, height: int) -> str:
@@ -90,15 +84,6 @@ def _axis(parts: list[str], to_x, lo: float, hi: float, height: int) -> None:
         )
 
 
-def _label(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    f = round(float(v), 10)
-    return repr(int(f)) if f.is_integer() and abs(f) < 1e16 else repr(f)
-
-
 def render_waterfall(
     attribution: Attribution,
     sort: str = SORT_IMPORTANCE,
@@ -136,7 +121,7 @@ def render_waterfall(
         x0, x1 = to_x(min(start, end)), to_x(max(start, end))
         y = MARGIN_TOP + i * ROW_HEIGHT
         fill = POSITIVE_FILL if e.contribution >= 0 else NEGATIVE_FILL
-        label = e.feature if e.value is None else f"{e.feature} = {_label(e.value)}"
+        label = e.feature if e.value is None else f"{e.feature} = {_format_value(e.value)}"
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 20)}" '
             f'text-anchor="end">{escape(label)}</text>\n'

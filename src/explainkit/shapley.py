@@ -20,6 +20,7 @@ from .breakdown import (
     Attribution,
     AttributionEntry,
     _by_importance,
+    _check_modes,
     _finalize_entries,
 )
 from .errors import ModelError
@@ -89,6 +90,7 @@ def shapley_exact(
     weighted over all pinned subsets not containing j by |S|!(p-|S|-1)!/p!.
     The weights use log-factorials so p near the cap stays stable.
     """
+    _check_modes(baseline_mode)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
     if p > feature_cap:
@@ -141,6 +143,7 @@ def shapley_sampled(
     """
     if n_permutations < 2:
         raise ModelError("need at least 2 permutations")
+    _check_modes(baseline_mode)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
     marginals = np.zeros((n_permutations, p))

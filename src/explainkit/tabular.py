@@ -31,7 +31,8 @@ class Column:
     """A named column of homogeneous cells.
 
     Numeric columns hold finite float64 values; categorical columns hold
-    string labels plus the explicit level set covering them.
+    string labels plus the explicit level set covering them. `values` is a
+    read-only view, so a scorer handed the column cannot change the table.
     """
 
     name: str
@@ -46,7 +47,6 @@ class Column:
             arr = np.asarray(self.values, dtype=float)
             if arr.size and not np.all(np.isfinite(arr)):
                 raise DataError(f"column {self.name!r} contains non-finite numeric cells")
-            object.__setattr__(self, "values", arr)
             object.__setattr__(self, "levels", None)
         elif self.kind == CATEGORICAL:
             arr = np.asarray(self.values, dtype=object)
@@ -63,10 +63,12 @@ class Column:
                 raise DataError(
                     f"column {self.name!r} has labels outside its level set: {missing}"
                 )
-            object.__setattr__(self, "values", arr)
             object.__setattr__(self, "levels", tuple(levels))
         else:
             raise DataError(f"unknown column kind {self.kind!r}")
+        arr = arr.view()
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -157,12 +159,6 @@ class Dataset:
     def feature_columns(self) -> list[Column]:
         return [self.columns[i] for i in self._feature_indices]
 
-    def column_named(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise DataError(f"no column named {name!r}")
-
     def schema(self) -> FeatureSchema:
         cols = self.feature_columns()
         return FeatureSchema(
@@ -238,13 +234,14 @@ def load_csv(
     When `delimiter` is None it is auto-detected from the header line among
     comma, semicolon, and tab.
 
-    Raises DataError on unreadable files, ragged rows, empty input, missing
-    cells, duplicate header names, or a numeric override that does not parse.
+    Raises DataError on unreadable or non-UTF-8 files, ragged rows, empty
+    input, missing cells, duplicate header names, or a numeric override that
+    does not parse.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
     lines = text.splitlines()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from explainkit import (
     ConstantPredictor,
+    SchemaError,
     ag_break,
     attribution_text,
     dataset_from_rows,
@@ -46,6 +47,11 @@ class TestLmBreak:
         assert a.baseline == pytest.approx(7.0, abs=1e-12)
         assert a.entries[0].contribution == pytest.approx(4.0, abs=1e-12)
         assert a.final_prediction == pytest.approx(11.0, abs=1e-12)
+
+    def test_unknown_baseline_mode_rejected(self):
+        m = _linear(1, 1.0, [2.0], [3.0])
+        with pytest.raises(SchemaError, match="unknown baseline mode"):
+            lm_break(m, (5.0,), baseline_mode="mean")
 
     def test_at_the_mean_everything_vanishes(self):
         ds = make_regression(3, 50, seed=41, noise=0.3)

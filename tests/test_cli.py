@@ -1,8 +1,14 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from explainkit.cli import export_json, parse_args, run
+from explainkit.cli import SUBCOMMANDS, export_json, parse_args, run
 from explainkit.errors import UsageError
 
 from conftest import WINE_CSV, fixture_command
@@ -257,6 +263,33 @@ class TestRunTrace:
         assert svg.read_text().startswith("<svg")
 
 
+class TestExitCodes:
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("a,y\nr\xe9d,1\nblue,2\n".encode("latin-1"))
+        assert run(["breakdown", "--data", str(bad), "--response", "y", "--row", "1"]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, value, capsys):
+        argv = ["live", *wine_args("--row", "5", "--white-box", "lasso", "--lambda", value)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("subcommand", [["shapley", "--method", "sample"], ["live"]])
+    def test_negative_seed_is_usage_error(self, subcommand, capsys):
+        assert run([*subcommand, *wine_args("--row", "5", "--seed", "-1")]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_no_feature_columns_is_data_error(self, tmp_path, capsys):
+        only = tmp_path / "only.csv"
+        only.write_text("y\n1\n2\n3\n")
+        argv = ["breakdown", "--data", str(only), "--response", "y", "--row", "1"]
+        assert run([*argv, "--model", "kernel-ridge"]) == 2
+        assert "no feature columns" in capsys.readouterr().err
+
+
 class TestExportJson:
     def test_byte_identical_across_calls(self, tmp_path):
         payload = {"b": 2.0, "a": [1.5, -0.318]}
@@ -319,3 +352,98 @@ class TestReproducibility:
         before = WINE_CSV.read_bytes()
         run(["breakdown", *wine_args("--row", "5")])
         assert WINE_CSV.read_bytes() == before
+
+
+SMALL_CSV = b"a,b,y\n1,2,3\n2,1,4\n3,3,9\n0,1,1\n2,2,6\n1,0,2\n"
+
+SCORERS = {
+    "linear": fixture_command("linear_scorer.py", "0.0", "1.0", "1.0"),
+    "nan": fixture_command("linear_scorer.py", "nan", "1.0", "1.0"),
+    "failing": fixture_command("failing_scorer.py"),
+    "short": fixture_command("short_output_scorer.py"),
+}
+
+OUTPUTS = ("--json", "--svg", "--text")
+
+FLAG_VALUES = {
+    "--response": st.sampled_from(["y", "a", "zz"]),
+    "--row": st.integers(-1, 8).map(str),
+    "--observation": st.sampled_from(["1,2", "1", "a,b", "nan,1", "1,2,3"]),
+    "--model": st.sampled_from(["ols", "kernel-ridge", "external", "tree"]),
+    "--gamma": st.sampled_from(["1", "0", "-1", "nan", "inf", "x"]),
+    "--ridge": st.sampled_from(["0.1", "0", "-inf"]),
+    "--direction": st.sampled_from(["up", "down", "left"]),
+    "--baseline": st.sampled_from(["zero", "intercept", "mean"]),
+    "--up-distance": st.sampled_from(["to-baseline", "to-fnew", "far"]),
+    "--size": st.integers(-1, 30).map(str),
+    "--white-box": st.sampled_from(["ols", "lasso", "ridge"]),
+    "--lambda": st.sampled_from(["0.05", "0", "-1", "nan", "inf", "x"]),
+    "--method": st.sampled_from(["exact", "sample"]),
+    "--permutations": st.integers(-1, 5).map(str),
+    "--seed": st.integers(-3, 3).map(str),
+    **{flag: st.sampled_from(["out", "missing/out"]) for flag in OUTPUTS},
+}
+
+CSV_BYTES = st.one_of(
+    st.just(SMALL_CSV),
+    st.binary(max_size=64),
+    st.tuples(st.integers(0, len(SMALL_CSV)), st.binary(min_size=1, max_size=6)).map(
+        lambda t: SMALL_CSV[: t[0]] + t[1] + SMALL_CSV[t[0] :]
+    ),
+)
+
+FLAGS = st.lists(
+    st.one_of(*[st.tuples(st.just(f), v) for f, v in FLAG_VALUES.items()]), max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=CSV_BYTES,
+    subcommand=st.sampled_from(SUBCOMMANDS),
+    flags=FLAGS,
+    scorer=st.sampled_from([None, *SCORERS]),
+)
+@example(data=b"a,y\n\xff,1\n2,3\n", subcommand="breakdown", flags=[], scorer=None)
+@example(
+    data=SMALL_CSV,
+    subcommand="live",
+    flags=[("--white-box", "lasso"), ("--lambda", "nan")],
+    scorer=None,
+)
+@example(
+    data=SMALL_CSV,
+    subcommand="shapley",
+    flags=[("--method", "sample"), ("--seed", "-1")],
+    scorer=None,
+)
+@example(data=SMALL_CSV, subcommand="live", flags=[("--seed", "-1")], scorer=None)
+@example(
+    data=b"y\n1\n2\n3\n", subcommand="breakdown", flags=[("--model", "kernel-ridge")],
+    scorer=None,
+)
+@example(data=SMALL_CSV, subcommand="trace", flags=[], scorer="nan")
+def test_cli_exit_code_contract(data, subcommand, flags, scorer):
+    """Whatever the CSV bytes, flags and scorer, `run` returns 0, 1 or 2,
+    never raises, and on failure prints nothing on stdout and its own
+    diagnostic on stderr (an external scorer's stderr follows it)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = [subcommand, "--data", path, "--response", "y"]
+        if not any(flag == "--observation" for flag, _ in flags):
+            argv += ["--row", "2"]
+        if scorer is not None:
+            argv += ["--model", "external"]
+        for flag, value in flags:
+            argv += [flag, os.path.join(tmp, value) if flag in OUTPUTS else value]
+        if scorer is not None:
+            argv += ["--", *SCORERS[scorer]]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "usage error: "))

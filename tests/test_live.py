@@ -195,6 +195,15 @@ class TestFitExplanation:
         with pytest.raises(ModelError, match="increase size"):
             fit_explanation(local, white_box="ols")
 
+    @pytest.mark.parametrize("lambda_", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lambda_):
+        ds = make_regression(2, 40, seed=92)
+        local = add_predictions(
+            sample_locally(ds, ds.observation(0), "y", size=30, seed=1), fit_ols(ds, 2)
+        )
+        with pytest.raises(ModelError, match="finite"):
+            fit_explanation(local, white_box="lasso", lambda_=lambda_)
+
     def test_constant_black_box_r2_defined(self):
         ds = make_regression(2, 40, seed=92)
         c = ConstantPredictor(schema=ds.schema(), value=3.0)

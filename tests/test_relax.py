@@ -7,6 +7,7 @@ from explainkit import (
     ConstantPredictor,
     ModelError,
     SchemaError,
+    add_predictions,
     added_contribution,
     ag_break,
     column_mean,
@@ -16,6 +17,7 @@ from explainkit import (
     relaxation_trace,
     relaxed_distance,
     relaxed_prediction,
+    sample_locally,
     shapley_exact,
     shapley_sampled,
 )
@@ -36,19 +38,26 @@ class ProductPredictor(Predictor):
         return np.asarray(columns[0], dtype=float) * np.asarray(columns[1], dtype=float)
 
 
-class OneNaNPredictor(Predictor):
-    """Wraps a model and spoils the first score of every multi-row batch,
-    so single-row predictions stay finite and only hybrid rows go bad."""
+class SpoiledPredictor(Predictor):
+    """Wraps a model and spoils the scores of every multi-row batch, so
+    single-row predictions stay sound and only batches go bad."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, spoil):
         self.inner = inner
+        self.spoil = spoil
         self.schema = inner.schema
 
     def score_columns(self, columns):
-        scores = np.array(self.inner.score_columns(columns), dtype=float)
-        if len(scores) > 1:
-            scores[0] = np.nan
-        return scores
+        scores = self.inner.score_columns(columns)
+        return self.spoil(scores) if len(scores) > 1 else scores
+
+
+SPOILERS = {
+    "non-finite": lambda s: np.concatenate([[np.nan], s[1:]]),
+    "one-short": lambda s: s[:-1],
+    "scalar": lambda s: float(np.mean(s)),
+    "column": lambda s: s[:, None],
+}
 
 
 class CountingPredictor(Predictor):
@@ -167,6 +176,26 @@ class TestRelaxedPrediction:
         with pytest.raises(ValueError, match="read-only"):
             relaxed_prediction(InPlacePredictor(), ds, ds.observation(0), frozenset({0}))
 
+    @pytest.mark.parametrize("subsample", [None, 5])
+    def test_background_columns_are_read_only(self, subsample):
+        ds = make_regression(2, 10, seed=6)
+        m = fit_ols(ds, 2)
+        before = ds.columns[1].values.copy()
+
+        class InPlacePredictor(Predictor):
+            schema = m.schema
+
+            def score_columns(self, columns):
+                columns[1][:] = 0.0
+                return m.score_columns(columns)
+
+        rng = np.random.Generator(np.random.PCG64(5))
+        with pytest.raises(ValueError, match="read-only"):
+            relaxed_prediction(
+                InPlacePredictor(), ds, ds.observation(0), frozenset({0}), subsample, rng
+            )
+        assert np.array_equal(ds.columns[1].values, before)
+
 
 ENTRY_POINTS = {
     "ag-break-up": lambda f, ds, x: ag_break(f, ds, x, direction="up"),
@@ -176,15 +205,52 @@ ENTRY_POINTS = {
         f, ds, x, n_permutations=4, rng=np.random.Generator(np.random.PCG64(1))
     ),
     "trace": lambda f, ds, x: relaxation_trace(f, ds, x, [2, 0, 1], "down"),
+    "add-predictions": lambda f, ds, x: add_predictions(
+        sample_locally(ds, x, "y", size=10, seed=1), f
+    ),
+    "score-rows": lambda f, ds, x: f.score_rows(
+        [ds.observation(i) for i in range(ds.n_rows)]
+    ),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_finite_hybrid_scores_are_model_errors(entry):
     ds = make_regression(3, 20, seed=23)
-    f = OneNaNPredictor(fit_ols(ds, 3))
+    f = SpoiledPredictor(fit_ols(ds, 3), SPOILERS["non-finite"])
     with pytest.raises(ModelError, match="non-finite"):
         ENTRY_POINTS[entry](f, ds, ds.observation(0))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("spoiler", ["one-short", "scalar", "column"])
+def test_wrong_shape_scores_are_model_errors(spoiler, entry):
+    # one score per row or nothing: a short or reshaped batch would
+    # otherwise average into a silently wrong relaxed prediction
+    ds = make_regression(3, 20, seed=23)
+    f = SpoiledPredictor(fit_ols(ds, 3), SPOILERS[spoiler])
+    with pytest.raises(ModelError, match="shape"):
+        ENTRY_POINTS[entry](f, ds, ds.observation(0))
+
+
+BAD_MODES = {
+    "ag-break-direction": lambda f, ds, x: ag_break(f, ds, x, direction="sideways"),
+    "ag-break-baseline": lambda f, ds, x: ag_break(f, ds, x, baseline_mode="mean"),
+    "ag-break-up-distance": lambda f, ds, x: ag_break(f, ds, x, up_distance="far"),
+    "shapley-exact-baseline": lambda f, ds, x: shapley_exact(f, ds, x, baseline_mode="mean"),
+    "shapley-sampled-baseline": lambda f, ds, x: shapley_sampled(
+        f, ds, x, 4, np.random.Generator(np.random.PCG64(1)), baseline_mode="mean"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODES))
+def test_unknown_modes_rejected_before_scoring(case):
+    ds = make_regression(3, 20, seed=23)
+    f = CountingPredictor(fit_ols(ds, 3))
+    with pytest.raises(SchemaError, match="unknown"):
+        BAD_MODES[case](f, ds, ds.observation(0))
+    assert f.calls == 0
 
 
 def test_scorer_calls_per_explanation(wine, wine_ols):

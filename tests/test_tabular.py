@@ -39,6 +39,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty"):
             load_csv(str(f))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes("a,y\nr\xe9d,1\nblue,2\n".encode("latin-1"))
+        with pytest.raises(DataError, match="utf-8"):
+            load_csv(str(f))
+
+    def test_column_values_are_read_only_views(self):
+        source = np.array([1.0, 2.0])
+        col = Column("a", NUMERIC, source)
+        with pytest.raises(ValueError, match="read-only"):
+            col.values[0] = 5.0
+        source[1] = 3.0  # the caller's own array stays writable
+        assert list(col.values) == [1.0, 3.0]
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_csv(str(tmp_path / "nope.csv"))
