@@ -179,52 +179,31 @@ def ag_break(
     x_new, p, names = values.x_new, values.p, values.schema.names
     f_new = predictor.score_one(x_new)
 
+    down = direction == DOWN
+    fixed = (1 << p) - 1 if down else 0
+    current = values.mean(fixed)
+    to_mean = not down and up_distance == UP_DISTANCE_TO_BASELINE
+    reference = current if to_mean else f_new
+    # Down releases the pinned feature that moves least from f_new; Up pins
+    # the free feature that moves furthest from the reference. min and max
+    # both return the first extreme, so ties go to the lowest index.
+    pick = min if down else max
     entries: list[AttributionEntry] = []
-    if direction == DOWN:
-        fixed = (1 << p) - 1
-        current = values.mean(fixed)
-        removal: list[AttributionEntry] = []
-        for _ in range(p):
-            best_j, best_dist, best_value = -1, np.inf, 0.0
-            for j in range(p):
-                if not fixed >> j & 1:
-                    continue
-                candidate = values.mean(fixed & ~(1 << j))
-                dist = abs(candidate - f_new)
-                if dist < best_dist:
-                    best_j, best_dist, best_value = j, dist, candidate
-            removal.append(
-                AttributionEntry(
-                    names[best_j], x_new[best_j], current - best_value
-                )
-            )
-            fixed &= ~(1 << best_j)
-            current = best_value
-        mean_score = current  # empty pinned set: mean model score
-        entries = list(reversed(removal))
-    else:
-        mean_score = values.mean(0)
-        reference = mean_score if up_distance == UP_DISTANCE_TO_BASELINE else f_new
-        fixed = 0
-        current = mean_score
-        for _ in range(p):
-            best_j, best_dist, best_value = -1, -np.inf, 0.0
-            for j in range(p):
-                if fixed >> j & 1:
-                    continue
-                candidate = values.mean(fixed | (1 << j))
-                dist = abs(candidate - reference)
-                if dist > best_dist:
-                    best_j, best_dist, best_value = j, dist, candidate
-            entries.append(
-                AttributionEntry(
-                    names[best_j], x_new[best_j], best_value - current
-                )
-            )
-            fixed |= 1 << best_j
-            current = best_value
+    for _ in range(p):
+        j = pick(
+            (j for j in range(p) if (fixed >> j & 1) == down),
+            key=lambda j: abs(values.mean(fixed ^ 1 << j) - reference),
+        )
+        fixed ^= 1 << j
+        value = values.mean(fixed)
+        contribution = current - value if down else value - current
+        entries.append(AttributionEntry(names[j], x_new[j], contribution))
+        current = value
+    if down:
+        entries.reverse()  # most important (released last) first
+    mean_score = values.mean(0)
 
-    method = AG_BREAK_DOWN if direction == DOWN else AG_BREAK_UP
+    method = AG_BREAK_DOWN if down else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)
 
 

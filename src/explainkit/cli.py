@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .breakdown import ag_break, attribution_text
-from .errors import DataError, ExplainError, UsageError
+from .errors import ExplainError, UsageError
 from .live import add_predictions, fit_explanation, sample_locally
 from .predict import external_scorer, fit_kernel_ridge, fit_ols
 from .relax import relaxation_trace
@@ -199,8 +199,6 @@ def _feature_order_from_entries(attribution, schema) -> list[int]:
 def _execute(config: RunConfig):
     """Returns (result payload dict, svg text or None, text fallback or None)."""
     dataset = load_csv(config.data, response_name=config.response)
-    if dataset.n_features == 0:
-        raise DataError(f"{config.data!r} has no feature columns besides the response")
     x_new = _resolve_observation(config, dataset)
     predictor = _build_predictor(config, dataset)
 

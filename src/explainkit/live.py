@@ -85,7 +85,7 @@ class SurrogateFit:
 def sample_locally(
     dataset: Dataset,
     x_new: Sequence[Cell],
-    response: str,
+    response: int | str,
     size: int,
     seed: int,
 ) -> LocalDataset:
@@ -100,16 +100,7 @@ def sample_locally(
     """
     if size < 0:
         raise DataError("size must be nonnegative")
-    names = [c.name for c in dataset.columns]
-    if response not in names:
-        raise DataError(f"response column {response!r} not found")
-    if dataset.response_index is not None and names[dataset.response_index] != response:
-        raise DataError("response argument disagrees with the dataset's response column")
-    base = (
-        dataset
-        if dataset.response_index is not None
-        else Dataset(dataset.columns, names.index(response))
-    )
+    base = dataset.with_response(response)
     schema = base.schema()
     x_new = schema.validate_observation(x_new)
     p = schema.n_features
@@ -122,10 +113,8 @@ def sample_locally(
         else:
             cols.append(np.full(size, v, dtype=object))
 
-    feature_col_index = list(base.feature_indices)
-
     def perturb(row: int, feature: int) -> None:
-        cols[feature][row] = empirical_draw(base, feature_col_index[feature], rng)
+        cols[feature][row] = empirical_draw(base, base.feature_indices[feature], rng)
 
     if p <= size:
         for i in range(p):
@@ -143,7 +132,7 @@ def sample_locally(
         schema=schema,
         feature_values=tuple(cols),
         origin=tuple(x_new),
-        response_name=response,
+        response_name=base.columns[base.response_index].name,
         seed=seed,
     )
 

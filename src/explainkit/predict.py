@@ -164,12 +164,7 @@ class Encoder:
         return out
 
     def encode_observation(self, obs: Sequence[Cell]) -> np.ndarray:
-        obs = self.schema.validate_observation(obs)
-        cols = [
-            np.array([v], dtype=float if kind == NUMERIC else object)
-            for v, kind in zip(obs, self.schema.kinds)
-        ]
-        return self.encode_columns(cols)[0]
+        return self.encode_columns(_columns_from_rows(self.schema, [obs]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +232,26 @@ def _qr_least_squares(design: np.ndarray, y: np.ndarray, names: Sequence[str]):
 
 def fit_ols(
     dataset: Dataset,
-    response: int,
+    response: int | str,
     reference_levels: dict[str, str] | None = None,
 ) -> LinearModel:
     """Least-squares linear model of the response on all feature columns.
 
+    `response` is a column index or name (see `Dataset.with_response`).
     Categorical features are one-hot encoded against `reference_levels`
     (first observed level by default). Standard errors use the unbiased
     residual variance. Raises ModelError when rows are too few or the
     encoded design is rank deficient (the offending column is named).
     """
-    if dataset.response_index is not None and response != dataset.response_index:
-        raise ModelError("response argument disagrees with the dataset's response column")
-    resp_col = dataset.columns[response]
-    if resp_col.kind != NUMERIC:
-        raise ModelError(f"response column {resp_col.name!r} must be numeric")
-    schema = (
-        dataset.schema()
-        if dataset.response_index == response
-        else Dataset(dataset.columns, response).schema()
-    )
+    dataset = dataset.with_response(response)
+    y = dataset.response_values()
+    schema = dataset.schema()
     encoder = Encoder.for_schema(schema, reference_levels)
-    feature_cols = [
-        dataset.columns[i].values
-        for i in range(len(dataset.columns))
-        if i != response
-    ]
-    encoded = encoder.encode_columns(feature_cols)
+    encoded = encoder.encode_columns([c.values for c in dataset.feature_columns()])
     n, k = encoded.shape
     if n <= k + 1:
         raise ModelError(f"need more than {k + 1} rows to fit {k} encoded features, got {n}")
     design = np.hstack([np.ones((n, 1)), encoded])
-    y = resp_col.values
     beta, stderr, sigma2 = _qr_least_squares(
         design, y, ["(intercept)", *encoder.encoded_names]
     )
@@ -319,30 +302,21 @@ class KernelRidgePredictor(Predictor):
 
 
 def fit_kernel_ridge(
-    dataset: Dataset, response: int, gamma: float, ridge: float
+    dataset: Dataset, response: int | str, gamma: float, ridge: float
 ) -> KernelRidgePredictor:
-    """Fit dual weights (K + ridge I)^-1 (y - mean y) with an RBF kernel."""
+    """Fit dual weights (K + ridge I)^-1 (y - mean y) with an RBF kernel.
+
+    `response` is a column index or name (see `Dataset.with_response`).
+    """
     if gamma <= 0 or ridge <= 0:
         raise ModelError("gamma and ridge must be positive")
-    resp_col = dataset.columns[response]
-    if resp_col.kind != NUMERIC:
-        raise ModelError(f"response column {resp_col.name!r} must be numeric")
-    feature_cols = []
-    names = []
-    for i in range(len(dataset.columns)):
-        if i == response:
-            continue
-        col = dataset.columns[i]
+    dataset = dataset.with_response(response)
+    y = dataset.response_values()
+    feature_cols = dataset.feature_columns()
+    for col in feature_cols:
         if col.kind != NUMERIC:
             raise ModelError(f"kernel ridge requires numeric features, {col.name!r} is categorical")
-        feature_cols.append(col.values)
-        names.append(col.name)
-    schema = (
-        dataset.schema()
-        if dataset.response_index == response
-        else Dataset(dataset.columns, response).schema()
-    )
-    x = np.column_stack(feature_cols)
+    x = np.column_stack([col.values for col in feature_cols])
     means = x.mean(axis=0)
     scales = x.std(axis=0)
     scales = np.where(scales == 0.0, 1.0, scales)
@@ -353,14 +327,13 @@ def fit_kernel_ridge(
         - 2.0 * z @ z.T
     )
     kmat = np.exp(-gamma * np.maximum(sq, 0.0))
-    y = resp_col.values
     y_mean = float(y.mean())
     try:
         alpha = np.linalg.solve(kmat + ridge * np.eye(len(y)), y - y_mean)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"kernel system could not be solved: {exc}") from exc
     return KernelRidgePredictor(
-        schema=schema,
+        schema=dataset.schema(),
         train_standardized=z,
         feature_means=means,
         feature_scales=scales,

@@ -85,16 +85,18 @@ def _axis(parts: list[str], to_x, lo: float, hi: float, height: int) -> None:
 
 
 def render_waterfall(
-    attribution: Attribution,
-    sort: str = SORT_IMPORTANCE,
-    baseline_line: bool = True,
+    attribution: Attribution, sort: str = SORT_IMPORTANCE
 ) -> PlotDocument:
     """Cumulative bar chart from the baseline to the final prediction.
 
-    Each bar spans the relaxed prediction without and with its feature, so
-    consecutive bars chain and the last bar's far edge lands exactly on the
-    final prediction. `sort` orders bars by decreasing |contribution|
-    (importance) or keeps the attribution's own order (given).
+    Each bar adds one entry's contribution to the running total started at
+    the baseline, so consecutive bars chain and the last bar's far edge
+    lands exactly on the final prediction. A solid rule marks the baseline
+    and a dashed one the final prediction. `sort` orders bars by decreasing
+    |contribution| (importance, the default) or keeps the attribution's own
+    order (given). Only with sort="given" on an ag-break attribution do the
+    bar edges trace the relaxed predictions of the greedy walk; the
+    importance order generally differs from the greedy order.
     """
     entries = list(attribution.entries)
     if sort == SORT_IMPORTANCE:
@@ -135,13 +137,12 @@ def render_waterfall(
             f'text-anchor="start">{_fmt(e.contribution)}</text>\n'
         )
 
-    if baseline_line:
-        xb = to_x(attribution.baseline)
-        parts.append(
-            f'<line x1="{_fmt(xb)}" y1="{_fmt(MARGIN_TOP - 8)}" '
-            f'x2="{_fmt(xb)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" '
-            f'stroke="{NEUTRAL_STROKE}" stroke-width="1.5"/>\n'
-        )
+    xb = to_x(attribution.baseline)
+    parts.append(
+        f'<line x1="{_fmt(xb)}" y1="{_fmt(MARGIN_TOP - 8)}" '
+        f'x2="{_fmt(xb)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" '
+        f'stroke="{NEUTRAL_STROKE}" stroke-width="1.5"/>\n'
+    )
     xf = to_x(attribution.final_prediction)
     parts.append(
         f'<line x1="{_fmt(xf)}" y1="{_fmt(MARGIN_TOP - 8)}" '

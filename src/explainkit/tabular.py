@@ -112,7 +112,10 @@ class FeatureSchema:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable columnar table, optionally with a designated response column."""
+    """Immutable columnar table, optionally with a designated response column.
+
+    A designated response must leave at least one feature column.
+    """
 
     columns: tuple[Column, ...]
     response_index: int | None = None
@@ -134,10 +137,30 @@ class Dataset:
             0 <= self.response_index < len(self.columns)
         ):
             raise DataError(f"response index {self.response_index} out of range")
+        if self.response_index is not None and len(self.columns) == 1:
+            raise DataError(f"response column {names[0]!r} leaves no feature columns")
         feats = tuple(
             i for i in range(len(self.columns)) if i != self.response_index
         )
         object.__setattr__(self, "_feature_indices", feats)
+
+    def with_response(self, response: int | str) -> "Dataset":
+        """This table with `response`, a column index or name, as its response.
+
+        Returns self when that response is already designated. Raises
+        DataError for an unknown column or one that disagrees with the
+        designated response.
+        """
+        if isinstance(response, str):
+            names = [c.name for c in self.columns]
+            if response not in names:
+                raise DataError(f"response column {response!r} not found")
+            response = names.index(response)
+        if self.response_index is None:
+            return Dataset(self.columns, response)
+        if response != self.response_index:
+            raise DataError("response argument disagrees with the dataset's response column")
+        return self
 
     @property
     def n_rows(self) -> int:
@@ -301,13 +324,8 @@ def load_csv(
         else:
             raise DataError(f"unknown type override {kind!r} for column {name!r}")
 
-    response_index = None
-    if response_name is not None:
-        if response_name not in header:
-            raise DataError(f"response column {response_name!r} not found")
-        response_index = header.index(response_name)
-
-    return Dataset(columns=tuple(columns), response_index=response_index)
+    dataset = Dataset(columns=tuple(columns))
+    return dataset if response_name is None else dataset.with_response(response_name)
 
 
 def column_mean(dataset: Dataset, col: int) -> float:
@@ -345,5 +363,5 @@ def dataset_from_rows(
             cols.append(Column(name, NUMERIC, np.array(cells, dtype=float)))
         else:
             cols.append(Column(name, CATEGORICAL, np.array([str(c) for c in cells], dtype=object)))
-    response_index = list(names).index(response_name) if response_name else None
-    return Dataset(columns=tuple(cols), response_index=response_index)
+    dataset = Dataset(columns=tuple(cols))
+    return dataset.with_response(response_name) if response_name else dataset

@@ -90,6 +90,13 @@ class TestSampleLocally:
         with pytest.raises(DataError, match="not found"):
             sample_locally(wine, wine.observation(0), "nope", size=3, seed=1)
 
+    def test_response_by_index_matches_name(self, wine):
+        x = wine.observation(4)
+        by_name = sample_locally(wine, x, "quality", size=20, seed=5)
+        by_index = sample_locally(wine, x, wine.response_index, size=20, seed=5)
+        assert by_index.response_name == by_name.response_name == "quality"
+        assert by_index.to_csv() == by_name.to_csv()
+
     def test_categorical_perturbations_stay_in_levels(self):
         rows = [("a", 1.0, 2.0), ("b", 2.0, 3.0), ("c", 0.0, 4.0), ("a", 3.0, 5.0)]
         ds = dataset_from_rows(

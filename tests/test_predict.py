@@ -3,6 +3,7 @@ import pytest
 
 from explainkit import (
     ConstantPredictor,
+    DataError,
     Encoder,
     LinearModel,
     ModelError,
@@ -12,9 +13,10 @@ from explainkit import (
     external_scorer,
     fit_kernel_ridge,
     fit_ols,
+    sample_locally,
     score,
 )
-from explainkit.tabular import FeatureSchema
+from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
 
@@ -106,6 +108,65 @@ class TestFitOls:
         # y = 8 + 2x + 10*[g=b]
         assert m.score_one(("a", 1.0)) == pytest.approx(10.0, abs=1e-9)
         assert m.score_one(("b", 1.0)) == pytest.approx(20.0, abs=1e-9)
+
+    def test_encode_observation_matches_encode_columns(self):
+        ds = dataset_from_rows(
+            ["g", "x", "y"],
+            ["categorical", "numeric", "numeric"],
+            [("a", 1.0, 1.0), ("b", 2.0, 3.0), ("c", 0.5, 2.0), ("a", 4.0, 6.0), ("b", 1.5, 2.5)],
+            "y",
+        )
+        enc = fit_ols(ds, 2).encoder
+        assert enc.encode_observation(("c", "2.5")).tolist() == [0.0, 1.0, 2.5]
+        for bad in [("c",), ("d", 1.0), ("a", "nan")]:
+            with pytest.raises(SchemaError):
+                enc.encode_observation(bad)
+
+
+# The response/feature split is decided once, by Dataset.with_response, for
+# every library entry point that takes a response argument.
+RESPONSE_TAKERS = {
+    "fit_ols": lambda ds, response: fit_ols(ds, response),
+    "fit_kernel_ridge": lambda ds, response: fit_kernel_ridge(ds, response, 1.0, 0.1),
+    "sample_locally": lambda ds, response: sample_locally(ds, (), response, size=5, seed=1),
+}
+
+
+@pytest.mark.parametrize("response", [0, "y"])
+@pytest.mark.parametrize("entry", sorted(RESPONSE_TAKERS))
+def test_response_only_table_is_data_error(entry, response):
+    only = Dataset(columns=(Column("y", NUMERIC, np.array([1.0, 2.0, 3.0])),))
+    with pytest.raises(DataError, match="no feature columns"):
+        RESPONSE_TAKERS[entry](only, response)
+
+
+@pytest.mark.parametrize("response", [0, "fixed_acidity"])
+@pytest.mark.parametrize("entry", sorted(RESPONSE_TAKERS))
+def test_disagreeing_response_is_data_error(wine, entry, response):
+    with pytest.raises(DataError, match="disagrees"):
+        RESPONSE_TAKERS[entry](wine, response)
+
+
+@pytest.mark.parametrize("entry", ["fit_ols", "fit_kernel_ridge"])
+def test_non_numeric_response_is_data_error(entry):
+    ds = dataset_from_rows(
+        ["g", "x"], ["categorical", "numeric"], [("a", 1.0), ("b", 2.0), ("a", 3.0), ("b", 4.0)]
+    )
+    with pytest.raises(DataError, match="not numeric"):
+        RESPONSE_TAKERS[entry](ds, "g")
+
+
+def test_response_by_name_matches_index():
+    designated = make_regression(3, 30, seed=4)
+    table = Dataset(designated.columns)
+    for response in (3, "y"):
+        ols = fit_ols(table, response)
+        assert ols.schema == designated.schema()
+        assert np.array_equal(ols.coefficients, fit_ols(designated, 3).coefficients)
+        krr = fit_kernel_ridge(table, response, 0.5, 0.1)
+        assert np.array_equal(
+            krr.dual_weights, fit_kernel_ridge(designated, 3, 0.5, 0.1).dual_weights
+        )
 
 
 class TestScore:

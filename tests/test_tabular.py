@@ -200,5 +200,52 @@ class TestInvariants:
                 response_index=3,
             )
 
+    @pytest.mark.parametrize("build", ["Dataset", "load_csv", "dataset_from_rows"])
+    def test_response_must_leave_a_feature_column(self, build, tmp_path):
+        with pytest.raises(DataError, match="no feature columns"):
+            if build == "Dataset":
+                Dataset(columns=(Column("y", NUMERIC, np.array([1.0, 2.0])),), response_index=0)
+            elif build == "load_csv":
+                f = tmp_path / "only.csv"
+                f.write_text("y\n1\n2\n")
+                load_csv(str(f), response_name="y")
+            else:
+                dataset_from_rows(["y"], [NUMERIC], [(1.0,), (2.0,)], response_name="y")
+
     def test_observation_excludes_response(self, wine):
         assert len(wine.observation(0)) == 11
+
+
+class TestWithResponse:
+    def _table(self):
+        return dataset_from_rows(
+            ["a", "g", "y"], [NUMERIC, CATEGORICAL, NUMERIC], [(1.0, "u", 2.0), (3.0, "v", 4.0)]
+        )
+
+    @pytest.mark.parametrize("response", [2, "y"])
+    def test_index_or_name_designates_the_response(self, response):
+        ds = self._table().with_response(response)
+        assert ds.response_index == 2
+        assert ds.feature_names == ("a", "g")
+        assert ds.response_values().tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("response", [11, "quality"])
+    def test_designated_response_returns_self(self, wine, response):
+        assert wine.with_response(response) is wine
+
+    @pytest.mark.parametrize(
+        "response, match",
+        [("nope", "not found"), (0, "disagrees"), ("fixed_acidity", "disagrees")],
+    )
+    def test_bad_response_against_designated_one(self, wine, response, match):
+        with pytest.raises(DataError, match=match):
+            wine.with_response(response)
+
+    @pytest.mark.parametrize("response", [3, -1])
+    def test_bad_index_on_undesignated_table(self, response):
+        with pytest.raises(DataError, match="out of range"):
+            self._table().with_response(response)
+
+    def test_dataset_from_rows_unknown_response_rejected(self):
+        with pytest.raises(DataError, match="not found"):
+            dataset_from_rows(["a", "y"], [NUMERIC, NUMERIC], [(1.0, 2.0)], response_name="z")
