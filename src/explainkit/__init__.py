@@ -42,9 +42,7 @@ from .predict import (
 from .relax import (
     RelaxationTrace,
     TraceStep,
-    added_contribution,
     relaxation_trace,
-    relaxed_distance,
     relaxed_prediction,
 )
 from .render import PlotDocument, render_forest, render_trace, render_waterfall
@@ -93,8 +91,6 @@ __all__ = [
     "RelaxationTrace",
     "TraceStep",
     "relaxed_prediction",
-    "relaxed_distance",
-    "added_contribution",
     "relaxation_trace",
     "PlotDocument",
     "render_waterfall",

@@ -119,9 +119,23 @@ def _finalize_entries(
     )
 
 
-def _by_importance(entries: list[AttributionEntry]) -> list[AttributionEntry]:
+def _ranked_attribution(
+    names: Sequence[str],
+    x_new: Sequence[Cell],
+    contributions: Sequence[float],
+    baseline_mode: str,
+    mean_score: float,
+    final_prediction: float,
+    method: str,
+) -> Attribution:
+    """One entry per feature, ordered by decreasing |contribution|."""
+    entries = [
+        AttributionEntry(name, x_new[j], float(contributions[j]))
+        for j, name in enumerate(names)
+    ]
     # stable sort: ties keep schema order
-    return sorted(entries, key=lambda e: -abs(e.contribution))
+    entries.sort(key=lambda e: -abs(e.contribution))
+    return _finalize_entries(entries, baseline_mode, mean_score, final_prediction, method)
 
 
 def lm_break(
@@ -144,12 +158,8 @@ def lm_break(
         contributions[owner] += per_encoded[k]
     mean_score = model.intercept + float(model.feature_means @ model.coefficients)
     final = model.score_one(x_new)
-    entries = [
-        AttributionEntry(name, x_new[j], float(contributions[j]))
-        for j, name in enumerate(model.schema.names)
-    ]
-    return _finalize_entries(
-        _by_importance(entries), baseline_mode, mean_score, final, LM_BREAK
+    return _ranked_attribution(
+        model.schema.names, x_new, contributions, baseline_mode, mean_score, final, LM_BREAK
     )
 
 

@@ -106,12 +106,7 @@ def sample_locally(
     p = schema.n_features
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    cols: list[np.ndarray] = []
-    for kind, v in zip(schema.kinds, x_new):
-        if kind == NUMERIC:
-            cols.append(np.full(size, float(v), dtype=float))
-        else:
-            cols.append(np.full(size, v, dtype=object))
+    cols = schema.repeat(x_new, size)
 
     def perturb(row: int, feature: int) -> None:
         cols[feature][row] = empirical_draw(base, base.feature_indices[feature], rng)
@@ -226,7 +221,8 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray, folds: int = 5) -> floa
     validation error prefer the larger lambda.
     """
     n = len(y)
-    lambda_max = float(np.max(np.abs(x.T @ (y - y.mean())))) / n
+    # with no varying column x has no columns, and lambda_max is 0
+    lambda_max = float(np.max(np.abs(x.T @ (y - y.mean())), initial=0.0)) / n
     if lambda_max == 0.0:
         return 0.0
     grid = _lambda_grid(lambda_max)

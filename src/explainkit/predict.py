@@ -23,18 +23,6 @@ from .errors import ModelError, SchemaError, ScorerError
 from .tabular import NUMERIC, Cell, Dataset, FeatureSchema
 
 
-def _columns_from_rows(schema: FeatureSchema, rows: Sequence[Sequence[Cell]]) -> list[np.ndarray]:
-    normalized = [schema.validate_observation(r) for r in rows]
-    cols: list[np.ndarray] = []
-    for j, kind in enumerate(schema.kinds):
-        cells = [r[j] for r in normalized]
-        if kind == NUMERIC:
-            cols.append(np.array(cells, dtype=float))
-        else:
-            cols.append(np.array(cells, dtype=object))
-    return cols
-
-
 class Predictor:
     """Base class: a deterministic scoring function over feature rows.
 
@@ -70,7 +58,7 @@ class Predictor:
 
     def score_rows(self, rows: Sequence[Sequence[Cell]]) -> np.ndarray:
         """Score a batch of observations; empty batches yield an empty array."""
-        return self.scores(_columns_from_rows(self.schema, rows))
+        return self.scores(self.schema.to_columns(rows))
 
     def score_one(self, obs: Sequence[Cell]) -> float:
         return float(self.score_rows([obs])[0])
@@ -164,7 +152,7 @@ class Encoder:
         return out
 
     def encode_observation(self, obs: Sequence[Cell]) -> np.ndarray:
-        return self.encode_columns(_columns_from_rows(self.schema, [obs]))[0]
+        return self.encode_columns(self.schema.to_columns([obs]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +259,16 @@ def fit_ols(
 # kernel ridge
 
 
+def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """RBF kernel matrix exp(-gamma ||a_i - b_j||^2) between the rows of a and b."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class KernelRidgePredictor(Predictor):
     """RBF kernel ridge regressor with frozen training statistics.
@@ -292,12 +290,7 @@ class KernelRidgePredictor(Predictor):
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         x = np.column_stack([np.asarray(c, dtype=float) for c in columns])
         z = (x - self.feature_means) / self.feature_scales
-        sq = (
-            np.sum(z * z, axis=1)[:, None]
-            + np.sum(self.train_standardized * self.train_standardized, axis=1)[None, :]
-            - 2.0 * z @ self.train_standardized.T
-        )
-        k = np.exp(-self.gamma * np.maximum(sq, 0.0))
+        k = _rbf(z, self.train_standardized, self.gamma)
         return self.response_mean + k @ self.dual_weights
 
 
@@ -321,12 +314,7 @@ def fit_kernel_ridge(
     scales = x.std(axis=0)
     scales = np.where(scales == 0.0, 1.0, scales)
     z = (x - means) / scales
-    sq = (
-        np.sum(z * z, axis=1)[:, None]
-        + np.sum(z * z, axis=1)[None, :]
-        - 2.0 * z @ z.T
-    )
-    kmat = np.exp(-gamma * np.maximum(sq, 0.0))
+    kmat = _rbf(z, z, gamma)
     y_mean = float(y.mean())
     try:
         alpha = np.linalg.solve(kmat + ridge * np.eye(len(y)), y - y_mean)

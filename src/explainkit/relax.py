@@ -7,13 +7,13 @@ Pinning everything reproduces the model prediction; pinning nothing gives
 the mean score over the background.
 
 `RelaxedValues` is the one engine behind every relaxed quantity: the greedy
-breakdown, both Shapley estimators, the relaxation trace and the functions
-below all build one per explanation. It checks the predictor's schema and
-normalises the observation once, builds the pinned columns once, scores
-hybrid rows through the checked `Predictor.scores`, and caches relaxed
-predictions by pinned-set bitmask (bit j set means feature j is pinned).
-The background is the whole dataset unless an explicit row subsample is
-passed.
+breakdown, both Shapley estimators, the relaxation trace and the one-shot
+`relaxed_prediction` each build one per explanation. It checks the
+predictor's schema and normalises the observation once, builds the pinned
+columns once, scores hybrid rows through the checked `Predictor.scores`,
+and caches relaxed predictions by pinned-set bitmask (bit j set means
+feature j is pinned). The background is the whole dataset unless an
+explicit row subsample is passed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .predict import Predictor
-from .tabular import NUMERIC, Cell, Dataset
+from .tabular import Cell, Dataset
 
 IndexSet = frozenset[int]
 
@@ -61,17 +61,10 @@ class RelaxedValues:
         n = dataset.n_rows
         if background_rows is not None:
             self._background = [c[background_rows] for c in self._background]
-            for col in self._background:
-                col.flags.writeable = False
             n = len(background_rows)
-        self._pinned = []
-        for kind, cell in zip(schema.kinds, self.x_new):
-            if kind == NUMERIC:
-                col = np.full(n, float(cell), dtype=float)
-            else:
-                col = np.full(n, cell, dtype=object)
+        self._pinned = schema.repeat(self.x_new, n)
+        for col in (*self._background, *self._pinned):
             col.flags.writeable = False
-            self._pinned.append(col)
         self._means: dict[int, float] = {}
 
     def mask(self, fixed: Iterable[int]) -> int:
@@ -127,33 +120,6 @@ def relaxed_prediction(
         rows = np.sort(rng.choice(n, size=subsample, replace=False))
     values = RelaxedValues(predictor, dataset, x_new, rows)
     return values.mean(values.mask(fixed))
-
-
-def relaxed_distance(
-    predictor: Predictor,
-    dataset: Dataset,
-    x_new: Sequence[Cell],
-    fixed: Iterable[int],
-) -> float:
-    """|relaxed prediction - model prediction| for the pinned set."""
-    values = RelaxedValues(predictor, dataset, x_new)
-    return abs(values.mean(values.mask(fixed)) - predictor.score_one(values.x_new))
-
-
-def added_contribution(
-    predictor: Predictor,
-    dataset: Dataset,
-    x_new: Sequence[Cell],
-    fixed: Iterable[int],
-    j: int,
-) -> float:
-    """Signed change in relaxed prediction from additionally pinning feature j."""
-    values = RelaxedValues(predictor, dataset, x_new)
-    without = values.mask(fixed)
-    bit = values.mask([j])
-    if without & bit:
-        raise SchemaError(f"feature {int(j)} is already pinned")
-    return values.mean(without | bit) - values.mean(without)
 
 
 @dataclass(frozen=True, eq=False)

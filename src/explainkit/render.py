@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -71,17 +72,33 @@ def _x_scale(lo: float, hi: float):
     return to_x, lo, hi
 
 
+def _rule(x: float, height: int, stroke: str) -> str:
+    """Vertical line at x across the full plot height; `stroke` holds the
+    line's stroke attributes."""
+    return (
+        f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP - 8)}" '
+        f'x2="{_fmt(x)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" {stroke}/>\n'
+    )
+
+
 def _axis(parts: list[str], to_x, lo: float, hi: float, height: int) -> None:
-    y0, y1 = MARGIN_TOP - 8, height - MARGIN_BOTTOM + 8
+    y1 = height - MARGIN_BOTTOM + 8
     for v in (lo, hi):
         x = to_x(v)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" y2="{_fmt(y1)}" '
-            f'stroke="{GRID_STROKE}" stroke-width="1"/>\n'
-        )
+        parts.append(_rule(x, height, f'stroke="{GRID_STROKE}" stroke-width="1"'))
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y1 + 14)}" text-anchor="middle">{_fmt(v)}</text>\n'
         )
+
+
+def _text_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Aligned-text table: a left-aligned label column, then right-aligned
+    columns of six-decimal numbers."""
+    width = max(len(label) for label, *_ in rows)
+    lines = [f"{headers[0]:<{width}}" + "".join(f" {h:>12}" for h in headers[1:])]
+    for label, *numbers in rows:
+        lines.append(f"{label:<{width}}" + "".join(f" {v:>12.6f}" for v in numbers))
+    return "\n".join(lines) + "\n"
 
 
 def render_waterfall(
@@ -138,16 +155,10 @@ def render_waterfall(
         )
 
     xb = to_x(attribution.baseline)
-    parts.append(
-        f'<line x1="{_fmt(xb)}" y1="{_fmt(MARGIN_TOP - 8)}" '
-        f'x2="{_fmt(xb)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" '
-        f'stroke="{NEUTRAL_STROKE}" stroke-width="1.5"/>\n'
-    )
+    parts.append(_rule(xb, height, f'stroke="{NEUTRAL_STROKE}" stroke-width="1.5"'))
     xf = to_x(attribution.final_prediction)
     parts.append(
-        f'<line x1="{_fmt(xf)}" y1="{_fmt(MARGIN_TOP - 8)}" '
-        f'x2="{_fmt(xf)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" '
-        f'stroke="{NEUTRAL_STROKE}" stroke-width="1" stroke-dasharray="4,3"/>\n'
+        _rule(xf, height, f'stroke="{NEUTRAL_STROKE}" stroke-width="1" stroke-dasharray="4,3"')
     )
     parts.append(
         f'<text x="{_fmt(xf)}" y="{_fmt(MARGIN_TOP - 16)}" text-anchor="middle">'
@@ -188,14 +199,8 @@ def render_forest(fit: SurrogateFit, confidence: float = 0.95) -> PlotDocument:
     parts = [_svg_header(WIDTH, height)]
     parts.append('<title>forest</title>\n')
     _axis(parts, to_x, lo, hi, height)
-    x0 = to_x(0.0)
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(MARGIN_TOP - 8)}" '
-        f'x2="{_fmt(x0)}" y2="{_fmt(height - MARGIN_BOTTOM + 8)}" '
-        f'stroke="{NEUTRAL_STROKE}" stroke-width="1"/>\n'
-    )
+    parts.append(_rule(to_x(0.0), height, f'stroke="{NEUTRAL_STROKE}" stroke-width="1"'))
 
-    text_rows = []
     for i, (name, est, low, high) in enumerate(zip(names, estimates, lows, highs)):
         y = MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2
         parts.append(
@@ -210,22 +215,16 @@ def render_forest(fit: SurrogateFit, confidence: float = 0.95) -> PlotDocument:
         parts.append(
             f'<circle cx="{_fmt(to_x(est))}" cy="{_fmt(y)}" r="4" fill="{POSITIVE_FILL}"/>\n'
         )
-        text_rows.append((name, est, low, high))
 
     parts.append("</svg>\n")
 
-    width_name = max(len(n) for n, *_ in text_rows)
-    lines = [
-        f"{'coefficient':<{width_name}} {'estimate':>12} {'low':>12} {'high':>12}"
-    ]
-    for name, est, low, high in text_rows:
-        lines.append(
-            f"{name:<{width_name}} {est:>12.6f} {low:>12.6f} {high:>12.6f}"
-        )
     return PlotDocument(
         kind="forest",
         svg_text="".join(parts),
-        text_fallback="\n".join(lines) + "\n",
+        text_fallback=_text_table(
+            ("coefficient", "estimate", "low", "high"),
+            list(zip(names, estimates, lows, highs)),
+        ),
         width=WIDTH,
         height=height,
     )
@@ -322,17 +321,14 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
 
     parts.append("</svg>\n")
 
-    width_label = max(len(l) for l in labels)
-    lines = [f"{'step':<{width_label}} {'mean':>12} {'min':>12} {'max':>12}"]
-    for label, step in zip(labels, steps):
-        lines.append(
-            f"{label:<{width_label}} {step.mean:>12.6f} "
-            f"{float(step.scores.min()):>12.6f} {float(step.scores.max()):>12.6f}"
-        )
+    text_rows = [
+        (label, step.mean, float(step.scores.min()), float(step.scores.max()))
+        for label, step in zip(labels, steps)
+    ]
     return PlotDocument(
         kind="trace",
         svg_text="".join(parts),
-        text_fallback="\n".join(lines) + "\n",
+        text_fallback=_text_table(("step", "mean", "min", "max"), text_rows),
         width=WIDTH,
         height=height,
     )

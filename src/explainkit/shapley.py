@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .breakdown import (
-    BASELINE_ZERO,
-    Attribution,
-    AttributionEntry,
-    _by_importance,
-    _check_modes,
-    _finalize_entries,
-)
+from .breakdown import BASELINE_ZERO, Attribution, _check_modes, _ranked_attribution
 from .errors import ModelError
 from .predict import Predictor
 from .relax import RelaxedValues
@@ -57,24 +50,6 @@ class ShapleyEstimate:
         if self.unadjusted is not None:
             out["unadjusted_contributions"] = [float(v) for v in self.unadjusted]
         return out
-
-
-def _attribution_from_phis(
-    schema_names: Sequence[str],
-    x_new: Sequence[Cell],
-    phis: np.ndarray,
-    mean_score: float,
-    final: float,
-    baseline_mode: str,
-    method: str,
-) -> Attribution:
-    entries = [
-        AttributionEntry(name, x_new[j], float(phis[j]))
-        for j, name in enumerate(schema_names)
-    ]
-    return _finalize_entries(
-        _by_importance(entries), baseline_mode, mean_score, final, method
-    )
 
 
 def shapley_exact(
@@ -116,8 +91,8 @@ def shapley_exact(
             phis[j] += w * (v_sj - v_s)
     mean_score = values.mean(0)
     final = predictor.score_one(x_new)
-    attribution = _attribution_from_phis(
-        names, x_new, phis, mean_score, final, baseline_mode, SHAPLEY_EXACT
+    attribution = _ranked_attribution(
+        names, x_new, phis, baseline_mode, mean_score, final, SHAPLEY_EXACT
     )
     return ShapleyEstimate(attribution=attribution)
 
@@ -167,8 +142,8 @@ def shapley_sampled(
         adjusted += residual * np.abs(phis) / total_abs
     elif p:
         adjusted += residual / p
-    attribution = _attribution_from_phis(
-        names, x_new, adjusted, mean_score, final, baseline_mode, SHAPLEY_SAMPLED
+    attribution = _ranked_attribution(
+        names, x_new, adjusted, baseline_mode, mean_score, final, SHAPLEY_SAMPLED
     )
     return ShapleyEstimate(
         attribution=attribution,

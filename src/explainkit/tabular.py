@@ -109,6 +109,19 @@ class FeatureSchema:
                 out.append(label)
         return tuple(out)
 
+    def to_columns(self, rows: Sequence[Sequence[Cell]]) -> list[np.ndarray]:
+        """Validate observations and return them as one array per feature:
+        float for numeric features, object (labels) for categorical ones."""
+        normalized = [self.validate_observation(r) for r in rows]
+        return [
+            np.array([r[j] for r in normalized], dtype=float if kind == NUMERIC else object)
+            for j, kind in enumerate(self.kinds)
+        ]
+
+    def repeat(self, obs: Sequence[Cell], n: int) -> list[np.ndarray]:
+        """One validated observation repeated n times, one array per feature."""
+        return [np.repeat(col, n) for col in self.to_columns([obs])]
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:

@@ -423,6 +423,12 @@ FLAGS = st.lists(
     scorer=None,
 )
 @example(data=SMALL_CSV, subcommand="trace", flags=[], scorer="nan")
+@example(
+    data=SMALL_CSV,
+    subcommand="live",
+    flags=[("--white-box", "lasso"), ("--size", "2"), ("--seed", "8")],
+    scorer=None,
+)
 def test_cli_exit_code_contract(data, subcommand, flags, scorer):
     """Whatever the CSV bytes, flags and scorer, `run` returns 0, 1 or 2,
     never raises, and on failure prints nothing on stdout and its own

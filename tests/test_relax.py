@@ -8,14 +8,12 @@ from explainkit import (
     ModelError,
     SchemaError,
     add_predictions,
-    added_contribution,
     ag_break,
     column_mean,
     dataset_from_rows,
     fit_kernel_ridge,
     fit_ols,
     relaxation_trace,
-    relaxed_distance,
     relaxed_prediction,
     sample_locally,
     shapley_exact,
@@ -275,18 +273,27 @@ def test_scorer_calls_per_explanation(wine, wine_ols):
         assert f.calls == expected, name
 
 
+def added_contribution(predictor, dataset, x_new, fixed, j):
+    """Signed change in relaxed prediction from additionally pinning feature j."""
+    without = relaxed_prediction(predictor, dataset, x_new, fixed)
+    return relaxed_prediction(predictor, dataset, x_new, fixed | {j}) - without
+
+
 class TestRelaxedDistance:
+    """|relaxed prediction - model prediction| for a pinned set."""
+
     def test_zero_at_full_pin(self, wine, wine_ols):
         x = wine.observation(4)
         full = frozenset(range(wine.n_features))
-        assert relaxed_distance(wine_ols, wine, x, full) == pytest.approx(0.0, abs=1e-12)
+        distance = abs(relaxed_prediction(wine_ols, wine, x, full) - wine_ols.score_one(x))
+        assert distance == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_predictor_always_zero(self):
         ds = make_regression(3, 20, seed=9)
         c = ConstantPredictor(schema=ds.schema(), value=2.5)
         x = ds.observation(0)
         for fixed in [frozenset(), frozenset({1}), frozenset({0, 2})]:
-            assert relaxed_distance(c, ds, x, fixed) == 0.0
+            assert abs(relaxed_prediction(c, ds, x, fixed) - c.score_one(x)) == 0.0
 
     def test_additive_closed_form(self):
         ds = make_regression(3, 40, seed=12, coefficients=[2.0, -1.5, 0.5])
@@ -296,7 +303,7 @@ class TestRelaxedDistance:
             fixed = frozenset(range(3)) - {j}
             means = ds.feature_columns()[j].values.mean()
             expected = abs((means - x[j]) * m.coefficients[j])
-            got = relaxed_distance(m, ds, x, fixed)
+            got = abs(relaxed_prediction(m, ds, x, fixed) - m.score_one(x))
             assert got == pytest.approx(expected, abs=1e-9)
             assert got == pytest.approx(
                 abs(brute_force_relaxed(m, ds, x, fixed) - m.score_one(x)), abs=1e-12
@@ -332,10 +339,6 @@ class TestAddedContribution:
         assert relaxed_prediction(f, ds, x, frozenset({0})) == pytest.approx(2.0)
         assert relaxed_prediction(f, ds, x, frozenset()) == pytest.approx(2.0)
         assert added_contribution(f, ds, x, frozenset(), 0) == pytest.approx(0.0)
-
-    def test_rejects_already_pinned(self, wine, wine_ols):
-        with pytest.raises(SchemaError, match="already pinned"):
-            added_contribution(wine_ols, wine, wine.observation(0), frozenset({3}), 3)
 
 
 class TestRelaxationTrace:

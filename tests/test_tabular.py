@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explainkit import DataError, column_mean, dataset_from_rows, empirical_draw, load_csv
-from explainkit.tabular import CATEGORICAL, NUMERIC, Column, Dataset
+from explainkit import (
+    DataError,
+    SchemaError,
+    column_mean,
+    dataset_from_rows,
+    empirical_draw,
+    load_csv,
+)
+from explainkit.tabular import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
 
 
 class TestLoadCsv:
@@ -249,3 +256,22 @@ class TestWithResponse:
     def test_dataset_from_rows_unknown_response_rejected(self):
         with pytest.raises(DataError, match="not found"):
             dataset_from_rows(["a", "y"], [NUMERIC, NUMERIC], [(1.0, 2.0)], response_name="z")
+
+
+class TestFeatureSchemaColumns:
+    SCHEMA = FeatureSchema(("a", "g"), (NUMERIC, CATEGORICAL), (None, ("u", "v")))
+
+    def test_to_columns_validates_and_splits_by_kind(self):
+        a, g = self.SCHEMA.to_columns([("1", "u"), (2, "v")])
+        assert a.dtype == float and a.tolist() == [1.0, 2.0]
+        assert g.dtype == object and g.tolist() == ["u", "v"]
+        with pytest.raises(SchemaError, match="unknown label"):
+            self.SCHEMA.to_columns([(1.0, "w")])
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_repeat_copies_the_normalised_observation(self, n):
+        a, g = self.SCHEMA.repeat(("1.5", "v"), n)
+        assert a.dtype == float and a.tolist() == [1.5] * n
+        assert g.dtype == object and g.tolist() == ["v"] * n
+        a[:] = 0.0  # each call returns fresh, writable arrays
+        assert self.SCHEMA.repeat(("1.5", "v"), n)[0].tolist() == [1.5] * n

@@ -1,0 +1,257 @@
+"""Diff the `explain` artifacts of the working tree against a git revision.
+
+Run from anywhere inside the repository:
+
+    python tools/artifact_diff.py REF
+
+REF is any git revision (commit, branch or tag). Its `src/` is exported
+with `git archive` into a temporary directory, so the working tree is left
+alone. One fixed matrix of `explain` runs then goes through both source
+trees with identical inputs:
+
+  * breakdown up, down (intercept baseline) and up to-fnew;
+  * exact and sampled Shapley;
+  * live with the OLS and the lasso white box;
+  * trace up and down;
+
+with `--model ols` on the wine fixture (row 5), and `--model kernel-ridge`
+and `--model external` (tests/fixtures/linear_scorer.py) on a seeded
+200-row, 3-feature sample of it (row 3).
+
+Every difference is reported: exit code, JSON envelope (temporary paths
+normalised), SVG, text, stdout and stderr. For numeric JSON leaves the
+largest absolute and relative differences are reported as well, so a
+change at roundoff can say by how much. Exits 0 when every run agrees and
+1 otherwise. Two trees compared on one host agree bit for bit; results
+from different hosts may differ in the last bits with BLAS threading.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+WINE = ROOT / "tests" / "data" / "winequality_red.csv"
+SCORER = ROOT / "tests" / "fixtures" / "linear_scorer.py"
+
+RESPONSE = "quality"
+SUBSET_SEED = 7
+SUBSET_ROWS = 200
+SUBSET_FEATURES = ("volatile_acidity", "sulphates", "alcohol")
+# intercept, then one coefficient per subset feature
+SCORER_COEFFICIENTS = ("2.5", "-1.2", "0.9", "0.3")
+
+# (case, explain arguments); data, response, row, model and outputs are added per setup
+EXPLANATIONS = (
+    ("breakdown-up", ["breakdown", "--direction", "up"]),
+    ("breakdown-down", ["breakdown", "--direction", "down", "--baseline", "intercept"]),
+    ("breakdown-to-fnew", ["breakdown", "--up-distance", "to-fnew"]),
+    ("shapley-exact", ["shapley", "--method", "exact"]),
+    ("shapley-sampled", ["shapley", "--method", "sample", "--permutations", "200",
+                         "--seed", "3"]),
+    ("live-ols", ["live", "--size", "300", "--seed", "5"]),
+    ("live-lasso", ["live", "--white-box", "lasso", "--size", "300", "--seed", "5"]),
+    ("trace-up", ["trace", "--direction", "up"]),
+    ("trace-down", ["trace", "--direction", "down"]),
+)
+# a lasso surrogate has no standard errors, hence no forest plot or text table
+JSON_ONLY = {"live-lasso"}
+
+ARTIFACTS = ("exit", "json", "svg", "text", "stdout", "stderr")
+MAX_LISTED = 5
+
+
+def _git(*args: str) -> bytes:
+    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"artifact_diff: git {' '.join(args)}: {proc.stderr.decode().strip()}")
+    return proc.stdout
+
+
+def export_src(ref: str, dest: Path) -> str:
+    """Extract REF's src/ into dest; returns the resolved commit id."""
+    commit = _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    archive = _git("archive", "--format=tar", commit, "src")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    if not (dest / "src" / "explainkit").is_dir():
+        sys.exit(f"artifact_diff: {ref} has no src/explainkit")
+    return commit
+
+
+def write_inputs(work: Path) -> tuple[Path, Path, Path]:
+    """Copy the wine fixture and the scorer into `work`, and write the seeded
+    small table: SUBSET_ROWS wine rows, SUBSET_FEATURES and the response."""
+    wine, subset, scorer = work / "wine.csv", work / "subset.csv", work / "scorer.py"
+    wine.write_bytes(WINE.read_bytes())
+    scorer.write_bytes(SCORER.read_bytes())
+    with open(WINE, newline="") as fh:
+        header, *rows = list(csv.reader(fh, delimiter=";"))
+    keep = [header.index(name) for name in (*SUBSET_FEATURES, RESPONSE)]
+    rng = np.random.default_rng(SUBSET_SEED)
+    picked = np.sort(rng.choice(len(rows), size=SUBSET_ROWS, replace=False))
+    with open(subset, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([header[k] for k in keep])
+        for i in picked:
+            writer.writerow([rows[i][k] for k in keep])
+    return wine, subset, scorer
+
+
+def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(run name, explain arguments, external command) for every run."""
+    wine, subset, scorer = write_inputs(work)
+    command = ["--", sys.executable, str(scorer), *SCORER_COEFFICIENTS]
+    setups = (
+        ("ols", wine, 5, []),
+        ("kernel-ridge", subset, 3, []),
+        ("external", subset, 3, command),
+    )
+    runs = []
+    for model, data, row, tail in setups:
+        common = ["--data", str(data), "--response", RESPONSE, "--row", str(row)]
+        for case, args in EXPLANATIONS:
+            runs.append((f"{model}/{case}", [*args, *common, "--model", model], tail))
+    return runs
+
+
+def run_all(tree: Path, out_root: Path, work: Path, runs) -> dict[str, dict[str, str | None]]:
+    """Run the matrix under one source tree; artifacts come back with the
+    temporary paths replaced by tags, so the two trees compare directly."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    results = {}
+    for name, args, tail in runs:
+        out = out_root / name
+        out.mkdir(parents=True)
+        files = {"json": out / "result.json"}
+        if name.split("/")[1] not in JSON_ONLY:
+            files.update(svg=out / "figure.svg", text=out / "figure.txt")
+        outputs = [arg for kind, path in files.items() for arg in (f"--{kind}", str(path))]
+        proc = subprocess.run(
+            [sys.executable, "-m", "explainkit.cli", *args, *outputs, *tail],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        texts = {"exit": str(proc.returncode), "stdout": proc.stdout, "stderr": proc.stderr}
+        for kind in ("json", "svg", "text"):
+            path = files.get(kind)
+            exists = path is not None and path.exists()
+            texts[kind] = path.read_text(encoding="utf-8") if exists else None
+        tags = ((out, "<out>"), (tree, "<tree>"), (work, "<work>"))
+        results[name] = {kind: _normalise(text, tags) for kind, text in texts.items()}
+    return results
+
+
+def _normalise(text: str | None, tags) -> str | None:
+    """Replace each temporary path by its tag (innermost paths come first)."""
+    if text is not None:
+        for path, tag in tags:
+            text = text.replace(str(path), tag)
+    return text
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def json_diffs(a, b, path: str = "$") -> list[tuple[str, str, float | None, float | None]]:
+    """Every differing leaf: (path, description, abs difference, rel difference)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = []
+        for key in sorted(a.keys() | b.keys()):
+            if key not in b:
+                found.append((f"{path}.{key}", "only in REF", None, None))
+            elif key not in a:
+                found.append((f"{path}.{key}", "only in the working tree", None, None))
+            else:
+                found += json_diffs(a[key], b[key], f"{path}.{key}")
+        return found
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [(path, f"length {len(a)} != {len(b)}", None, None)]
+        return [
+            d for i, (x, y) in enumerate(zip(a, b)) for d in json_diffs(x, y, f"{path}[{i}]")
+        ]
+    if _is_number(a) and _is_number(b):
+        if a == b:
+            return []
+        delta = abs(a - b)
+        return [(path, f"{a!r} != {b!r}", delta, delta / max(abs(a), abs(b)))]
+    if type(a) is type(b) and a == b:
+        return []
+    return [(path, f"{a!r} != {b!r}", None, None)]
+
+
+def first_line_diff(a: str | None, b: str | None) -> str:
+    if a is None or b is None:
+        return "missing in " + ("REF" if a is None else "the working tree")
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb), start=1):
+        if x != y:
+            return f"line {i}: {x[:80]!r} != {y[:80]!r}"
+    return f"{len(la)} lines != {len(lb)} lines"
+
+
+def compare(ref: dict, tree: dict) -> tuple[dict[str, int], float, float]:
+    """Print every difference; returns counts per artifact and the largest
+    absolute and relative numeric JSON differences."""
+    counts = dict.fromkeys(ARTIFACTS, 0)
+    worst_abs = worst_rel = 0.0
+    for name in ref:
+        for kind in ARTIFACTS:
+            a, b = ref[name][kind], tree[name][kind]
+            if a == b:
+                continue
+            counts[kind] += 1
+            if kind == "json" and a is not None and b is not None:
+                leaves = json_diffs(json.loads(a), json.loads(b))
+                numeric = [d for d in leaves if d[2] is not None]
+                detail = f"{len(leaves)} leaves differ" if leaves else "only bytes differ"
+                if numeric:
+                    run_abs = max(d[2] for d in numeric)
+                    run_rel = max(d[3] for d in numeric)
+                    worst_abs, worst_rel = max(worst_abs, run_abs), max(worst_rel, run_rel)
+                    detail += (f", {len(numeric)} numeric: max abs {run_abs:.3g},"
+                               f" max rel {run_rel:.3g}")
+                print(f"DIFF {name} json: {detail}")
+                for leaf_path, what, _, _ in leaves[:MAX_LISTED]:
+                    print(f"    {leaf_path}: {what}")
+            else:
+                print(f"DIFF {name} {kind}: {first_line_diff(a, b)}")
+    return counts, worst_abs, worst_rel
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git revision to compare the working tree against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        work = Path(tmp)
+        ref_tree = work / "ref"
+        commit = export_src(args.ref, ref_tree)
+        runs = matrix(work)
+        ref = run_all(ref_tree, work / "out-ref", work, runs)
+        tree = run_all(ROOT, work / "out-tree", work, runs)
+        counts, worst_abs, worst_rel = compare(ref, tree)
+    total = sum(counts.values())
+    per_kind = ", ".join(f"{kind} {counts[kind]}" for kind in ARTIFACTS)
+    failed = sum(result["exit"] != "0" for result in ref.values())
+    print(f"artifact_diff: {len(runs)} runs ({failed} exit non-zero under REF), "
+          f"{args.ref} ({commit[:12]}) against the working tree: {total} differences "
+          f"({per_kind}); largest numeric JSON difference abs {worst_abs:.3g}, "
+          f"rel {worst_rel:.3g}")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
