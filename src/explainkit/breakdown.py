@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError
-from .predict import LinearModel, Predictor
+from .predict import LinearModel, Predictor, _format_cell
 from .relax import DOWN, UP, RelaxedValues
 from .tabular import Cell, Dataset
 
@@ -37,6 +37,16 @@ class AttributionEntry:
     feature: str
     value: Cell | None
     contribution: float
+
+    @property
+    def label(self) -> str:
+        """Display name: the feature, then ` = value` when the entry has one
+        (numbers rounded to 10 places)."""
+        v = self.value
+        if v is None:
+            return self.feature
+        shown = v if isinstance(v, str) else _format_cell(round(float(v), 10))
+        return f"{self.feature} = {shown}"
 
 
 @dataclass(frozen=True)
@@ -223,23 +233,13 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _format_value(v: Cell | None) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    f = round(float(v), 10)
-    return repr(int(f)) if f.is_integer() and abs(f) < 1e16 else repr(f)
-
-
 def attribution_text(attribution: Attribution) -> str:
     """Fixed-width text layout: one row per entry, signed contributions
     right-aligned, a baseline row on top and a final_prognosis row at the
     bottom."""
     rows: list[tuple[str, float]] = [("baseline", attribution.baseline)]
     for e in attribution.entries:
-        label = f"+ {e.feature}" if e.value is None else f"+ {e.feature} = {_format_value(e.value)}"
-        rows.append((label, e.contribution))
+        rows.append((f"+ {e.label}", e.contribution))
     rows.append(("final_prognosis", attribution.final_prediction))
 
     label_width = max(len(label) for label, _ in rows)

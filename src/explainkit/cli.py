@@ -133,13 +133,21 @@ def parse_args(argv: list[str]) -> RunConfig:
     return RunConfig(**vars(ns), external_command=external_command)
 
 
-def export_json(result, path: str) -> None:
-    """Write canonical JSON: sorted keys, shortest-round-trip numbers,
-    newline-terminated. Identical inputs produce identical bytes."""
-    payload = result.to_json_dict() if hasattr(result, "to_json_dict") else result
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _canonical_json(payload) -> str:
+    """Sorted keys, shortest-round-trip numbers, two-space indent, no
+    trailing newline. Identical inputs produce identical text."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def export_json(result, path: str) -> None:
+    """Write canonical JSON, newline-terminated."""
+    payload = result.to_json_dict() if hasattr(result, "to_json_dict") else result
+    _write_text(path, _canonical_json(payload) + "\n")
 
 
 def _surrogate_json(fit, white_box: str) -> dict:
@@ -263,50 +271,42 @@ def _execute(config: RunConfig):
     return trace.to_json_dict(), doc, doc.text_fallback
 
 
+def _write_outputs(config: RunConfig, envelope: dict, doc, text: str | None) -> None:
+    """Write the requested artifacts, or print the envelope when none is asked for."""
+    if config.json_path:
+        export_json(envelope, config.json_path)
+    if config.svg_path:
+        if doc is None:
+            raise UsageError("no SVG output defined for this configuration")
+        _write_text(config.svg_path, doc.svg_text)
+    if config.text_path:
+        if text is None:
+            raise UsageError("no text output defined for this configuration")
+        _write_text(config.text_path, text)
+    if not (config.json_path or config.svg_path or config.text_path):
+        print(_canonical_json(envelope))
+
+
 def run(argv: list[str]) -> int:
     try:
         config = parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         result, doc, text = _execute(config)
+        envelope = {
+            "version": __version__,
+            "seed": config.seed,
+            "config": config.echo(),
+            "result": result,
+        }
+        _write_outputs(config, envelope, doc, text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ExplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    envelope = {
-        "version": __version__,
-        "seed": config.seed,
-        "config": config.echo(),
-        "result": result,
-    }
-    try:
-        if config.json_path:
-            export_json(envelope, config.json_path)
-        if config.svg_path:
-            if doc is None:
-                raise UsageError("no SVG output defined for this configuration")
-            with open(config.svg_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc.svg_text)
-        if config.text_path:
-            if text is None:
-                raise UsageError("no text output defined for this configuration")
-            with open(config.text_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except OSError as exc:  # reading and spawning raise ExplainError, so a write failed
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-
-    if not (config.json_path or config.svg_path or config.text_path):
-        print(json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

@@ -48,11 +48,7 @@ class LocalDataset:
         return len(self.feature_values[0]) if self.feature_values else 0
 
     def row(self, i: int) -> tuple[Cell, ...]:
-        out = []
-        for kind, col in zip(self.schema.kinds, self.feature_values):
-            v = col[i]
-            out.append(float(v) if kind == NUMERIC else str(v))
-        return tuple(out)
+        return self.schema.row(self.feature_values, i)
 
     def to_dataset(self) -> Dataset:
         """Materialize as a Dataset (response appended when present)."""
@@ -262,7 +258,7 @@ def fit_explanation(
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
     reference = {
-        name: str(v)
+        name: v
         for name, kind, v in zip(local.schema.names, local.schema.kinds, local.origin)
         if kind == CATEGORICAL
     }

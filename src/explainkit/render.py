@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .breakdown import Attribution, _fmt, _format_value, attribution_text
+from .breakdown import Attribution, _fmt, attribution_text
 from .errors import ModelError
 from .live import SurrogateFit
 from .relax import DOWN, RelaxationTrace
@@ -140,10 +140,9 @@ def render_waterfall(
         x0, x1 = to_x(min(start, end)), to_x(max(start, end))
         y = MARGIN_TOP + i * ROW_HEIGHT
         fill = POSITIVE_FILL if e.contribution >= 0 else NEGATIVE_FILL
-        label = e.feature if e.value is None else f"{e.feature} = {_format_value(e.value)}"
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 20)}" '
-            f'text-anchor="end">{escape(label)}</text>\n'
+            f'text-anchor="end">{escape(e.label)}</text>\n'
         )
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y + 8)}" '

@@ -31,8 +31,9 @@ class Column:
     """A named column of homogeneous cells.
 
     Numeric columns hold finite float64 values; categorical columns hold
-    string labels plus the explicit level set covering them. `values` is a
-    read-only view, so a scorer handed the column cannot change the table.
+    `str` labels (other values are converted with `str`) plus the explicit
+    level set covering them. `values` is read-only, so a scorer handed the
+    column cannot change the table.
     """
 
     name: str
@@ -49,17 +50,13 @@ class Column:
                 raise DataError(f"column {self.name!r} contains non-finite numeric cells")
             object.__setattr__(self, "levels", None)
         elif self.kind == CATEGORICAL:
-            arr = np.asarray(self.values, dtype=object)
-            observed = {str(v) for v in arr}
+            # labels are stored as str, the type of a categorical observation cell
+            labels = [str(v) for v in self.values]
+            arr = np.array(labels, dtype=object)
             levels = self.levels
             if levels is None:
-                # level order: first appearance in the data
-                seen: dict[str, None] = {}
-                for v in arr:
-                    seen.setdefault(str(v), None)
-                levels = tuple(seen)
-            elif not observed.issubset(levels):
-                missing = sorted(observed.difference(levels))
+                levels = dict.fromkeys(labels)  # level order: first appearance
+            elif missing := sorted(set(labels).difference(levels)):
                 raise DataError(
                     f"column {self.name!r} has labels outside its level set: {missing}"
                 )
@@ -121,6 +118,15 @@ class FeatureSchema:
     def repeat(self, obs: Sequence[Cell], n: int) -> list[np.ndarray]:
         """One validated observation repeated n times, one array per feature."""
         return [np.repeat(col, n) for col in self.to_columns([obs])]
+
+    def row(self, columns: Sequence[np.ndarray], i: int) -> tuple[Cell, ...]:
+        """Cells of row i of feature columns; the inverse of `to_columns`."""
+        return tuple(_cell(kind, col[i]) for kind, col in zip(self.kinds, columns))
+
+
+def _cell(kind: str, value) -> Cell:
+    """The observation cell of one stored value: a float or a str label."""
+    return float(value) if kind == NUMERIC else str(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +213,7 @@ class Dataset:
         """Feature cells of one row (0-indexed), response excluded."""
         if not (0 <= row < self.n_rows):
             raise DataError(f"row {row} out of range for {self.n_rows} rows")
-        out: list[Cell] = []
-        for i in self._feature_indices:
-            col = self.columns[i]
-            v = col.values[row]
-            out.append(float(v) if col.kind == NUMERIC else str(v))
-        return tuple(out)
+        return self.schema().row([c.values for c in self.feature_columns()], row)
 
     def response_values(self) -> np.ndarray:
         if self.response_index is None:
@@ -357,8 +358,7 @@ def empirical_draw(dataset: Dataset, col: int, rng: np.random.Generator) -> Cell
     """
     i = int(rng.integers(0, dataset.n_rows))
     column = dataset.columns[col]
-    v = column.values[i]
-    return float(v) if column.kind == NUMERIC else str(v)
+    return _cell(column.kind, column.values[i])
 
 
 def dataset_from_rows(
@@ -367,14 +367,16 @@ def dataset_from_rows(
     rows: Iterable[Sequence[Cell]],
     response_name: str | None = None,
 ) -> Dataset:
-    """Build a Dataset from row tuples; convenience for tests and callers."""
-    rows = [tuple(r) for r in rows]
-    cols = []
-    for j, (name, kind) in enumerate(zip(names, kinds)):
-        cells = [r[j] for r in rows]
-        if kind == NUMERIC:
-            cols.append(Column(name, NUMERIC, np.array(cells, dtype=float)))
-        else:
-            cols.append(Column(name, CATEGORICAL, np.array([str(c) for c in cells], dtype=object)))
-    dataset = Dataset(columns=tuple(cols))
+    """Build a Dataset from row tuples; convenience for tests and callers.
+
+    Cells are checked as `FeatureSchema.validate_observation` checks them,
+    so a row of the wrong length or a cell that is not a finite number in a
+    numeric column raises DataError.
+    """
+    schema = FeatureSchema(tuple(names), tuple(kinds), (None,) * len(names))
+    try:
+        values = schema.to_columns([tuple(r) for r in rows])
+    except SchemaError as exc:
+        raise DataError(f"rows do not fit the columns: {exc}") from exc
+    dataset = Dataset(columns=tuple(map(Column, names, kinds, values)))
     return dataset.with_response(response_name) if response_name else dataset

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from explainkit import (
     DataError,
     SchemaError,
+    ag_break,
     column_mean,
     dataset_from_rows,
     empirical_draw,
+    fit_ols,
     load_csv,
+    relaxed_prediction,
 )
 from explainkit.tabular import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
 
@@ -222,6 +225,71 @@ class TestInvariants:
     def test_observation_excludes_response(self, wine):
         assert len(wine.observation(0)) == 11
 
+    @pytest.mark.parametrize(
+        "kinds, rows, match",
+        [
+            ([NUMERIC, NUMERIC], [(1.0,), (2.0, 3.0)], "has 1 cells, schema expects 2"),
+            ([NUMERIC], [(1.0,), ("x",)], "expects a numeric cell, got 'x'"),
+            (["ordinal"], [("x",)], "unknown column kind"),
+        ],
+    )
+    def test_dataset_from_rows_bad_rows_are_data_errors(self, kinds, rows, match):
+        with pytest.raises(DataError, match=match):
+            dataset_from_rows(["a", "b"][: len(kinds)], kinds, rows)
+
+
+class TestCategoricalLabels:
+    """A categorical column stores str labels whatever type they arrive in,
+    so an int-labelled table explains exactly like its str-labelled twin."""
+
+    A = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    G = [1, 2, 3, 1, 2, 3, 1, 2]
+    Y = [1.0, 2.5, 2.0, 1.8, 3.1, 2.2, 2.4, 3.4]
+
+    def _table(self, labels):
+        return Dataset(
+            columns=(
+                Column("a", NUMERIC, np.array(self.A)),
+                Column("g", CATEGORICAL, np.array(labels, dtype=object)),
+                Column("y", NUMERIC, np.array(self.Y)),
+            ),
+            response_index=2,
+        )
+
+    def _pair(self):
+        as_int, as_str = self._table(self.G), self._table([str(v) for v in self.G])
+        assert as_int.schema() == as_str.schema()
+        return as_int, as_str
+
+    def test_int_labels_are_stored_as_str(self):
+        as_int, as_str = self._pair()
+        assert as_int.columns[1].values.tolist() == as_str.columns[1].values.tolist()
+        assert all(type(v) is str for v in as_int.columns[1].values)
+        assert as_int.columns[1].levels == ("1", "2", "3")
+
+    def test_fit_ols_matches(self):
+        as_int, as_str = self._pair()
+        a, b = fit_ols(as_int, "y"), fit_ols(as_str, "y")
+        assert a.intercept == b.intercept
+        assert a.coefficients.tolist() == b.coefficients.tolist()
+
+    @pytest.mark.parametrize("fixed", [(), (0,)])
+    def test_relaxed_prediction_matches(self, fixed):
+        as_int, as_str = self._pair()
+        model, x = fit_ols(as_str, "y"), as_str.observation(4)
+        assert relaxed_prediction(model, as_int, x, fixed) == relaxed_prediction(
+            model, as_str, x, fixed
+        )
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_ag_break_matches(self, direction):
+        as_int, as_str = self._pair()
+        model, x = fit_ols(as_str, "y"), as_str.observation(4)
+        assert (
+            ag_break(model, as_int, x, direction=direction).to_json_dict()
+            == ag_break(model, as_str, x, direction=direction).to_json_dict()
+        )
+
 
 class TestWithResponse:
     def _table(self):
@@ -267,6 +335,13 @@ class TestFeatureSchemaColumns:
         assert g.dtype == object and g.tolist() == ["u", "v"]
         with pytest.raises(SchemaError, match="unknown label"):
             self.SCHEMA.to_columns([(1.0, "w")])
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_row_inverts_to_columns(self, i):
+        rows = [("1", "u"), (2, "v"), (-0.25, "u")]
+        cells = self.SCHEMA.row(self.SCHEMA.to_columns(rows), i)
+        assert cells == self.SCHEMA.validate_observation(rows[i])
+        assert [type(c) for c in cells] == [float, str]
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_repeat_copies_the_normalised_observation(self, n):

@@ -16,7 +16,11 @@ trees with identical inputs:
 
 with `--model ols` on the wine fixture (row 5), and `--model kernel-ridge`
 and `--model external` (tests/fixtures/linear_scorer.py) on a seeded
-200-row, 3-feature sample of it (row 3).
+200-row, 3-feature sample of it (row 3). A fourth setup runs `--model ols`
+on that sample plus a categorical feature, `pH` cut into the labels
+low/mid/high at fixed points (row 3), so label handling is covered too.
+Kernel ridge and the linear scorer accept only numeric features, so their
+setups stay numeric.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. For numeric JSON leaves the
@@ -49,6 +53,9 @@ RESPONSE = "quality"
 SUBSET_SEED = 7
 SUBSET_ROWS = 200
 SUBSET_FEATURES = ("volatile_acidity", "sulphates", "alcohol")
+# the categorical feature of the labelled sample: (source column, cut points, labels)
+LABEL_SOURCE, LABEL_CUTS, LABELS = "pH", (3.25, 3.38), ("low", "mid", "high")
+LABEL_NAME = "pH_band"
 # intercept, then one coefficient per subset feature
 SCORER_COEFFICIENTS = ("2.5", "-1.2", "0.9", "0.3")
 
@@ -90,39 +97,49 @@ def export_src(ref: str, dest: Path) -> str:
     return commit
 
 
-def write_inputs(work: Path) -> tuple[Path, Path, Path]:
+def write_inputs(work: Path) -> tuple[Path, Path, Path, Path]:
     """Copy the wine fixture and the scorer into `work`, and write the seeded
-    small table: SUBSET_ROWS wine rows, SUBSET_FEATURES and the response."""
-    wine, subset, scorer = work / "wine.csv", work / "subset.csv", work / "scorer.py"
+    small table (SUBSET_ROWS wine rows, SUBSET_FEATURES and the response) with
+    and without the categorical LABEL_NAME feature."""
+    wine, subset, labelled, scorer = (
+        work / "wine.csv", work / "subset.csv", work / "labelled.csv", work / "scorer.py"
+    )
     wine.write_bytes(WINE.read_bytes())
     scorer.write_bytes(SCORER.read_bytes())
     with open(WINE, newline="") as fh:
         header, *rows = list(csv.reader(fh, delimiter=";"))
-    keep = [header.index(name) for name in (*SUBSET_FEATURES, RESPONSE)]
+    keep = [header.index(name) for name in SUBSET_FEATURES]
+    source, response = header.index(LABEL_SOURCE), header.index(RESPONSE)
     rng = np.random.default_rng(SUBSET_SEED)
     picked = np.sort(rng.choice(len(rows), size=SUBSET_ROWS, replace=False))
-    with open(subset, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([header[k] for k in keep])
+    with open(subset, "w", newline="") as plain_fh, open(labelled, "w", newline="") as fh:
+        plain = csv.writer(plain_fh, lineterminator="\n")
+        with_label = csv.writer(fh, lineterminator="\n")
+        plain.writerow([*SUBSET_FEATURES, RESPONSE])
+        with_label.writerow([*SUBSET_FEATURES, LABEL_NAME, RESPONSE])
         for i in picked:
-            writer.writerow([rows[i][k] for k in keep])
-    return wine, subset, scorer
+            cells = [rows[i][k] for k in keep]
+            label = LABELS[int(np.searchsorted(LABEL_CUTS, float(rows[i][source]), "right"))]
+            plain.writerow([*cells, rows[i][response]])
+            with_label.writerow([*cells, label, rows[i][response]])
+    return wine, subset, labelled, scorer
 
 
 def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
     """(run name, explain arguments, external command) for every run."""
-    wine, subset, scorer = write_inputs(work)
+    wine, subset, labelled, scorer = write_inputs(work)
     command = ["--", sys.executable, str(scorer), *SCORER_COEFFICIENTS]
     setups = (
-        ("ols", wine, 5, []),
-        ("kernel-ridge", subset, 3, []),
-        ("external", subset, 3, command),
+        ("ols", "ols", wine, 5, []),
+        ("kernel-ridge", "kernel-ridge", subset, 3, []),
+        ("external", "external", subset, 3, command),
+        ("ols-labelled", "ols", labelled, 3, []),
     )
     runs = []
-    for model, data, row, tail in setups:
+    for setup, model, data, row, tail in setups:
         common = ["--data", str(data), "--response", RESPONSE, "--row", str(row)]
         for case, args in EXPLANATIONS:
-            runs.append((f"{model}/{case}", [*args, *common, "--model", model], tail))
+            runs.append((f"{setup}/{case}", [*args, *common, "--model", model], tail))
     return runs
 
 
