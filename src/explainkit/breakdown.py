@@ -197,25 +197,27 @@ def ag_break(
     _check_modes(baseline_mode, direction, up_distance)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
-    f_new = predictor.score_one(x_new)
-
     down = direction == DOWN
     fixed = (1 << p) - 1 if down else 0
-    current = values.mean(fixed)
+    # Every feature is a candidate of the first step, so the start set is
+    # scored together with them.
+    current = values.means([fixed, *(fixed ^ 1 << j for j in range(p))])[0]
+    f_new = predictor.score_one(x_new)
+
     to_mean = not down and up_distance == UP_DISTANCE_TO_BASELINE
     reference = current if to_mean else f_new
     # Down releases the pinned feature that moves least from f_new; Up pins
     # the free feature that moves furthest from the reference. min and max
-    # both return the first extreme, so ties go to the lowest index.
+    # both return the first extreme, so ties go to the lowest index. Each
+    # step scores all of its candidates together.
     pick = min if down else max
     entries: list[AttributionEntry] = []
     for _ in range(p):
-        j = pick(
-            (j for j in range(p) if (fixed >> j & 1) == down),
-            key=lambda j: abs(values.mean(fixed ^ 1 << j) - reference),
-        )
+        candidates = [j for j in range(p) if (fixed >> j & 1) == down]
+        moved = dict(zip(candidates, values.means(fixed ^ 1 << j for j in candidates)))
+        j = pick(candidates, key=lambda j: abs(moved[j] - reference))
         fixed ^= 1 << j
-        value = values.mean(fixed)
+        value = moved[j]
         contribution = current - value if down else value - current
         entries.append(AttributionEntry(names[j], x_new[j], contribution))
         current = value

@@ -15,7 +15,7 @@ import csv
 import io
 import subprocess
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class Predictor:
         if not np.all(np.isfinite(scores)):
             raise ModelError("predictor produced non-finite scores")
         return scores
+
+    def scores_of(
+        self, batches: Iterable[Sequence[np.ndarray]]
+    ) -> Iterator[np.ndarray]:
+        """The checked `scores` of each batch, in order, one batch at a time."""
+        return (self.scores(columns) for columns in batches)
 
     def score_rows(self, rows: Sequence[Sequence[Cell]]) -> np.ndarray:
         """Score a batch of observations; empty batches yield an empty array."""
@@ -356,19 +362,58 @@ def _format_cell(v: Cell) -> str:
     return repr(int(f)) if f.is_integer() and abs(f) < 1e16 else repr(f)
 
 
+# Most rows one external scorer payload holds. A batch larger than this still
+# goes alone in one payload.
+PAYLOAD_ROWS = 32_768
+
+
 @dataclass(frozen=True, eq=False)
 class ExternalPredictor(Predictor):
-    """Scores rows by spawning a command once per batch.
+    """Scores rows by spawning a command once per payload.
 
     Wire protocol: the command receives a header line of feature names
     joined by commas, then one CSV row per observation (decimal-point
     numerics, unquoted; labels quoted only when necessary), with a trailing
-    newline. It must print one decimal score per line on stdout, in row
-    order, and exit 0.
+    newline, all UTF-8. It must print one decimal score per line on stdout,
+    in row order, in UTF-8, and exit 0.
+
+    `scores_of` joins the rows of consecutive batches (the hybrid rows of
+    several pinned sets) into one payload of at most `PAYLOAD_ROWS` rows, so
+    the command must score each row independently of the others. Spawns per
+    explanation: `ag_break` p + 1 (one per greedy step, the start set
+    joining the first, plus f(x_new)); `relaxation_trace` 1; the Shapley
+    estimators one per payload of as many whole pinned sets as fit in
+    `PAYLOAD_ROWS` rows (at least one), plus f(x_new).
     """
 
     schema: FeatureSchema
     command: tuple[str, ...]
+
+    def scores_of(
+        self, batches: Iterable[Sequence[np.ndarray]]
+    ) -> Iterator[np.ndarray]:
+        chunk: list[Sequence[np.ndarray]] = []
+        sizes: list[int] = []
+        rows = 0
+        for columns in batches:
+            n = self._check_columns(columns)
+            if chunk and rows + n > PAYLOAD_ROWS:
+                yield from self._joined_scores(chunk, sizes)
+                chunk, sizes, rows = [], [], 0
+            chunk.append(columns)
+            sizes.append(n)
+            rows += n
+        if chunk:
+            yield from self._joined_scores(chunk, sizes)
+
+    def _joined_scores(
+        self, chunk: list[Sequence[np.ndarray]], sizes: list[int]
+    ) -> list[np.ndarray]:
+        """Score the batches of `chunk` in one payload, then split the scores."""
+        joined = [np.concatenate(parts) for parts in zip(*chunk)]
+        for col in joined:
+            col.flags.writeable = False
+        return np.split(self.scores(joined), np.cumsum(sizes[:-1], dtype=int))
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         n = len(columns[0])
@@ -380,24 +425,32 @@ class ExternalPredictor(Predictor):
         try:
             proc = subprocess.run(
                 list(self.command),
-                input=buf.getvalue(),
+                input=buf.getvalue().encode("utf-8"),
                 capture_output=True,
-                text=True,
             )
         except OSError as exc:
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
+        stderr = proc.stderr.decode("utf-8", errors="replace")
         if proc.returncode != 0:
             raise ScorerError(
                 f"scorer {self.command[0]!r} failed",
                 exit_status=proc.returncode,
-                stderr_text=proc.stderr,
+                stderr_text=stderr,
             )
-        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+        try:
+            stdout = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScorerError(
+                f"scorer output is not UTF-8: {exc}",
+                exit_status=proc.returncode,
+                stderr_text=stderr,
+            ) from exc
+        lines = [ln for ln in stdout.splitlines() if ln.strip()]
         if len(lines) != n:
             raise ScorerError(
                 f"scorer returned {len(lines)} scores for {n} rows",
                 exit_status=proc.returncode,
-                stderr_text=proc.stderr,
+                stderr_text=stderr,
             )
         out = np.empty(n, dtype=float)
         for i, ln in enumerate(lines):
@@ -407,7 +460,7 @@ class ExternalPredictor(Predictor):
                 raise ScorerError(
                     f"unparsable score line {ln!r}",
                     exit_status=proc.returncode,
-                    stderr_text=proc.stderr,
+                    stderr_text=stderr,
                 )
         if not np.all(np.isfinite(out)):
             raise ScorerError("scorer produced non-finite scores")

@@ -10,16 +10,17 @@ the mean score over the background.
 breakdown, both Shapley estimators, the relaxation trace and the one-shot
 `relaxed_prediction` each build one per explanation. It checks the
 predictor's schema and normalises the observation once, builds the pinned
-columns once, scores hybrid rows through the checked `Predictor.scores`,
-and caches relaxed predictions by pinned-set bitmask (bit j set means
-feature j is pinned). The background is the whole dataset unless an
-explicit row subsample is passed.
+columns once, scores hybrid rows through the checked `Predictor.scores_of`
+(so a scorer may take several pinned sets in one call), and caches relaxed
+predictions by pinned-set bitmask (bit j set means feature j is pinned).
+The background is the whole dataset unless an explicit row subsample is
+passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,20 +80,27 @@ class RelaxedValues:
             mask |= 1 << j
         return mask
 
-    def scores(self, mask: int) -> np.ndarray:
-        """Scores of all hybrid rows: background rows with `mask` pinned to x_new."""
-        columns = [
-            self._pinned[j] if mask >> j & 1 else self._background[j]
-            for j in range(self.p)
-        ]
-        return self.predictor.scores(columns)
+    def scores_of(self, masks: Iterable[int]) -> Iterator[np.ndarray]:
+        """Scores of all hybrid rows of each mask, in order: background rows
+        with that mask pinned to x_new."""
+        return self.predictor.scores_of(
+            [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
+            for mask in masks
+        )
+
+    def means(self, masks: Iterable[int]) -> list[float]:
+        """Relaxed predictions for the pinned sets `masks`, each computed once;
+        the uncached ones go to the scorer together."""
+        masks = list(masks)
+        todo = [m for m in dict.fromkeys(masks) if m not in self._means]
+        for mask, scores in zip(todo, self.scores_of(todo)):
+            self._means[mask] = float(np.mean(scores))
+        return [self._means[m] for m in masks]
 
     def mean(self, mask: int) -> float:
         """Relaxed prediction for the pinned set `mask`, computed once."""
         value = self._means.get(mask)
-        if value is None:
-            value = self._means[mask] = float(np.mean(self.scores(mask)))
-        return value
+        return self.means([mask])[0] if value is None else value
 
 
 def relaxed_prediction(
@@ -179,28 +187,16 @@ def relaxation_trace(
         raise SchemaError(f"unknown direction {direction!r}")
 
     values = RelaxedValues(predictor, dataset, x_new)
-    if direction == DOWN:
-        fixed = frozenset(range(p))
-    else:
-        fixed = frozenset()
-    steps = [
-        TraceStep(
-            fixed=fixed,
-            relaxed_feature=None,
-            scores=values.scores(values.mask(fixed)),
-        )
-    ]
+    fixed = frozenset(range(p)) if direction == DOWN else frozenset()
+    pinned_sets = [fixed]
     for j in order:
         fixed = fixed - {j} if direction == DOWN else fixed | {j}
-        steps.append(
-            TraceStep(
-                fixed=fixed,
-                relaxed_feature=int(j),
-                scores=values.scores(values.mask(fixed)),
-            )
-        )
+        pinned_sets.append(fixed)
+    # all p + 1 sets go to the scorer together
+    scores = values.scores_of(values.mask(s) for s in pinned_sets)
+    relaxed = [None, *(int(j) for j in order)]
     return RelaxationTrace(
         direction=direction,
         feature_names=dataset.feature_names,
-        steps=tuple(steps),
+        steps=tuple(map(TraceStep, pinned_sets, relaxed, scores)),
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +78,7 @@ def shapley_exact(
     weight_by_size = [
         math.exp(log_fact[s] + log_fact[p - s - 1] - log_fact[p]) for s in range(p)
     ]
+    values.means(range(1 << p))  # score every subset up front, together
     phis = np.zeros(p)
     # fixed accumulation order: masks ascending, then feature index
     for mask in range(1 << p):
@@ -121,16 +124,16 @@ def shapley_sampled(
     _check_modes(baseline_mode)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
+    # Draw all permutations before scoring (the rng yields the same ones,
+    # one per row of `marginals`), then score every prefix set together.
+    orders = [rng.permutation(p) for _ in range(n_permutations)]
+    walks = [
+        list(accumulate((1 << int(j) for j in order), or_, initial=0)) for order in orders
+    ]
+    values.means(chain.from_iterable(walks))
     marginals = np.zeros((n_permutations, p))
-    for t in range(n_permutations):
-        order = rng.permutation(p)
-        mask = 0
-        prev = values.mean(0)
-        for j in order:
-            mask |= 1 << int(j)
-            cur = values.mean(mask)
-            marginals[t, j] = cur - prev
-            prev = cur
+    for t, (order, walk) in enumerate(zip(orders, walks)):
+        marginals[t, order] = np.diff(values.means(walk))
     phis = marginals.mean(axis=0)
     std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     mean_score = values.mean(0)

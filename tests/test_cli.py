@@ -158,6 +158,39 @@ class TestRunBreakdown:
         assert code == 2
         assert "deliberate failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scorer, message",
+        [
+            (["non_utf8_output_scorer.py"], "scorer output is not UTF-8"),
+            (["non_utf8_stderr_scorer.py"], "exit status 3 | stderr: bad byte �"),
+            # these fail on the first payload, which joins the start set and
+            # the first greedy step's candidates
+            (["short_output_scorer.py"], "scorer returned 11 scores for 12 rows"),
+            (["failing_scorer.py"], "exit status 1 | stderr: deliberate failure"),
+            (["linear_scorer.py", "nan", "1.0", "1.0"], "scorer produced non-finite scores"),
+        ],
+        ids=["output-not-utf8", "stderr-not-utf8", "short", "failing", "nan"],
+    )
+    def test_bad_scorer_is_exit_2(self, tmp_path, capsys, scorer, message):
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,y\n1,2,3\n2,1,4\n3,3,9\n0,1,1\n")
+        code = run(
+            [
+                "breakdown",
+                "--data", str(small),
+                "--response", "y",
+                "--row", "1",
+                "--model", "external",
+                "--",
+                *fixture_command(*scorer),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+
 
 class TestRunShapley:
     def test_exact_cap_is_model_error(self, tmp_path, capsys):

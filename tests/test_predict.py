@@ -293,6 +293,19 @@ class TestExternalScorer:
         with pytest.raises(ScorerError, match="spawn"):
             p.score_rows([(1.0,)])
 
+    def test_output_not_utf8(self):
+        p = external_scorer(fixture_command("non_utf8_output_scorer.py"), _schema(1))
+        with pytest.raises(ScorerError, match="not UTF-8") as err:
+            p.score_rows([(1.0,)])
+        assert err.value.exit_status == 0
+
+    def test_stderr_not_utf8_still_reports_the_failure(self):
+        p = external_scorer(fixture_command("non_utf8_stderr_scorer.py"), _schema(1))
+        with pytest.raises(ScorerError, match="failed") as err:
+            p.score_rows([(1.0,)])
+        assert err.value.exit_status == 3
+        assert err.value.stderr_text == "bad byte �\n"
+
     def test_matches_in_process_linear_model(self):
         mu, betas = 0.25, [1.5, -2.0, 0.75]
         external = external_scorer(

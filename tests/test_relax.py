@@ -1,12 +1,16 @@
 import itertools
+import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from explainkit import (
     ConstantPredictor,
+    ExternalPredictor,
     ModelError,
     SchemaError,
+    ScorerError,
     add_predictions,
     ag_break,
     column_mean,
@@ -19,10 +23,11 @@ from explainkit import (
     shapley_exact,
     shapley_sampled,
 )
+from explainkit import predict
 from explainkit.predict import Predictor
 from explainkit.tabular import FeatureSchema
 
-from conftest import make_regression
+from conftest import fixture_command, make_regression
 
 
 class ProductPredictor(Predictor):
@@ -418,3 +423,122 @@ class TestRelaxationTrace:
 def trace_mean_before(trace, step):
     idx = trace.steps.index(step)
     return trace.steps[idx - 1].mean
+
+
+def test_base_scores_of_is_lazy():
+    ds = make_regression(3, 10, seed=5)
+    f = CountingPredictor(fit_ols(ds, 3))
+    columns = [c.values for c in ds.feature_columns()]
+    batches = f.scores_of(itertools.repeat(columns))
+    next(batches)
+    next(batches)
+    assert f.calls == 2
+
+
+# ---------------------------------------------------------------------------
+# external scorers: several pinned sets in one payload
+
+
+@dataclass(frozen=True, eq=False)
+class CountingExternal(ExternalPredictor):
+    """Records the row count of every payload the scorer is spawned for."""
+
+    payloads: list = field(default_factory=list)
+
+    def score_columns(self, columns):
+        self.payloads.append(len(columns[0]))
+        return super().score_columns(columns)
+
+
+@dataclass(frozen=True, eq=False)
+class PerMaskExternal(CountingExternal):
+    """Keeps the base `Predictor.scores_of`: one payload per pinned set."""
+
+    scores_of = Predictor.scores_of
+
+
+BATCH_TABLE = make_regression(5, 12, seed=31)
+BATCH_ROW = BATCH_TABLE.observation(3)
+LINEAR_SCORER = ("linear_scorer.py", "0.5", "1.5", "-2.0", "0.75", "3.0", "-1.0")
+
+EXPLANATIONS = {
+    "ag-break-up": lambda f: ag_break(f, BATCH_TABLE, BATCH_ROW, direction="up"),
+    "ag-break-down": lambda f: ag_break(f, BATCH_TABLE, BATCH_ROW, direction="down"),
+    "trace": lambda f: relaxation_trace(f, BATCH_TABLE, BATCH_ROW, [2, 0, 4, 1, 3], "down"),
+    "shapley-exact": lambda f: shapley_exact(f, BATCH_TABLE, BATCH_ROW),
+}
+
+# p = 5 features. Per pinned set: the greedy walk scores 1 + p(p+1)/2 sets
+# plus f(x_new), the trace p + 1 sets, exact Shapley 2^p sets plus f(x_new).
+# Joined: one payload per greedy step (the start set joins the first) plus
+# f(x_new); one for the whole trace; one for all 2^p subsets plus f(x_new).
+SPAWNS = {
+    "ag-break-up": (17, 6),
+    "ag-break-down": (17, 6),
+    "trace": (6, 1),
+    "shapley-exact": (33, 2),
+}
+
+
+def _external(cls, *scorer):
+    # These tests spawn the scorer about a hundred times; an isolated
+    # interpreter without site packages starts in about half the time.
+    python, *script = fixture_command(*scorer)
+    return cls(schema=BATCH_TABLE.schema(), command=(python, "-I", "-S", *script))
+
+
+def _dump(result) -> str:
+    # JSON floats round-trip, so equal text means bitwise-equal results
+    return json.dumps(result.to_json_dict(), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def per_mask_results():
+    out = {}
+    for name, explain in EXPLANATIONS.items():
+        f = _external(PerMaskExternal, *LINEAR_SCORER)
+        out[name] = (_dump(explain(f)), f.payloads)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXPLANATIONS))
+def test_joined_payloads_give_identical_results(per_mask_results, name):
+    per_mask, per_mask_payloads = per_mask_results[name]
+    f = _external(CountingExternal, *LINEAR_SCORER)
+    assert _dump(EXPLANATIONS[name](f)) == per_mask
+    assert (len(per_mask_payloads), len(f.payloads)) == SPAWNS[name]
+    assert len(f.payloads) <= BATCH_TABLE.n_features + 2
+    assert sum(f.payloads) == sum(per_mask_payloads)
+
+
+@pytest.mark.parametrize(
+    "cap, payloads",
+    [
+        (30, [24, 24, 24]),  # two 12-row sets fit under the cap, three do not
+        (40, [36, 36]),
+        (5, [12] * 6),  # a set larger than the cap goes alone
+    ],
+)
+def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
+    monkeypatch.setattr(predict, "PAYLOAD_ROWS", cap)
+    f = _external(CountingExternal, *LINEAR_SCORER)
+    assert _dump(EXPLANATIONS["trace"](f)) == per_mask_results["trace"][0]
+    assert f.payloads == payloads
+
+
+@pytest.mark.parametrize(
+    "scorer, message",
+    [
+        (("short_output_scorer.py",), "scorer returned 71 scores for 72 rows"),
+        (("failing_scorer.py",), "failed"),
+        (("linear_scorer.py", "nan", "1", "1", "1", "1", "1"), "non-finite"),
+    ],
+    ids=["short", "failing", "nan"],
+)
+@pytest.mark.parametrize("name", ["ag-break-up", "trace"])
+def test_scorer_failure_in_joined_payload(name, scorer, message):
+    f = _external(CountingExternal, *scorer)
+    with pytest.raises(ScorerError, match=message):
+        EXPLANATIONS[name](f)
+    # the failing payload joined six pinned sets of 12 rows
+    assert f.payloads == [72]
