@@ -75,23 +75,20 @@ def shapley_exact(
             f"exact Shapley enumerates 2^p subsets; p={p} exceeds the cap of {feature_cap}"
         )
     log_fact = [math.lgamma(i + 1) for i in range(p + 1)]
-    weight_by_size = [
-        math.exp(log_fact[s] + log_fact[p - s - 1] - log_fact[p]) for s in range(p)
-    ]
-    values.means(range(1 << p))  # score every subset up front, together
+    weight_by_size = np.array(
+        [math.exp(log_fact[s] + log_fact[p - s - 1] - log_fact[p]) for s in range(p)]
+    )
+    # every subset is scored up front, together; v[mask] is its relaxed value
+    v = np.array(values.means(range(1 << p)))
+    masks = np.arange(1 << p)
+    sizes = np.array([m.bit_count() for m in range(1 << p)])
     phis = np.zeros(p)
-    # fixed accumulation order: masks ascending, then feature index
-    for mask in range(1 << p):
-        size = mask.bit_count()
-        if size == p:
-            continue
-        v_s = values.mean(mask)
-        w = weight_by_size[size]
-        for j in range(p):
-            if mask >> j & 1:
-                continue
-            v_sj = values.mean(mask | (1 << j))
-            phis[j] += w * (v_sj - v_s)
+    for j in range(p):
+        free = masks[(masks >> j & 1) == 0]
+        terms = weight_by_size[sizes[free]] * (v[free | 1 << j] - v[free])
+        # summed in ascending mask order, one term at a time; adding to 0.0
+        # gives the sign of zero a running sum started at 0.0 would have
+        phis[j] = 0.0 + np.add.accumulate(terms)[-1]
     mean_score = values.mean(0)
     final = predictor.score_one(x_new)
     attribution = _ranked_attribution(

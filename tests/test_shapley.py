@@ -15,7 +15,7 @@ from explainkit import (
     shapley_exact,
     shapley_sampled,
 )
-from explainkit.predict import Encoder, LinearModel
+from explainkit.predict import Encoder, LinearModel, Predictor
 
 from conftest import make_regression
 
@@ -62,7 +62,53 @@ def subset_oracle(predictor, dataset, x_new):
     return phis
 
 
+def accumulation_loop(predictor, dataset, x_new):
+    """Running sums in the fixed order exact Shapley promises: masks
+    ascending, each feature's sum started at 0.0."""
+    p = dataset.n_features
+    phis = np.zeros(p)
+    for mask in range((1 << p) - 1):
+        size = mask.bit_count()
+        w = math.exp(math.lgamma(size + 1) + math.lgamma(p - size) - math.lgamma(p + 1))
+        v_s = relaxed_prediction(predictor, dataset, x_new, _pinned(mask, p))
+        for j in range(p):
+            if not mask >> j & 1:
+                pinned = _pinned(mask | 1 << j, p)
+                phis[j] += w * (relaxed_prediction(predictor, dataset, x_new, pinned) - v_s)
+    return phis
+
+
+def _pinned(mask, p):
+    return frozenset(j for j in range(p) if mask >> j & 1)
+
+
+class SignedZeroPredictor(Predictor):
+    """Scores the smallest negative subnormal where x0 equals `x0` and 0.0
+    elsewhere, so every weighted marginal of x0 underflows to -0.0."""
+
+    def __init__(self, schema, x0):
+        self.schema = schema
+        self.x0 = x0
+
+    def score_columns(self, columns):
+        return np.where(columns[0] == self.x0, -5e-324, 0.0)
+
+
 class TestExact:
+    @pytest.mark.parametrize("model", ["kernel-ridge", "signed-zero"])
+    def test_bitwise_equal_to_accumulation_loop(self, model):
+        ds = make_regression(3, 12, seed=53, noise=0.4)
+        x = ds.observation(2)
+        if model == "kernel-ridge":
+            m = fit_kernel_ridge(ds, 3, gamma=0.5, ridge=1e-2)
+        else:
+            m = SignedZeroPredictor(ds.schema(), x[0])
+        loop = accumulation_loop(m, ds, x)
+        est = shapley_exact(m, ds, x)
+        got = [phi_of(est, name) for name in ds.schema().names]
+        assert got == list(loop)
+        assert list(np.signbit(got)) == list(np.signbit(loop))
+
     def test_additive_equals_lm_break(self):
         ds = make_regression(4, 30, seed=51, noise=0.3)
         m = fit_ols(ds, 4)
