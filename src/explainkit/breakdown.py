@@ -198,11 +198,11 @@ def ag_break(
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
     down = direction == DOWN
-    fixed = (1 << p) - 1 if down else 0
-    # Every feature is a candidate of the first step, so the start set is
-    # scored together with them.
-    current = values.means([fixed, *(fixed ^ 1 << j for j in range(p))])[0]
-    f_new = predictor.score_one(x_new)
+    fixed = values.full if down else 0
+    # Every feature is a candidate of the first step, so the start set and
+    # the full set, whose value is f(x_new), are scored together with them.
+    first = [fixed, *(fixed ^ 1 << j for j in range(p)), values.full]
+    current, *_, f_new = values.means(first)
 
     to_mean = not down and up_distance == UP_DISTANCE_TO_BASELINE
     reference = current if to_mean else f_new

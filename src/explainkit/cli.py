@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,39 +29,6 @@ from .shapley import shapley_exact, shapley_sampled
 from .tabular import load_csv
 
 SUBCOMMANDS = ("breakdown", "shapley", "live", "trace")
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    data: str
-    response: str
-    row: int | None
-    observation: str | None
-    model: str
-    gamma: float
-    ridge: float
-    direction: str
-    baseline: str
-    up_distance: str
-    size: int
-    white_box: str
-    lambda_: float | None
-    method: str
-    permutations: int
-    seed: int
-    json_path: str | None
-    svg_path: str | None
-    text_path: str | None
-    external_command: tuple[str, ...] | None
-
-    def echo(self) -> dict:
-        out = asdict(self)
-        out["lambda"] = out.pop("lambda_")
-        out["external_command"] = (
-            list(self.external_command) if self.external_command else None
-        )
-        return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +70,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed flags, plus `external_command`: the words after `--`, or None."""
     argv = list(argv)
     external_command: tuple[str, ...] | None = None
     if "--" in argv:
@@ -130,7 +97,17 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.permutations < 2 and ns.subcommand == "shapley" and ns.method == "sample":
         raise UsageError("--permutations must be at least 2")
 
-    return RunConfig(**vars(ns), external_command=external_command)
+    ns.external_command = external_command
+    return ns
+
+
+def _echo(config: argparse.Namespace) -> dict:
+    """The configuration as echoed into the JSON envelope."""
+    out = vars(config).copy()
+    out["lambda"] = out.pop("lambda_")
+    command = config.external_command
+    out["external_command"] = list(command) if command else None
+    return out
 
 
 def _canonical_json(payload) -> str:
@@ -176,7 +153,7 @@ def _surrogate_json(fit, white_box: str) -> dict:
     }
 
 
-def _resolve_observation(config: RunConfig, dataset) -> tuple:
+def _resolve_observation(config: argparse.Namespace, dataset) -> tuple:
     schema = dataset.schema()
     if config.row is not None:
         if not (1 <= config.row <= dataset.n_rows):
@@ -191,7 +168,7 @@ def _resolve_observation(config: RunConfig, dataset) -> tuple:
         raise UsageError(f"bad --observation: {exc}") from exc
 
 
-def _build_predictor(config: RunConfig, dataset):
+def _build_predictor(config: argparse.Namespace, dataset):
     if config.model == "ols":
         return fit_ols(dataset, dataset.response_index)
     if config.model == "kernel-ridge":
@@ -204,7 +181,7 @@ def _feature_order_from_entries(attribution, schema) -> list[int]:
     return [index_of[e.feature] for e in attribution.feature_entries()]
 
 
-def _execute(config: RunConfig):
+def _execute(config: argparse.Namespace):
     """Returns (result payload dict, svg text or None, text fallback or None)."""
     dataset = load_csv(config.data, response_name=config.response)
     x_new = _resolve_observation(config, dataset)
@@ -271,7 +248,9 @@ def _execute(config: RunConfig):
     return trace.to_json_dict(), doc, doc.text_fallback
 
 
-def _write_outputs(config: RunConfig, envelope: dict, doc, text: str | None) -> None:
+def _write_outputs(
+    config: argparse.Namespace, envelope: dict, doc, text: str | None
+) -> None:
     """Write the requested artifacts, or print the envelope when none is asked for."""
     if config.json_path:
         export_json(envelope, config.json_path)
@@ -294,7 +273,7 @@ def run(argv: list[str]) -> int:
         envelope = {
             "version": __version__,
             "seed": config.seed,
-            "config": config.echo(),
+            "config": _echo(config),
             "result": result,
         }
         _write_outputs(config, envelope, doc, text)

@@ -379,11 +379,12 @@ class ExternalPredictor(Predictor):
 
     `scores_of` joins the rows of consecutive batches (the hybrid rows of
     several pinned sets) into one payload of at most `PAYLOAD_ROWS` rows, so
-    the command must score each row independently of the others. Spawns per
-    explanation: `ag_break` p + 1 (one per greedy step, the start set
-    joining the first, plus f(x_new)); `relaxation_trace` 1; the Shapley
-    estimators one per payload of as many whole pinned sets as fit in
-    `PAYLOAD_ROWS` rows (at least one), plus f(x_new).
+    the command must score each row independently of the others. Pinning
+    everything gives f(x_new) exactly: that set is the one row x_new. Spawns
+    per explanation: `ag_break` one per greedy step, the start and full sets
+    joining the first (Up p - 1 for p >= 2, Down p); `relaxation_trace` 1;
+    the Shapley estimators one per payload of as many whole pinned sets as
+    fit in `PAYLOAD_ROWS` rows (at least one).
     """
 
     schema: FeatureSchema

@@ -3,8 +3,9 @@
 The relaxed prediction of an observation, given a set of pinned features,
 is the mean model score over "hybrid" rows: every background row with the
 pinned coordinates overwritten by the explained observation's values.
-Pinning everything reproduces the model prediction; pinning nothing gives
-the mean score over the background.
+Pinning everything gives the model prediction f(x_new) exactly: every hybrid
+row is x_new itself, so the engine scores that set as the one row x_new.
+Pinning nothing gives the mean score over the background.
 
 `RelaxedValues` is the one engine behind every relaxed quantity: the greedy
 breakdown, both Shapley estimators, the relaxation trace and the one-shot
@@ -63,9 +64,11 @@ class RelaxedValues:
         if background_rows is not None:
             self._background = [c[background_rows] for c in self._background]
             n = len(background_rows)
-        self._pinned = schema.repeat(self.x_new, n)
-        for col in (*self._background, *self._pinned):
+        self._x = schema.to_columns([self.x_new])
+        self._pinned = [np.repeat(col, n) for col in self._x]
+        for col in (*self._background, *self._x, *self._pinned):
             col.flags.writeable = False
+        self.full = (1 << self.p) - 1
         self._means: dict[int, float] = {}
 
     def mask(self, fixed: Iterable[int]) -> int:
@@ -80,20 +83,22 @@ class RelaxedValues:
             mask |= 1 << j
         return mask
 
+    def _hybrid(self, mask: int) -> list[np.ndarray]:
+        """Background rows with the features of `mask` pinned to x_new."""
+        return [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
+
     def scores_of(self, masks: Iterable[int]) -> Iterator[np.ndarray]:
-        """Scores of all hybrid rows of each mask, in order: background rows
-        with that mask pinned to x_new."""
-        return self.predictor.scores_of(
-            [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
-            for mask in masks
-        )
+        """Scores of all hybrid rows of each mask, in order."""
+        return self.predictor.scores_of(self._hybrid(mask) for mask in masks)
 
     def means(self, masks: Iterable[int]) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
-        the uncached ones go to the scorer together."""
+        the uncached ones go to the scorer together. The full set is the one
+        row x_new, so its value is f(x_new)."""
         masks = list(masks)
         todo = [m for m in dict.fromkeys(masks) if m not in self._means]
-        for mask, scores in zip(todo, self.scores_of(todo)):
+        batches = (self._x if m == self.full else self._hybrid(m) for m in todo)
+        for mask, scores in zip(todo, self.predictor.scores_of(batches)):
             self._means[mask] = float(np.mean(scores))
         return [self._means[m] for m in masks]
 

@@ -89,8 +89,7 @@ def shapley_exact(
         # summed in ascending mask order, one term at a time; adding to 0.0
         # gives the sign of zero a running sum started at 0.0 would have
         phis[j] = 0.0 + np.add.accumulate(terms)[-1]
-    mean_score = values.mean(0)
-    final = predictor.score_one(x_new)
+    mean_score, final = values.means([0, values.full])
     attribution = _ranked_attribution(
         names, x_new, phis, baseline_mode, mean_score, final, SHAPLEY_EXACT
     )
@@ -133,8 +132,7 @@ def shapley_sampled(
         marginals[t, order] = np.diff(values.means(walk))
     phis = marginals.mean(axis=0)
     std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    mean_score = values.mean(0)
-    final = predictor.score_one(x_new)
+    mean_score, final = values.means([0, values.full])
     residual = (final - mean_score) - float(phis.sum())
     adjusted = phis.copy()
     total_abs = float(np.abs(phis).sum())

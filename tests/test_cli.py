@@ -163,9 +163,9 @@ class TestRunBreakdown:
         [
             (["non_utf8_output_scorer.py"], "scorer output is not UTF-8"),
             (["non_utf8_stderr_scorer.py"], "exit status 3 | stderr: bad byte �"),
-            # these fail on the first payload, which joins the start set and
-            # the first greedy step's candidates
-            (["short_output_scorer.py"], "scorer returned 11 scores for 12 rows"),
+            # these fail on the first payload, which joins the start set, the
+            # first greedy step's candidates and the one-row full set
+            (["short_output_scorer.py"], "scorer returned 12 scores for 13 rows"),
             (["failing_scorer.py"], "exit status 1 | stderr: deliberate failure"),
             (["linear_scorer.py", "nan", "1.0", "1.0"], "scorer produced non-finite scores"),
         ],

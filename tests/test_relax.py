@@ -25,7 +25,7 @@ from explainkit import (
 )
 from explainkit import predict
 from explainkit.predict import Predictor
-from explainkit.tabular import FeatureSchema
+from explainkit.tabular import Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
 
@@ -64,16 +64,33 @@ SPOILERS = {
 
 
 class CountingPredictor(Predictor):
-    """Wraps a model and counts its score_columns calls."""
+    """Wraps a model and counts its score_columns calls and their rows."""
 
     def __init__(self, inner):
         self.inner = inner
         self.schema = inner.schema
         self.calls = 0
+        self.rows = []
 
     def score_columns(self, columns):
         self.calls += 1
+        self.rows.append(len(columns[0]))
         return self.inner.score_columns(columns)
+
+
+class ColumnsOnlyPredictor(Predictor):
+    """Wraps a model but refuses `score_rows`, and so `score_one`: an
+    explanation that scores outside the relaxed-value engine fails."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.schema = inner.schema
+
+    def score_columns(self, columns):
+        return self.inner.score_columns(columns)
+
+    def score_rows(self, rows):
+        raise AssertionError("scored outside the relaxed-value engine")
 
 
 def brute_force_relaxed(predictor, dataset, x_new, fixed):
@@ -87,13 +104,24 @@ def brute_force_relaxed(predictor, dataset, x_new, fixed):
     return total / dataset.n_rows
 
 
+def head_rows(dataset, n):
+    """The first n rows of a dataset."""
+    columns = tuple(Column(c.name, c.kind, c.values[:n], c.levels) for c in dataset.columns)
+    return Dataset(columns=columns, response_index=dataset.response_index)
+
+
 class TestRelaxedPrediction:
     def test_full_pin_is_model_prediction(self, wine, wine_ols):
-        x = wine.observation(4)
-        full = frozenset(range(wine.n_features))
-        assert relaxed_prediction(wine_ols, wine, x, full) == pytest.approx(
-            wine_ols.score_one(x), abs=1e-12
-        )
+        # every hybrid row of the full set is x_new, so it is scored as that
+        # one row and its mean is f(x_new) itself, not a mean of n copies
+        wine_head = head_rows(wine, 300)
+        krr = fit_kernel_ridge(wine_head, wine_head.response_index, gamma=0.2, ridge=1e-2)
+        for model, ds in ((wine_ols, wine), (krr, wine_head)):
+            x = ds.observation(4)
+            f = CountingPredictor(model)
+            full = frozenset(range(ds.n_features))
+            assert relaxed_prediction(f, ds, x, full) == model.score_one(x)
+            assert f.rows == [1]
 
     def test_empty_pin_is_mean_score(self, wine, wine_ols):
         x = wine.observation(4)
@@ -257,16 +285,15 @@ def test_unknown_modes_rejected_before_scoring(case):
 
 
 def test_scorer_calls_per_explanation(wine, wine_ols):
-    # wine has p=11: the greedy walk scores 1 + p(p+1)/2 pinned sets plus
-    # f(x_new); exact Shapley 2^p sets plus f(x_new); the trace p+1 steps.
-    # Each pinned set is scored once per explanation, so a lost cache or an
-    # added scoring pass changes these counts (bench/reference.json records
-    # the same numbers).
+    # wine has p=11: the greedy walk scores 1 + p(p+1)/2 pinned sets, exact
+    # Shapley 2^p sets and the trace p+1 steps; f(x_new) is the full set, not
+    # an extra call. Each pinned set is scored once per explanation, so a lost
+    # cache or an added scoring pass changes these counts.
     x = wine.observation(4)
     cases = {
-        "ag-break-up": (lambda f: ag_break(f, wine, x, direction="up"), 68),
-        "ag-break-down": (lambda f: ag_break(f, wine, x, direction="down"), 68),
-        "shapley-exact": (lambda f: shapley_exact(f, wine, x), 2049),
+        "ag-break-up": (lambda f: ag_break(f, wine, x, direction="up"), 67),
+        "ag-break-down": (lambda f: ag_break(f, wine, x, direction="down"), 67),
+        "shapley-exact": (lambda f: shapley_exact(f, wine, x), 2048),
         "trace": (
             lambda f: relaxation_trace(f, wine, x, list(range(wine.n_features)), "up"),
             12,
@@ -276,6 +303,29 @@ def test_scorer_calls_per_explanation(wine, wine_ols):
         f = CountingPredictor(wine_ols)
         explain(f)
         assert f.calls == expected, name
+
+
+WINE_EXPLANATIONS = {
+    "ag-break-up": lambda f, ds, x: ag_break(f, ds, x, direction="up"),
+    "ag-break-down": lambda f, ds, x: ag_break(f, ds, x, direction="down"),
+    "ag-break-to-fnew": lambda f, ds, x: ag_break(f, ds, x, up_distance="to-fnew"),
+    "shapley-exact": lambda f, ds, x: shapley_exact(f, ds, x),
+    "shapley-sampled": lambda f, ds, x: shapley_sampled(
+        f, ds, x, n_permutations=20, rng=np.random.Generator(np.random.PCG64(3))
+    ),
+    "trace": lambda f, ds, x: relaxation_trace(f, ds, x, [3, 1, 4, 0, 2, 5, 6, 7, 8, 9, 10]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINE_EXPLANATIONS))
+def test_explanations_score_only_through_the_engine(wine, wine_ols, name):
+    # f(x_new) comes from the engine's full set, so a scorer that only takes
+    # feature columns explains exactly like the model it wraps
+    x = wine.observation(4)
+    explain = WINE_EXPLANATIONS[name]
+    assert _dump(explain(ColumnsOnlyPredictor(wine_ols), wine, x)) == _dump(
+        explain(wine_ols, wine, x)
+    )
 
 
 def added_contribution(predictor, dataset, x_new, fixed, j):
@@ -468,15 +518,16 @@ EXPLANATIONS = {
     "shapley-exact": lambda f: shapley_exact(f, BATCH_TABLE, BATCH_ROW),
 }
 
-# p = 5 features. Per pinned set: the greedy walk scores 1 + p(p+1)/2 sets
-# plus f(x_new), the trace p + 1 sets, exact Shapley 2^p sets plus f(x_new).
-# Joined: one payload per greedy step (the start set joins the first) plus
-# f(x_new); one for the whole trace; one for all 2^p subsets plus f(x_new).
+# p = 5 features. Per pinned set: the greedy walk scores 1 + p(p+1)/2 sets,
+# the trace p + 1 sets, exact Shapley 2^p sets; f(x_new) is the full set.
+# Joined: one payload per greedy step, the start and full sets joining the
+# first. Up's last step pins the full set, already scored, so it takes p - 1;
+# Down takes p. One payload holds the whole trace, one all 2^p subsets.
 SPAWNS = {
-    "ag-break-up": (17, 6),
-    "ag-break-down": (17, 6),
+    "ag-break-up": (16, 4),
+    "ag-break-down": (16, 5),
     "trace": (6, 1),
-    "shapley-exact": (33, 2),
+    "shapley-exact": (32, 1),
 }
 
 
@@ -526,19 +577,25 @@ def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
     assert f.payloads == payloads
 
 
+# The first payload of the greedy walk joins the start set and five
+# candidates of 12 rows each, plus the one-row full set; the trace's joins
+# its six sets of 12 rows.
+FIRST_PAYLOAD = {"ag-break-up": 73, "trace": 72}
+
+
 @pytest.mark.parametrize(
     "scorer, message",
     [
-        (("short_output_scorer.py",), "scorer returned 71 scores for 72 rows"),
+        (("short_output_scorer.py",), "scorer returned {} scores for {} rows"),
         (("failing_scorer.py",), "failed"),
         (("linear_scorer.py", "nan", "1", "1", "1", "1", "1"), "non-finite"),
     ],
     ids=["short", "failing", "nan"],
 )
-@pytest.mark.parametrize("name", ["ag-break-up", "trace"])
+@pytest.mark.parametrize("name", sorted(FIRST_PAYLOAD))
 def test_scorer_failure_in_joined_payload(name, scorer, message):
+    rows = FIRST_PAYLOAD[name]
     f = _external(CountingExternal, *scorer)
-    with pytest.raises(ScorerError, match=message):
+    with pytest.raises(ScorerError, match=message.format(rows - 1, rows)):
         EXPLANATIONS[name](f)
-    # the failing payload joined six pinned sets of 12 rows
-    assert f.payloads == [72]
+    assert f.payloads == [rows]
