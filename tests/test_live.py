@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,3 +307,174 @@ class TestLassoCoordinateDescent:
         x = orthonormal_design(20, 2, seed=106)
         with pytest.raises(ModelError):
             lasso_coordinate_descent(x, np.zeros(20), -0.1)
+
+
+
+def standardized(local):
+    """The standardized design (varying columns only) and the response that
+    fit_explanation hands the lasso solver, for numeric features, with the
+    mask of varying columns and every column's scale."""
+    x = np.column_stack([np.asarray(c, dtype=float) for c in local.feature_values])
+    means, scales = x.mean(axis=0), x.std(axis=0)
+    usable = scales > 0
+    z = np.zeros_like(x)
+    z[:, usable] = (x[:, usable] - means[usable]) / scales[usable]
+    return z[:, usable], local.response, usable, scales
+
+
+def cold_start_cv_errors(z, y, folds=5, points=50):
+    """Brute-force oracle of the lasso CV: (lambda, total validation error)
+    over the log grid from lambda_max down, every (lambda, fold) fit started
+    from zero. Folds are row index modulo `folds`; a fold with an empty
+    training or validation part is skipped."""
+    n = len(y)
+    lambda_max = float(np.max(np.abs(z.T @ (y - y.mean())), initial=0.0)) / n
+    if lambda_max == 0.0:
+        return []
+    fold_of = np.arange(n) % folds
+    errors = []
+    for lam in np.geomspace(lambda_max, 1e-4 * lambda_max, points):
+        err = 0.0
+        for f in range(folds):
+            train, val = fold_of != f, fold_of == f
+            if not val.any() or not train.any():
+                continue
+            mu = y[train].mean()
+            fit = lasso_coordinate_descent(z[train], y[train] - mu, float(lam))
+            pred = mu + z[val] @ fit.coefficients
+            err += float(np.sum((y[val] - pred) ** 2))
+        errors.append((float(lam), err))
+    return errors
+
+
+def cold_start_cv(z, y):
+    """The oracle's pick: ties in total error prefer the larger lambda."""
+    best_lam, best_err = None, np.inf
+    for lam, err in cold_start_cv_errors(z, y):
+        if err < best_err - 1e-12:
+            best_err, best_lam = err, lam
+    return best_lam if best_lam is not None else 0.0
+
+
+def kernel_ridge_local(p, size, seed):
+    """Local dataset around one row of a seeded regression table, scored by a
+    kernel ridge black box so that the surrogate is not exact."""
+    ds = make_regression(p, 60, seed=seed, noise=0.3)
+    black_box = fit_kernel_ridge(ds, p, gamma=0.5, ridge=1e-2)
+    local = sample_locally(ds, ds.observation(seed % 60), "y", size=size, seed=seed)
+    return add_predictions(local, black_box)
+
+
+def assert_cv_picks_the_cold_start_lambda(local):
+    z, y, usable, _ = standardized(local)
+    lam = cold_start_cv(z, y)
+    fit = fit_explanation(local, white_box="lasso")
+    assert fit.lambda_ == lam
+    cold = lasso_coordinate_descent(z, y - y.mean(), lam).coefficients
+    names = [n for n, u in zip(local.schema.names, usable) if u]
+    assert fit.selected_features == tuple(n for n, b in zip(names, cold) if b != 0.0)
+
+
+# (p, size, seed): 20 local datasets
+PATH_CASES = [(2 + s % 5, 60 + 20 * (s % 4), 300 + s) for s in range(20)]
+# sizes 2-4 leave folds 2-4 (size 2) down to fold 4 (size 4) with no
+# validation row; every training part still has more rows than columns
+SMALL_CASES = [(1, 2, 401), (3, 2, 402), (1, 3, 403), (1, 4, 404), (2, 4, 405)]
+# training parts with no more rows than varying columns: the lasso solution
+# is not unique and the validation error is flat to the solvers' stopping
+# tolerance, so which lambda wins is set by that tolerance, cold or warm
+UNDERDETERMINED_CASES = [(3, 3, 400), (3, 3, 412), (4, 3, 403), (4, 4, 402)]
+
+
+class TestLassoPath:
+    @pytest.mark.parametrize("p, size, seed", PATH_CASES + SMALL_CASES)
+    def test_cv_picks_the_cold_start_lambda(self, p, size, seed):
+        assert_cv_picks_the_cold_start_lambda(kernel_ridge_local(p, size, seed))
+
+    def test_cv_with_a_column_constant_in_one_training_fold(self):
+        ds = make_regression(3, 60, seed=77, noise=0.3)
+        black_box = fit_kernel_ridge(ds, 3, gamma=0.5, ridge=1e-2)
+        local = sample_locally(ds, ds.observation(5), "y", size=100, seed=77)
+        # x1 varies only on rows 0, 5, 10, ...: fold 0's validation part
+        x1 = np.full(local.n_rows, local.origin[0], dtype=float)
+        x1[::5] = ds.feature_columns()[0].values[:20]
+        local = add_predictions(
+            replace(local, feature_values=(x1, *local.feature_values[1:])), black_box
+        )
+        z, _, usable, _ = standardized(local)
+        assert usable[0] and np.ptp(z[np.arange(local.n_rows) % 5 != 0, 0]) == 0.0
+        assert_cv_picks_the_cold_start_lambda(local)
+
+    @pytest.mark.parametrize("p, size, seed", UNDERDETERMINED_CASES)
+    def test_cv_pick_on_underdetermined_folds_is_within_stopping_noise(self, p, size, seed):
+        local = kernel_ridge_local(p, size, seed)
+        z, y, _, _ = standardized(local)
+        errors = dict(cold_start_cv_errors(z, y))
+        best = min(errors.values())
+        fit = fit_explanation(local, white_box="lasso")
+        assert errors[fit.lambda_] <= best + 1e-7 * max(1.0, best)
+
+    @pytest.mark.parametrize("p, size, seed", PATH_CASES[:8])
+    def test_surrogate_satisfies_kkt_at_its_lambda(self, p, size, seed):
+        """Subgradient conditions of the standardized problem: g_j equals
+        lambda sign(beta_j) where beta_j != 0 and |g_j| <= lambda elsewhere,
+        with g = Z'(y - mean y - Z beta) / n."""
+        local = kernel_ridge_local(p, size, seed)
+        fit = fit_explanation(local, white_box="lasso")
+        z, y, usable, scales = standardized(local)
+        beta = np.asarray(fit.model.coefficients)[usable] * scales[usable]
+        g = z.T @ (y - y.mean() - z @ beta) / len(y)
+        lam = fit.lambda_
+        assert lam > 0.0
+        for gj, bj in zip(g, beta):
+            if bj != 0.0:
+                assert abs(gj - lam * math.copysign(1.0, bj)) <= 1e-7
+            else:
+                assert abs(gj) <= lam + 1e-7
+
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+    def test_cv_on_an_exactly_linear_black_box_at_scale(self, scale):
+        """The residual sum of squares of a near-exact fit is tiny next to
+        y'y/2n, so an objective formed as y'y/2n - c'b + b'Gb/2 loses it to
+        cancellation and trips the monotone check."""
+        ds = make_regression(6, 80, seed=3, coefficients=np.linspace(-3.0, 3.0, 6) * scale)
+        local = sample_locally(ds, ds.observation(1), "y", size=300, seed=3)
+        fit = fit_explanation(add_predictions(local, fit_ols(ds, 6)), white_box="lasso")
+        assert fit.r2 > 0.999
+
+
+class TestLassoWarmStart:
+    @staticmethod
+    def design(seed):
+        ds = make_regression(5, 80, seed=seed, noise=1.0)
+        x = np.column_stack([c.values for c in ds.feature_columns()])
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = ds.response_values() - ds.response_values().mean()
+        return x, y, float(np.max(np.abs(x.T @ y))) / len(y)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_start_reaches_the_cold_start_solution(self, seed):
+        x, y, lam_max = self.design(110 + seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for lam in (0.0, 0.01 * lam_max, 0.3 * lam_max, 1.2 * lam_max):
+            cold = lasso_coordinate_descent(x, y, lam)
+            start = rng.normal(0.0, 3.0, size=x.shape[1])
+            kept = start.copy()
+            warm = lasso_coordinate_descent(x, y, lam, start=start)
+            assert warm.coefficients == pytest.approx(cold.coefficients, abs=1e-8)
+            assert np.all(np.diff(warm.objectives) <= 1e-12)
+            assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_start_at_the_solution_stops_in_one_sweep(self, seed):
+        x, y, lam_max = self.design(120 + seed)
+        for lam in (0.0, 0.01 * lam_max, 0.3 * lam_max, 1.2 * lam_max):
+            fit = lasso_coordinate_descent(x, y, lam)
+            again = lasso_coordinate_descent(x, y, lam, start=fit.coefficients)
+            assert again.n_sweeps == 1
+            assert again.coefficients == pytest.approx(fit.coefficients, abs=1e-9)
+
+    def test_start_of_the_wrong_shape_rejected(self):
+        x, y, _ = self.design(130)
+        with pytest.raises(ModelError, match="start"):
+            lasso_coordinate_descent(x, y, 0.1, start=np.zeros(4))

@@ -23,10 +23,12 @@ Kernel ridge and the linear scorer accept only numeric features, so their
 setups stay numeric.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
-normalised), SVG, text, stdout and stderr. For numeric JSON leaves the
-largest absolute and relative differences are reported as well, so a
-change at roundoff can say by how much. Exits 0 when every run agrees and
-1 otherwise. Two trees compared on one host agree bit for bit; results
+normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
+run are grouped by path with list indices removed (for example
+`$.result.entries[].contribution`); each group is listed with its count
+and, for numeric leaves, the largest absolute and relative difference, so
+a change at roundoff can say by how much and where. Exits 0 when every run
+agrees and 1 otherwise. Two trees compared on one host agree bit for bit; results
 from different hosts may differ in the last bits with BLAS threading.
 """
 
@@ -37,6 +39,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -76,7 +79,6 @@ EXPLANATIONS = (
 JSON_ONLY = {"live-lasso"}
 
 ARTIFACTS = ("exit", "json", "svg", "text", "stdout", "stderr")
-MAX_LISTED = 5
 
 
 def _git(*args: str) -> bytes:
@@ -209,6 +211,27 @@ def json_diffs(a, b, path: str = "$") -> list[tuple[str, str, float | None, floa
     return [(path, f"{a!r} != {b!r}", None, None)]
 
 
+def leaf_groups(leaves) -> list[str]:
+    """One line per group of differing leaves that share a path once list
+    indices are removed: the count, then the largest absolute and relative
+    difference of its numeric leaves and the first of its other leaves."""
+    groups: dict[str, list] = {}
+    for leaf_path, what, delta, rel in leaves:
+        groups.setdefault(re.sub(r"\[\d+\]", "[]", leaf_path), []).append((what, delta, rel))
+    lines = []
+    for path, found in groups.items():
+        numeric = [(delta, rel) for _, delta, rel in found if delta is not None]
+        other = [what for what, delta, _ in found if delta is None]
+        line = f"    {path}: {len(found)} differ"
+        if numeric:
+            line += (f", max abs {max(d for d, _ in numeric):.3g},"
+                     f" max rel {max(r for _, r in numeric):.3g}")
+        if other:
+            line += f", e.g. {other[0]}"
+        lines.append(line)
+    return lines
+
+
 def first_line_diff(a: str | None, b: str | None) -> str:
     if a is None or b is None:
         return "missing in " + ("REF" if a is None else "the working tree")
@@ -241,8 +264,8 @@ def compare(ref: dict, tree: dict) -> tuple[dict[str, int], float, float]:
                     detail += (f", {len(numeric)} numeric: max abs {run_abs:.3g},"
                                f" max rel {run_rel:.3g}")
                 print(f"DIFF {name} json: {detail}")
-                for leaf_path, what, _, _ in leaves[:MAX_LISTED]:
-                    print(f"    {leaf_path}: {what}")
+                for line in leaf_groups(leaves):
+                    print(line)
             else:
                 print(f"DIFF {name} {kind}: {first_line_diff(a, b)}")
     return counts, worst_abs, worst_rel
