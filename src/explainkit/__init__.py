@@ -37,7 +37,6 @@ from .predict import (
     external_scorer,
     fit_kernel_ridge,
     fit_ols,
-    score,
 )
 from .relax import (
     RelaxationTrace,
@@ -51,7 +50,6 @@ from .tabular import (
     Column,
     Dataset,
     FeatureSchema,
-    column_mean,
     dataset_from_rows,
     empirical_draw,
     load_csv,
@@ -87,7 +85,6 @@ __all__ = [
     "fit_ols",
     "fit_kernel_ridge",
     "external_scorer",
-    "score",
     "RelaxationTrace",
     "TraceStep",
     "relaxed_prediction",
@@ -103,7 +100,6 @@ __all__ = [
     "Column",
     "FeatureSchema",
     "load_csv",
-    "column_mean",
     "empirical_draw",
     "dataset_from_rows",
 ]

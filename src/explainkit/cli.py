@@ -129,6 +129,8 @@ def export_json(result, path: str) -> None:
 
 def _surrogate_json(fit, white_box: str) -> dict:
     model = fit.model
+    n = len(model.coefficients)
+    std_errors = [None] * n if model.std_errors is None else model.std_errors.tolist()
     return {
         "white_box": white_box,
         "lambda": fit.lambda_,
@@ -140,15 +142,9 @@ def _surrogate_json(fit, white_box: str) -> dict:
             {
                 "feature": name,
                 "estimate": float(est),
-                "std_error": None if model.std_errors is None else float(se),
+                "std_error": se,
             }
-            for name, est, se in zip(
-                model.encoder.encoded_names,
-                model.coefficients,
-                model.std_errors
-                if model.std_errors is not None
-                else np.zeros(len(model.coefficients)),
-            )
+            for name, est, se in zip(model.encoder.encoded_names, model.coefficients, std_errors)
         ],
     }
 

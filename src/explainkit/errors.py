@@ -22,10 +22,6 @@ class ModelError(ExplainError):
 class ConvergenceError(ModelError):
     """An iterative solver hit its iteration cap before converging."""
 
-    def __init__(self, message: str, last_delta: float | None = None):
-        super().__init__(message)
-        self.last_delta = last_delta
-
 
 class ScorerError(ModelError):
     """An external scoring subprocess misbehaved.

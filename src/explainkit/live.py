@@ -40,7 +40,6 @@ class LocalDataset:
     feature_values: tuple[np.ndarray, ...]
     origin: tuple[Cell, ...]
     response_name: str
-    seed: int
     response: np.ndarray | None = None
 
     @property
@@ -63,9 +62,6 @@ class LocalDataset:
             cols.append(Column(self.response_name, NUMERIC, self.response))
             response_index = len(cols) - 1
         return Dataset(columns=tuple(cols), response_index=response_index)
-
-    def to_csv(self, delimiter: str = ",") -> str:
-        return self.to_dataset().to_csv(delimiter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +120,6 @@ def sample_locally(
         feature_values=tuple(cols),
         origin=tuple(x_new),
         response_name=base.columns[base.response_index].name,
-        seed=seed,
     )
 
 
@@ -215,10 +210,7 @@ def lasso_coordinate_descent(
         objectives.append(obj)
         if max_delta < tol:
             return LassoResult(beta, sweep, tuple(objectives))
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps",
-        last_delta=max_delta,
-    )
+    raise ConvergenceError(f"coordinate descent did not converge in {max_sweeps} sweeps")
 
 
 def _lambda_grid(lambda_max: float, points: int = 50) -> np.ndarray:

@@ -80,11 +80,6 @@ class Predictor:
         return lengths.pop() if lengths else 0
 
 
-def score(predictor: Predictor, rows: Sequence[Sequence[Cell]]) -> list[float]:
-    """Score observations; one finite real per row, order preserved."""
-    return [float(v) for v in predictor.score_rows(rows)]
-
-
 # ---------------------------------------------------------------------------
 # encoding
 

@@ -35,9 +35,6 @@ GRID_STROKE = "#cccccc"
 MEAN_FILL = "#d62728"
 LINE_STROKE = "#999999"
 
-SORT_IMPORTANCE = "importance"
-SORT_GIVEN = "given"
-
 
 @dataclass(frozen=True)
 class PlotDocument:
@@ -101,25 +98,17 @@ def _text_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_waterfall(
-    attribution: Attribution, sort: str = SORT_IMPORTANCE
-) -> PlotDocument:
+def render_waterfall(attribution: Attribution) -> PlotDocument:
     """Cumulative bar chart from the baseline to the final prediction.
 
     Each bar adds one entry's contribution to the running total started at
     the baseline, so consecutive bars chain and the last bar's far edge
     lands exactly on the final prediction. A solid rule marks the baseline
-    and a dashed one the final prediction. `sort` orders bars by decreasing
-    |contribution| (importance, the default) or keeps the attribution's own
-    order (given). Only with sort="given" on an ag-break attribution do the
-    bar edges trace the relaxed predictions of the greedy walk; the
-    importance order generally differs from the greedy order.
+    and a dashed one the final prediction. Bars are ordered by decreasing
+    |contribution|, which generally differs from the greedy order, so the
+    bar edges need not trace the relaxed predictions of an ag-break walk.
     """
-    entries = list(attribution.entries)
-    if sort == SORT_IMPORTANCE:
-        entries = sorted(entries, key=lambda e: -abs(e.contribution))
-    elif sort != SORT_GIVEN:
-        raise ModelError(f"unknown sort {sort!r}")
+    entries = sorted(attribution.entries, key=lambda e: -abs(e.contribution))
 
     cumulative = [attribution.baseline]
     for e in entries:
@@ -174,16 +163,14 @@ def render_waterfall(
     )
 
 
-def render_forest(fit: SurrogateFit, confidence: float = 0.95) -> PlotDocument:
-    """Coefficient point estimates with normal-approximation intervals."""
-    if not (0.0 < confidence < 1.0):
-        raise ModelError("confidence must be in (0, 1)")
+def render_forest(fit: SurrogateFit) -> PlotDocument:
+    """Coefficient point estimates with 95% normal-approximation intervals."""
     model = fit.model
     if model.std_errors is None or model.intercept_std_error is None:
         raise ModelError(
             "surrogate carries no standard errors; refit the selected features with OLS"
         )
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.975)
 
     names = ["(intercept)", *model.encoder.encoded_names]
     estimates = [model.intercept, *model.coefficients.tolist()]

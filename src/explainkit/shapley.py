@@ -59,7 +59,6 @@ def shapley_exact(
     dataset: Dataset,
     x_new: Sequence[Cell],
     baseline_mode: str = BASELINE_ZERO,
-    feature_cap: int = EXACT_FEATURE_CAP,
 ) -> ShapleyEstimate:
     """Exact Shapley values by subset enumeration.
 
@@ -70,9 +69,9 @@ def shapley_exact(
     _check_modes(baseline_mode)
     values = RelaxedValues(predictor, dataset, x_new)
     x_new, p, names = values.x_new, values.p, values.schema.names
-    if p > feature_cap:
+    if p > EXACT_FEATURE_CAP:
         raise ModelError(
-            f"exact Shapley enumerates 2^p subsets; p={p} exceeds the cap of {feature_cap}"
+            f"exact Shapley enumerates 2^p subsets; p={p} exceeds the cap of {EXACT_FEATURE_CAP}"
         )
     log_fact = [math.lgamma(i + 1) for i in range(p + 1)]
     weight_by_size = np.array(

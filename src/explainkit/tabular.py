@@ -1,4 +1,4 @@
-"""Columnar tabular data model: CSV ingestion, empirical marginals, summaries.
+"""Columnar tabular data model: CSV ingestion and empirical marginals.
 
 A :class:`Dataset` is an immutable, fully materialized table of numeric and
 categorical columns. One column may be designated as the response; all other
@@ -9,7 +9,6 @@ columns are "features" and keep their file order everywhere downstream
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -223,19 +222,6 @@ class Dataset:
             raise DataError(f"response column {col.name!r} is not numeric")
         return col.values
 
-    def to_csv(self, delimiter: str = ",") -> str:
-        """Serialize with an exact numeric round trip (shortest repr floats)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([c.name for c in self.columns])
-        for r in range(self.n_rows):
-            row = []
-            for c in self.columns:
-                v = c.values[r]
-                row.append(repr(float(v)) if c.kind == NUMERIC else str(v))
-            writer.writerow(row)
-        return buf.getvalue()
-
 
 def _detect_delimiter(header_line: str) -> str:
     """Pick the delimiter that splits the header into the most fields."""
@@ -340,14 +326,6 @@ def load_csv(
 
     dataset = Dataset(columns=tuple(columns))
     return dataset if response_name is None else dataset.with_response(response_name)
-
-
-def column_mean(dataset: Dataset, col: int) -> float:
-    """Arithmetic mean of a numeric column."""
-    column = dataset.columns[col]
-    if column.kind != NUMERIC:
-        raise DataError(f"column {column.name!r} is categorical, mean undefined")
-    return float(np.mean(column.values))
 
 
 def empirical_draw(dataset: Dataset, col: int, rng: np.random.Generator) -> Cell:

@@ -40,7 +40,7 @@ def forest_document():
     local = sample_locally(wine, wine.observation(4), "quality", size=200, seed=42)
     local = add_predictions(local, model)
     fit = fit_explanation(local, white_box="ols")
-    return render_forest(fit, confidence=0.95)
+    return render_forest(fit)
 
 
 def trace_document():

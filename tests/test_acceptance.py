@@ -21,7 +21,6 @@ from explainkit import (
     ScorerError,
     add_predictions,
     ag_break,
-    column_mean,
     dataset_from_rows,
     external_scorer,
     fit_explanation,
@@ -31,7 +30,6 @@ from explainkit import (
     lm_break,
     relaxed_prediction,
     sample_locally,
-    score,
     shapley_exact,
     shapley_sampled,
 )
@@ -391,7 +389,7 @@ def test_ac9_wine_baseline_quantity(wine, wine_ols):
     """Intercept baseline equals mean(quality) = 5.6360 within 5e-4."""
     x = wine.observation(4)
     a = ag_break(wine_ols, wine, x, direction="up", baseline_mode="intercept")
-    mean_quality = column_mean(wine, wine.response_index)
+    mean_quality = float(np.mean(wine.response_values()))
     identity_gap = abs(a.baseline - mean_quality)
     value_gap = abs(a.baseline - 5.6360)
     ok = identity_gap <= 1e-9 and value_gap <= 5e-4
@@ -432,8 +430,8 @@ def test_ac11_external_scorer_protocol(wine):
         feature_means=np.zeros(11),
     )
     rows = [wine.observation(i) for i in range(1000)]
-    got = np.array(score(external, rows))
-    want = np.array(score(in_process, rows))
+    got = external.score_rows(rows)
+    want = in_process.score_rows(rows)
     score_gap = float(np.max(np.abs(got - want)))
 
     failures = []

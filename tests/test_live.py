@@ -16,7 +16,6 @@ from explainkit import (
     fit_kernel_ridge,
     fit_ols,
     lasso_coordinate_descent,
-    load_csv,
     sample_locally,
 )
 
@@ -87,7 +86,6 @@ class TestSampleLocally:
         b = sample_locally(wine, x, "quality", size=50, seed=99)
         for ca, cb in zip(a.feature_values, b.feature_values):
             assert np.array_equal(ca, cb)
-        assert a.seed == b.seed == 99
 
     def test_unknown_response_rejected(self, wine):
         with pytest.raises(DataError, match="not found"):
@@ -98,7 +96,9 @@ class TestSampleLocally:
         by_name = sample_locally(wine, x, "quality", size=20, seed=5)
         by_index = sample_locally(wine, x, wine.response_index, size=20, seed=5)
         assert by_index.response_name == by_name.response_name == "quality"
-        assert by_index.to_csv() == by_name.to_csv()
+        assert by_index.schema == by_name.schema
+        for ci, cn in zip(by_index.feature_values, by_name.feature_values):
+            assert np.array_equal(ci, cn)
 
     def test_categorical_perturbations_stay_in_levels(self):
         rows = [("a", 1.0, 2.0), ("b", 2.0, 3.0), ("c", 0.0, 4.0), ("a", 3.0, 5.0)]
@@ -117,16 +117,6 @@ class TestSampleLocally:
         assert local.n_rows == size
         for i in range(size):
             assert len(differing_coordinates(local, i)) <= 1
-
-    def test_csv_round_trip(self, tmp_path, wine):
-        local = sample_locally(wine, wine.observation(4), "quality", size=8, seed=3)
-        f = tmp_path / "local.csv"
-        f.write_text(local.to_csv())
-        back = load_csv(str(f))
-        assert back.n_rows == 8
-        assert back.feature_names == local.schema.names
-        for j in range(len(local.schema.names)):
-            assert np.array_equal(back.columns[j].values, local.feature_values[j])
 
 
 class TestAddPredictions:

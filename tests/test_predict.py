@@ -14,7 +14,6 @@ from explainkit import (
     fit_kernel_ridge,
     fit_ols,
     sample_locally,
-    score,
 )
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
@@ -172,7 +171,7 @@ def test_response_by_name_matches_index():
 class TestScore:
     def test_constant(self):
         p = ConstantPredictor(schema=_schema(2), value=5.61)
-        assert score(p, [(0.0, 0.0), (9.0, -3.0)]) == [5.61, 5.61]
+        assert p.score_rows([(0.0, 0.0), (9.0, -3.0)]).tolist() == [5.61, 5.61]
 
     def test_linear_direct_evaluation(self):
         m = _linear(1, 1.0, [2.0], means=[99.0])
@@ -180,7 +179,7 @@ class TestScore:
 
     def test_empty_batch(self):
         m = _linear(1, 1.0, [2.0])
-        assert score(m, []) == []
+        assert m.score_rows([]).tolist() == []
 
     def test_batch_equals_rowwise(self, wine, wine_ols):
         rows = [wine.observation(i) for i in range(25)]
@@ -274,7 +273,7 @@ class TestKernelRidge:
 class TestExternalScorer:
     def test_identity_first_column(self):
         p = external_scorer(fixture_command("identity_first_column.py"), _schema(2))
-        assert score(p, [(3.0, 8.0), (4.0, -1.0)]) == [3.0, 4.0]
+        assert p.score_rows([(3.0, 8.0), (4.0, -1.0)]).tolist() == [3.0, 4.0]
 
     def test_nonzero_exit_carries_status_and_stderr(self):
         p = external_scorer(fixture_command("failing_scorer.py"), _schema(1))
@@ -315,10 +314,10 @@ class TestExternalScorer:
         in_process = _linear(3, mu, betas)
         rng = np.random.Generator(np.random.PCG64(8))
         rows = [tuple(rng.normal(size=3)) for _ in range(50)]
-        got = score(external, rows)
-        want = score(in_process, rows)
+        got = external.score_rows(rows)
+        want = in_process.score_rows(rows)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_empty_batch_skips_spawn(self):
         p = external_scorer(["/nonexistent/binary-xyz"], _schema(1))
-        assert score(p, []) == []
+        assert p.score_rows([]).tolist() == []

@@ -63,7 +63,7 @@ class TestWaterfall:
 
     def test_two_entry_cumulative_arithmetic(self):
         a = attribution_for(5.0, [1.0, -0.5])
-        doc = render_waterfall(a, sort="given")
+        doc = render_waterfall(a)
         svg = doc.svg_text
         extents = rect_extents(svg)
         assert len(extents) == 2
@@ -101,10 +101,8 @@ class TestWaterfall:
 
     def test_sort_importance_vs_given(self):
         a = attribution_for(0.0, [0.1, -2.0, 1.0], names=["a", "b", "c"])
-        by_imp = render_waterfall(a, sort="importance").svg_text
-        by_given = render_waterfall(a, sort="given").svg_text
+        by_imp = render_waterfall(a).svg_text
         assert by_imp.index("b = 1") < by_imp.index("a = 1")
-        assert by_given.index("a = 1") < by_given.index("b = 1")
 
     def test_label_escaping(self):
         a = Attribution(
@@ -155,7 +153,7 @@ class TestForest:
 
     def test_confidence_quantile(self):
         fit = make_surrogate(stderr_scale=1.0)
-        doc = render_forest(fit, confidence=0.95)
+        doc = render_forest(fit)
         # extract the "u" row interval from the text fallback: est 0.5, se 1.0
         for line in doc.text_fallback.splitlines():
             if line.startswith("u "):
@@ -177,10 +175,6 @@ class TestForest:
         object.__setattr__(fit.model, "std_errors", None)
         with pytest.raises(ModelError, match="refit"):
             render_forest(fit)
-
-    def test_bad_confidence(self):
-        with pytest.raises(ModelError):
-            render_forest(make_surrogate(), confidence=1.5)
 
 
 class TestTrace:

@@ -186,9 +186,11 @@ class TestExact:
         est = shapley_exact(m, ds, ds.observation(2))
         assert phi_of(est, "x2") == pytest.approx(0.0, abs=1e-10)
 
-    def test_feature_cap(self, wine, wine_ols):
-        with pytest.raises(ModelError, match="cap"):
-            shapley_exact(wine_ols, wine, wine.observation(0), feature_cap=5)
+    def test_feature_cap(self):
+        ds = make_regression(16, 40, seed=5)
+        model = fit_ols(ds, ds.response_index)
+        with pytest.raises(ModelError, match="p=16 exceeds the cap of 15"):
+            shapley_exact(model, ds, ds.observation(0))
 
 
 class TestSampled:

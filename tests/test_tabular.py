@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from explainkit import (
     DataError,
     SchemaError,
     ag_break,
-    column_mean,
     dataset_from_rows,
     empirical_draw,
     fit_ols,
@@ -117,48 +114,6 @@ class TestLoadCsv:
         f.write_text("a\tb\n1\t2\n")
         ds = load_csv(str(f))
         assert len(ds.columns) == 2
-
-    def test_round_trip_identity(self, tmp_path, wine):
-        out = tmp_path / "again.csv"
-        out.write_text(wine.to_csv())
-        again = load_csv(str(out), response_name="quality")
-        for c1, c2 in zip(wine.columns, again.columns):
-            assert c1.name == c2.name and c1.kind == c2.kind
-            if c1.kind == NUMERIC:
-                assert np.array_equal(c1.values, c2.values)
-            else:
-                assert list(c1.values) == list(c2.values)
-
-
-class TestColumnMean:
-    def test_symmetric_values(self):
-        ds = dataset_from_rows(["a"], ["numeric"], [(1,), (2,), (3,)])
-        assert column_mean(ds, 0) == 2.0
-
-    def test_wine_quality_mean(self, wine):
-        assert column_mean(wine, wine.response_index) == pytest.approx(5.6360, abs=5e-4)
-
-    def test_single_row(self):
-        ds = dataset_from_rows(["a"], ["numeric"], [(5,)])
-        assert column_mean(ds, 0) == 5.0
-
-    def test_categorical_rejected(self):
-        ds = dataset_from_rows(["a"], ["categorical"], [("x",), ("y",)])
-        with pytest.raises(DataError, match="categorical"):
-            column_mean(ds, 0)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_mean_within_range(self, values):
-        ds = dataset_from_rows(["a"], ["numeric"], [(v,) for v in values])
-        m = column_mean(ds, 0)
-        assert min(values) - 1e-9 <= m <= max(values) + 1e-9
 
 
 class TestEmpiricalDraw:
