@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from explainkit import (
     fit_ols,
     sample_locally,
 )
+from explainkit.predict import KERNEL_BLOCK_ENTRIES, _rbf
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
@@ -268,6 +272,78 @@ class TestKernelRidge:
             fit_kernel_ridge(ds, 1, gamma=0.0, ridge=0.1)
         with pytest.raises(ModelError):
             fit_kernel_ridge(ds, 1, gamma=1.0, ridge=-1.0)
+
+
+def _block_rows(model):
+    """Rows of one kernel block when `model` scores a batch."""
+    return max(4, KERNEL_BLOCK_ENTRIES // len(model.dual_weights) // 4 * 4)
+
+
+def _random_columns(p, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [rng.uniform(-2.5, 2.5, size=n) for _ in range(p)]
+
+
+class TestKernelScoring:
+    @pytest.mark.parametrize("n_train", [5, 400])
+    def test_blocks_equal_dense_kernel_bitwise(self, n_train):
+        m = fit_kernel_ridge(make_regression(3, n_train, seed=61, noise=0.3), 3, 0.7, 0.1)
+        b = _block_rows(m)
+        for size in (1, b - 1, b, b + 1, 3 * b + 7):
+            columns = _random_columns(3, size, seed=size)
+            z = (np.column_stack(columns) - m.feature_means) / m.feature_scales
+            t = m.train_standardized
+            dense = _rbf(z, t, m.gamma, np.sum(t * t, axis=1))
+            want = m.response_mean + dense @ m.dual_weights
+            assert np.array_equal(m.scores(columns), want), size
+
+    def test_agrees_with_brute_force_loop(self):
+        m = fit_kernel_ridge(make_regression(3, 6, seed=62, noise=0.3), 3, 0.6, 0.2)
+        columns = _random_columns(3, 10, seed=63)
+        want = []
+        for i in range(10):
+            zi = [(columns[k][i] - m.feature_means[k]) / m.feature_scales[k] for k in range(3)]
+            total = m.response_mean
+            for t, w in zip(m.train_standardized, m.dual_weights):
+                total += w * np.exp(-m.gamma * sum((zi[k] - t[k]) ** 2 for k in range(3)))
+            want.append(total)
+        np.testing.assert_allclose(m.scores(columns), want, rtol=1e-12, atol=0.0)
+
+    def test_kernel_memory_bounded_by_block_not_batch(self):
+        m = fit_kernel_ridge(make_regression(3, 400, seed=64, noise=0.3), 3, 1.0, 0.1)
+        columns = _random_columns(3, 4000, seed=65)
+        tracemalloc.start()
+        try:
+            m.scores(columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense 4,000 x 400 kernel alone is 12.8 MB
+        assert peak < 2 * 2**20
+
+    def test_scoring_leaves_predictor_unchanged(self):
+        m = fit_kernel_ridge(make_regression(3, 50, seed=66, noise=0.3), 3, 0.8, 0.1)
+        fields = [f.name for f in dataclasses.fields(m) if f.name != "schema"]
+        before = {name: np.copy(getattr(m, name)) for name in fields}
+        columns = _random_columns(3, 3 * _block_rows(m) + 5, seed=67)
+        first = m.scores(columns)
+        for name in fields:
+            assert np.array_equal(getattr(m, name), before[name]), name
+        t = m.train_standardized
+        assert np.array_equal(m.train_sq_norms, np.sum(t * t, axis=1))
+        assert np.array_equal(m.scores(columns), first)
+
+    def test_read_only_columns_and_replaced_predictor_score_identically(self):
+        m = fit_kernel_ridge(make_regression(3, 50, seed=68, noise=0.3), 3, 0.8, 0.1)
+        columns = _random_columns(3, 700, seed=69)
+        want = m.scores(columns)
+        frozen = [np.copy(c) for c in columns]
+        for c in frozen:
+            c.flags.writeable = False
+        assert np.array_equal(m.scores(frozen), want)
+        copy = dataclasses.replace(m)
+        assert np.array_equal(copy.train_sq_norms, m.train_sq_norms)
+        assert np.array_equal(copy.scores(columns), want)
 
 
 class TestExternalScorer:
