@@ -16,16 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError, ModelError, SchemaError
-from .predict import Encoder, LinearModel, Predictor, fit_ols
-from .tabular import (
-    CATEGORICAL,
-    NUMERIC,
-    Cell,
-    Column,
-    Dataset,
-    FeatureSchema,
-    empirical_draw,
-)
+from .predict import Encoder, LinearModel, Predictor, _fit_least_squares
+from .tabular import CATEGORICAL, Cell, Dataset, FeatureSchema, empirical_draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +40,6 @@ class LocalDataset:
 
     def row(self, i: int) -> tuple[Cell, ...]:
         return self.schema.row(self.feature_values, i)
-
-    def to_dataset(self) -> Dataset:
-        """Materialize as a Dataset (response appended when present)."""
-        cols = [
-            Column(name, kind, vals, levels)
-            for name, kind, vals, levels in zip(
-                self.schema.names, self.schema.kinds, self.feature_values, self.schema.levels
-            )
-        ]
-        response_index = None
-        if self.response is not None:
-            cols.append(Column(self.response_name, NUMERIC, self.response))
-            response_index = len(cols) - 1
-        return Dataset(columns=tuple(cols), response_index=response_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,12 +239,14 @@ def fit_explanation(
 ) -> SurrogateFit:
     """Fit the white-box model to the simulated rows and their scores.
 
-    All rows carry weight 1. "ols" is unweighted least squares; "lasso"
-    solves the L1-penalized problem on standardized features with an
+    All rows carry weight 1. The rows are encoded once, categorical features
+    one-hot against the explained observation's own level. "ols" is the
+    least-squares fit `predict.fit_ols` makes; "lasso" solves the
+    L1-penalized problem on the same encoding, standardized, with an
     unpenalized intercept, reporting coefficients on the original scale.
     When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
-    Categorical features are one-hot encoded against the explained
-    observation's own level.
+    Raises ModelError when the rows are too few for the white box; for "ols"
+    the message adds "increase size".
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -275,11 +255,13 @@ def fit_explanation(
         for name, kind, v in zip(local.schema.names, local.schema.kinds, local.origin)
         if kind == CATEGORICAL
     }
-    dataset = local.to_dataset()
+    encoder = Encoder.for_schema(local.schema, reference)
+    encoded = encoder.encode_columns(list(local.feature_values))
+    y = local.response
 
     if white_box == "ols":
         try:
-            model = fit_ols(dataset, dataset.response_index, reference_levels=reference)
+            model = _fit_least_squares(encoder, encoded, y)
         except ModelError as exc:
             raise ModelError(
                 f"{exc} (local dataset may be degenerate; increase size)"
@@ -292,12 +274,7 @@ def fit_explanation(
         raise ModelError(f"unknown white box {white_box!r}")
     if lambda_ is not None and not 0.0 <= lambda_ < np.inf:
         raise ModelError("lambda must be finite and nonnegative")
-
-    encoder = Encoder.for_schema(local.schema, reference)
-    encoded = encoder.encode_columns(list(local.feature_values))
-    y = local.response
-    n = len(y)
-    if n < 2:
+    if len(y) < 2:
         raise ModelError("need at least 2 rows to fit a lasso surrogate")
     means = encoded.mean(axis=0)
     scales = encoded.std(axis=0)
@@ -330,8 +307,6 @@ def fit_explanation(
 
 def _r_squared(model: LinearModel, local: LocalDataset) -> float:
     y = local.response
-    if len(y) == 0:
-        raise ModelError("cannot score an empty local dataset")
     pred = model.scores(list(local.feature_values))
     rss = float(np.sum((y - pred) ** 2))
     tss = float(np.sum((y - y.mean()) ** 2))

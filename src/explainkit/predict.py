@@ -194,58 +194,34 @@ class LinearModel(Predictor):
         return self.intercept + design @ self.coefficients
 
 
-def _qr_least_squares(design: np.ndarray, y: np.ndarray, names: Sequence[str]):
-    """Solve min ||y - design b|| via Householder QR; detects rank deficiency.
+def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Least-squares linear model of y on [1, encoded] by Householder QR.
 
-    Returns (beta, stderr, residual_variance). Normal equations are never
-    formed; the covariance uses the triangular factor directly.
+    `encoded` is the design `encoder` made of the rows. Normal equations are
+    never formed; the covariance uses the triangular factor directly, and
+    standard errors use the unbiased residual variance. Raises ModelError
+    when rows are too few or the design is rank deficient (the offending
+    column is named).
     """
-    n, k = design.shape
+    n, k = encoded.shape
+    if n <= k + 1:
+        raise ModelError(f"need more than {k + 1} rows to fit {k} encoded features, got {n}")
+    design = np.hstack([np.ones((n, 1)), encoded])
     q, r = np.linalg.qr(design, mode="reduced")
     diag = np.abs(np.diag(r))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    deficient = np.nonzero(diag <= tol)[0]
+    deficient = np.nonzero(diag <= n * np.finfo(float).eps * diag.max())[0]
     if deficient.size:
+        names = ["(intercept)", *encoder.encoded_names]
         raise ModelError(
             f"design matrix is rank deficient at column {names[deficient[0]]!r}"
         )
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - design @ beta
-    df = n - k
-    sigma2 = float(residuals @ residuals) / df if df > 0 else 0.0
-    rinv = np.linalg.solve(r, np.eye(k))
-    cov = sigma2 * (rinv @ rinv.T)
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return beta, stderr, sigma2
-
-
-def fit_ols(
-    dataset: Dataset,
-    response: int | str,
-    reference_levels: dict[str, str] | None = None,
-) -> LinearModel:
-    """Least-squares linear model of the response on all feature columns.
-
-    `response` is a column index or name (see `Dataset.with_response`).
-    Categorical features are one-hot encoded against `reference_levels`
-    (first observed level by default). Standard errors use the unbiased
-    residual variance. Raises ModelError when rows are too few or the
-    encoded design is rank deficient (the offending column is named).
-    """
-    dataset = dataset.with_response(response)
-    y = dataset.response_values()
-    schema = dataset.schema()
-    encoder = Encoder.for_schema(schema, reference_levels)
-    encoded = encoder.encode_columns([c.values for c in dataset.feature_columns()])
-    n, k = encoded.shape
-    if n <= k + 1:
-        raise ModelError(f"need more than {k + 1} rows to fit {k} encoded features, got {n}")
-    design = np.hstack([np.ones((n, 1)), encoded])
-    beta, stderr, sigma2 = _qr_least_squares(
-        design, y, ["(intercept)", *encoder.encoded_names]
-    )
+    sigma2 = float(residuals @ residuals) / (n - k - 1)
+    rinv = np.linalg.solve(r, np.eye(k + 1))
+    stderr = np.sqrt(np.maximum(np.diag(sigma2 * (rinv @ rinv.T)), 0.0))
     return LinearModel(
-        schema=schema,
+        schema=encoder.schema,
         encoder=encoder,
         intercept=float(beta[0]),
         coefficients=beta[1:],
@@ -254,6 +230,23 @@ def fit_ols(
         intercept_std_error=float(stderr[0]),
         residual_variance=sigma2,
     )
+
+
+def fit_ols(dataset: Dataset, response: int | str) -> LinearModel:
+    """Least-squares linear model of the response on all feature columns.
+
+    `response` is a column index or name (see `Dataset.with_response`).
+    Categorical features are one-hot encoded against their first observed
+    level. The fit is the one the OLS surrogate of `live.fit_explanation`
+    also uses: QR, standard errors from the unbiased residual variance, and
+    ModelError when rows are too few or the encoded design is rank deficient
+    (the offending column is named).
+    """
+    dataset = dataset.with_response(response)
+    y = dataset.response_values()
+    encoder = Encoder.for_schema(dataset.schema())
+    encoded = encoder.encode_columns([c.values for c in dataset.feature_columns()])
+    return _fit_least_squares(encoder, encoded, y)
 
 
 # ---------------------------------------------------------------------------

@@ -242,24 +242,18 @@ def _parse_numeric(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def load_csv(
-    path: str,
-    delimiter: str | None = None,
-    has_header: bool = True,
-    response_name: str | None = None,
-    type_overrides: dict[str, str] | None = None,
-) -> Dataset:
+def load_csv(path: str, response_name: str | None = None) -> Dataset:
     """Load a delimited text file into a Dataset.
 
-    Column kinds are inferred: numeric when every cell parses as a finite
-    real (decimal point format), categorical otherwise. `type_overrides`
-    maps column names to "numeric" or "categorical" and wins over inference.
-    When `delimiter` is None it is auto-detected from the header line among
-    comma, semicolon, and tab.
+    The file has one format: its first line is the header of column names,
+    and the delimiter (comma, semicolon or tab) is the one that splits that
+    line into the most fields. Blank lines are skipped. Column kinds are
+    inferred: numeric when every cell parses as a finite real (decimal point
+    format), categorical otherwise.
 
-    Raises DataError on unreadable or non-UTF-8 files, ragged rows, empty
-    input, missing cells, duplicate header names, or a numeric override that
-    does not parse.
+    Raises DataError on unreadable or non-UTF-8 files, empty input, duplicate
+    header names, no data rows, ragged rows or missing cells; row errors name
+    the row's line in the file.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -268,31 +262,20 @@ def load_csv(
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
     lines = text.splitlines()
-    if not lines or all(not ln.strip() for ln in lines):
+    if not any(ln.strip() for ln in lines):
         raise DataError(f"{path!r} is empty")
 
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0])
-    elif delimiter not in _DELIMITERS:
-        raise DataError(f"unsupported delimiter {delimiter!r}")
-
-    rows = list(csv.reader(lines, delimiter=delimiter))
-    rows = [r for r in rows if r]  # ignore blank lines
-
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        data_rows = rows[1:]
-    else:
-        header = [f"c{i + 1}" for i in range(len(rows[0]))]
-        data_rows = rows
+    reader = csv.reader(lines, delimiter=_detect_delimiter(lines[0]))
+    (_, header), *numbered = [(reader.line_num, row) for row in reader if row]
+    header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"duplicate header names: {dupes}")
-    if not data_rows:
+    if not numbered:
         raise DataError(f"{path!r} has a header but no data rows")
 
     arity = len(header)
-    for lineno, row in enumerate(data_rows, start=2 if has_header else 1):
+    for lineno, row in numbered:
         if len(row) != arity:
             raise DataError(
                 f"ragged row at line {lineno}: expected {arity} cells, got {len(row)}"
@@ -301,28 +284,14 @@ def load_csv(
             if cell == "":
                 raise DataError(f"missing cell in column {name!r} at line {lineno}")
 
-    overrides = dict(type_overrides or {})
-    for name in overrides:
-        if name not in header:
-            raise DataError(f"type override for unknown column {name!r}")
-
     columns: list[Column] = []
     for j, name in enumerate(header):
-        cells = [row[j] for row in data_rows]
+        cells = [row[j] for _, row in numbered]
         parsed = [_parse_numeric(c) for c in cells]
-        all_numeric = all(v is not None for v in parsed)
-        kind = overrides.get(name, NUMERIC if all_numeric else CATEGORICAL)
-        if kind == NUMERIC:
-            if not all_numeric:
-                bad = next(c for c, v in zip(cells, parsed) if v is None)
-                raise DataError(
-                    f"column {name!r} is declared numeric but cell {bad!r} does not parse"
-                )
+        if all(v is not None for v in parsed):
             columns.append(Column(name, NUMERIC, np.array(parsed, dtype=float)))
-        elif kind == CATEGORICAL:
-            columns.append(Column(name, CATEGORICAL, np.array(cells, dtype=object)))
         else:
-            raise DataError(f"unknown type override {kind!r} for column {name!r}")
+            columns.append(Column(name, CATEGORICAL, np.array(cells, dtype=object)))
 
     dataset = Dataset(columns=tuple(columns))
     return dataset if response_name is None else dataset.with_response(response_name)

@@ -315,6 +315,10 @@ class TestExitCodes:
         assert run([*subcommand, *wine_args("--row", "5", "--seed", "-1")]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_live_size_zero_is_data_error(self, capsys):
+        assert run(["live", *wine_args("--row", "5", "--size", "0")]) == 2
+        assert "increase size" in capsys.readouterr().err
+
     def test_no_feature_columns_is_data_error(self, tmp_path, capsys):
         only = tmp_path / "only.csv"
         only.write_text("y\n1\n2\n3\n")

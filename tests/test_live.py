@@ -195,6 +195,31 @@ class TestFitExplanation:
         with pytest.raises(ModelError, match="increase size"):
             fit_explanation(local, white_box="ols")
 
+    def test_size_zero_asks_for_a_larger_size(self, wine, wine_ols):
+        local = sample_locally(wine, wine.observation(0), "quality", size=0, seed=1)
+        local = add_predictions(local, wine_ols)
+        with pytest.raises(ModelError, match="increase size"):
+            fit_explanation(local, white_box="ols")
+
+    def test_ols_surrogate_is_fit_ols_on_the_local_rows(self):
+        ds = make_regression(3, 60, seed=93, noise=0.3)
+        black_box = fit_kernel_ridge(ds, 3, gamma=0.5, ridge=1e-2)
+        local = sample_locally(ds, ds.observation(0), "y", size=80, seed=4)
+        local = add_predictions(local, black_box)
+        table = dataset_from_rows(
+            [*local.schema.names, local.response_name],
+            [*local.schema.kinds, "numeric"],
+            zip(*local.feature_values, local.response),
+            local.response_name,
+        )
+        surrogate = fit_explanation(local, white_box="ols").model
+        direct = fit_ols(table, local.response_name)
+        assert surrogate.intercept == direct.intercept
+        assert np.array_equal(surrogate.coefficients, direct.coefficients)
+        assert surrogate.intercept_std_error == direct.intercept_std_error
+        assert np.array_equal(surrogate.std_errors, direct.std_errors)
+        assert surrogate.residual_variance == direct.residual_variance
+
     @pytest.mark.parametrize("lambda_", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, lambda_):
         ds = make_regression(2, 40, seed=92)

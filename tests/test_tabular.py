@@ -23,7 +23,7 @@ class TestLoadCsv:
         assert wine.observation(4) == pytest.approx(expected, abs=0)
 
     def test_semicolon_autodetected(self, wine):
-        # delimiter unset above; names must not contain semicolons
+        # detected from the header; names must not contain semicolons
         assert wine.feature_names[0] == "fixed_acidity"
 
     def test_minimal_two_column_file(self, tmp_path):
@@ -76,26 +76,26 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing cell"):
             load_csv(str(f))
 
-    def test_numeric_override_failure(self, tmp_path):
-        f = tmp_path / "mix.csv"
-        f.write_text("a,b\nred,2\n")
-        with pytest.raises(DataError, match="does not parse"):
-            load_csv(str(f), type_overrides={"a": "numeric"})
-
-    def test_categorical_inference_and_override(self, tmp_path):
+    def test_categorical_inference(self, tmp_path):
         f = tmp_path / "cat.csv"
         f.write_text("color,code\nred,1\nblue,2\nred,3\n")
-        ds = load_csv(str(f), type_overrides={"code": "categorical"})
+        ds = load_csv(str(f))
         assert ds.columns[0].kind == CATEGORICAL
         assert ds.columns[0].levels == ("red", "blue")
-        assert ds.columns[1].kind == CATEGORICAL
+        assert ds.columns[1].kind == NUMERIC
 
-    def test_no_header_names_columns(self, tmp_path):
-        f = tmp_path / "bare.csv"
-        f.write_text("1,2\n3,4\n")
-        ds = load_csv(str(f), has_header=False)
-        assert [c.name for c in ds.columns] == ["c1", "c2"]
-        assert ds.n_rows == 2
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n\n\n3\n", "ragged row at line 5"),
+            ("a,b\n1,2\n\n3,\n", "missing cell in column 'b' at line 4"),
+        ],
+    )
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, message):
+        f = tmp_path / "blanks.csv"
+        f.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(str(f))
 
     def test_nan_text_is_not_numeric(self, tmp_path):
         f = tmp_path / "nan.csv"
