@@ -62,6 +62,12 @@ class Predictor:
         """The checked `scores` of each batch, in order, one batch at a time."""
         return (self.scores(columns) for columns in batches)
 
+    def additive_view(self) -> tuple[float, Encoder, np.ndarray] | None:
+        """(intercept, encoder, coefficients) when every score is
+        intercept + coefficients . the row's encoding, else None. With a view,
+        relaxed predictions come in closed form (see `relax`)."""
+        return None
+
     def score_rows(self, rows: Sequence[Sequence[Cell]]) -> np.ndarray:
         """Score a batch of observations; empty batches yield an empty array."""
         return self.scores(self.schema.to_columns(rows))
@@ -192,6 +198,9 @@ class LinearModel(Predictor):
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         design = self.encoder.encode_columns(columns)
         return self.intercept + design @ self.coefficients
+
+    def additive_view(self) -> tuple[float, Encoder, np.ndarray]:
+        return self.intercept, self.encoder, self.coefficients
 
 
 def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> LinearModel:

@@ -16,6 +16,13 @@ columns once, scores hybrid rows through the checked `Predictor.scores_of`
 predictions by pinned-set bitmask (bit j set means feature j is pinned).
 The background is the whole dataset unless an explicit row subsample is
 passed.
+
+A predictor with an additive view (score = intercept + coef . encoded row)
+has relaxed predictions in closed form: the mean of its hybrid-row scores is
+the model applied to the mean hybrid encoding, which takes x_new's encoded
+columns for pinned features and the background's encoded column means (for
+a categorical feature, its level frequencies) for the rest. Only the full
+set, f(x_new), is still scored.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ModelError, SchemaError
 from .predict import Predictor
 from .tabular import Cell, Dataset
 
@@ -70,6 +77,12 @@ class RelaxedValues:
             col.flags.writeable = False
         self.full = (1 << self.p) - 1
         self._means: dict[int, float] = {}
+        self._view = predictor.additive_view()
+        if self._view is not None:
+            _, encoder, _ = self._view
+            self._owners = np.array(encoder.feature_of_encoded, dtype=np.intp)
+            self._background_means = encoder.encode_columns(self._background).mean(axis=0)
+            self._x_encoded = encoder.encode_columns(self._x)[0]
 
     def mask(self, fixed: Iterable[int]) -> int:
         """Bitmask of a set of feature indices."""
@@ -93,14 +106,35 @@ class RelaxedValues:
 
     def means(self, masks: Iterable[int]) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
-        the uncached ones go to the scorer together. The full set is the one
-        row x_new, so its value is f(x_new)."""
+        the uncached ones go to the scorer together, or into one closed-form
+        product when the predictor has an additive view. The full set is the
+        one row x_new, so its value is f(x_new)."""
         masks = list(masks)
         todo = [m for m in dict.fromkeys(masks) if m not in self._means]
+        if self._view is not None:
+            closed = [m for m in todo if m != self.full]
+            self._means.update(zip(closed, self._closed_form(closed)))
+            todo = [m for m in todo if m == self.full]
         batches = (self._x if m == self.full else self._hybrid(m) for m in todo)
         for mask, scores in zip(todo, self.predictor.scores_of(batches)):
             self._means[mask] = float(np.mean(scores))
         return [self._means[m] for m in masks]
+
+    def _closed_form(self, masks: list[int]) -> list[float]:
+        """Relaxed predictions of an additive predictor for `masks`, in one
+        product: encoded column k of m_S is x_new's if the feature owning it
+        is pinned and the background mean if not."""
+        intercept, _, coefficients = self._view
+        # a mask may have more bits than an int64 holds, so unpack its bytes
+        size = (self.p + 7) // 8
+        packed = b"".join(m.to_bytes(size, "little") for m in masks)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), size)
+        pinned = np.unpackbits(bits, axis=1, bitorder="little")[:, self._owners]
+        design = np.where(pinned == 1, self._x_encoded, self._background_means)
+        values = intercept + design @ coefficients
+        if not np.all(np.isfinite(values)):
+            raise ModelError("predictor produced non-finite scores")
+        return values.tolist()
 
     def mean(self, mask: int) -> float:
         """Relaxed prediction for the pinned set `mask`, computed once."""

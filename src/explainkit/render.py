@@ -256,13 +256,12 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
 
     centers = [MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2 for i in range(rows)]
 
-    # per-observation gray polylines between consecutive steps
-    n = len(steps[0].scores)
-    for i in range(n):
-        points = " ".join(
-            f"{_fmt(to_x(float(step.scores[i])))},{_fmt(centers[k])}"
-            for k, step in enumerate(steps)
-        )
+    # per-observation gray polylines between consecutive steps: each step's
+    # x coordinates come from one vectorised scale, and each y is formatted once
+    ys = [_fmt(y) for y in centers]
+    xs = [to_x(np.asarray(step.scores, dtype=float)).tolist() for step in steps]
+    for row in zip(*xs):
+        points = " ".join([f"{_fmt(x)},{y}" for x, y in zip(row, ys)])
         parts.append(
             f'<polyline points="{points}" fill="none" '
             f'stroke="{LINE_STROKE}" stroke-width="0.4"/>\n'

@@ -245,11 +245,11 @@ def _parse_numeric(cell: str) -> float | None:
 def load_csv(path: str, response_name: str | None = None) -> Dataset:
     """Load a delimited text file into a Dataset.
 
-    The file has one format: its first line is the header of column names,
-    and the delimiter (comma, semicolon or tab) is the one that splits that
-    line into the most fields. Blank lines are skipped. Column kinds are
-    inferred: numeric when every cell parses as a finite real (decimal point
-    format), categorical otherwise.
+    The file has one format: its first non-blank line is the header of
+    column names, and the delimiter (comma, semicolon or tab) is the one that
+    splits that line into the most fields. Blank lines are skipped. Column
+    kinds are inferred: numeric when every cell parses as a finite real
+    (decimal point format), categorical otherwise.
 
     Raises DataError on unreadable or non-UTF-8 files, empty input, duplicate
     header names, no data rows, ragged rows or missing cells; row errors name
@@ -265,7 +265,7 @@ def load_csv(path: str, response_name: str | None = None) -> Dataset:
     if not any(ln.strip() for ln in lines):
         raise DataError(f"{path!r} is empty")
 
-    reader = csv.reader(lines, delimiter=_detect_delimiter(lines[0]))
+    reader = csv.reader(lines, delimiter=_detect_delimiter(next(ln for ln in lines if ln)))
     (_, header), *numbered = [(reader.line_num, row) for row in reader if row]
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from explainkit import Dataset, dataset_from_rows, fit_ols, load_csv
+from explainkit.predict import Predictor
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -16,6 +17,18 @@ WINE_CSV = DATA_DIR / "winequality_red.csv"
 def fixture_command(name: str, *args: str) -> list[str]:
     """Invoke a scorer fixture portably through the current interpreter."""
     return [sys.executable, str(FIXTURE_DIR / name), *args]
+
+
+class ScoredPredictor(Predictor):
+    """Wraps a model without its additive view, so the relaxed-value engine
+    scores every hybrid row instead of using a closed form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.schema = inner.schema
+
+    def score_columns(self, columns):
+        return self.inner.score_columns(columns)
 
 
 def make_regression(

@@ -1,0 +1,208 @@
+"""Invariants of every relaxed-value explanation, on generated tables and
+scorers, against a brute-force oracle.
+
+Tables have 1-4 features and 2-30 rows, numeric and categorical. Labels
+include int-like ones and ones that need CSV quotes; some rows are
+duplicates and some columns constant. Each table is explained with four
+scorers:
+
+- "ols": `fit_ols` where the fit succeeds, else a linear model with fixed
+  coefficients over the same encoder. Its additive view gives closed-form
+  relaxed values.
+- "ols-scored": the same model without the view, so hybrid rows are scored.
+- "interacting": a non-additive scorer.
+- "constant": `ConstantPredictor`.
+
+Tolerance: values that agree mathematically must agree within 1e-12
+relative to the size of the terms that form them. For a linear model that
+size is |intercept| plus, per encoded column, the largest |coef_k e_k| over
+the table's rows and x_new; for the other scorers it is 1 plus a bound on
+|score|. f(x_new), the value of the full pinned set, must equal
+`score_one(x_new)` bitwise.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from explainkit import (
+    ConstantPredictor,
+    ModelError,
+    ag_break,
+    dataset_from_rows,
+    fit_ols,
+    lm_break,
+    shapley_exact,
+    shapley_sampled,
+)
+from explainkit.predict import Encoder, LinearModel, Predictor
+from explainkit.relax import RelaxedValues
+from explainkit.tabular import CATEGORICAL, NUMERIC
+
+from conftest import ScoredPredictor
+
+RELATIVE_TOLERANCE = 1e-12
+
+# int-like labels, labels a CSV writer must quote, and plain ones; ints
+# become the labels "1" to "3"
+LABELS = st.sampled_from(("1", "10", "a,b", 'say "hi"', " pad ", "x;y", "z")) | st.integers(1, 3)
+NUMBERS = st.integers(-16, 16).map(lambda v: v / 4)
+
+HARNESS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class InteractingPredictor(Predictor):
+    """Non-additive: tanh of a weighted sum of the encoded columns, plus
+    their product."""
+
+    def __init__(self, schema):
+        self.schema = schema
+        self.encoder = Encoder.for_schema(schema)
+        self.weights = np.linspace(-1.0, 1.5, self.encoder.n_encoded)
+
+    def score_columns(self, columns):
+        e = self.encoder.encode_columns(columns)
+        return np.tanh(e @ self.weights) + np.prod(e, axis=1)
+
+
+@st.composite
+def cases(draw):
+    """A table with a response, an observation, pinned-set masks and
+    background rows (None for the whole table)."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 30))
+    kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=p, max_size=p))
+    columns = []
+    for kind in kinds:
+        cell = NUMBERS if kind == NUMERIC else LABELS
+        if draw(st.integers(0, 4)) == 0:  # constant column
+            columns.append([draw(cell)] * n)
+        else:
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    rows = [list(r) for r in zip(*columns)]
+    index = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        rows[dst] = list(rows[src])  # duplicate rows
+    y = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    names = [f"f{j}" for j in range(p)] + ["y"]
+    ds = dataset_from_rows(names, [*kinds, NUMERIC], [(*r, v) for r, v in zip(rows, y)], "y")
+    # each cell of x_new comes from some row, so x_new need not be a row
+    x_new = ds.schema().validate_observation([rows[draw(index)][j] for j in range(p)])
+    masks = draw(st.lists(st.integers(0, (1 << p) - 1), min_size=1, max_size=6))
+    background = draw(st.none() | st.lists(index, min_size=1, max_size=n, unique=True))
+    if background is not None:
+        background = np.array(sorted(background))
+    return ds, x_new, masks, background
+
+
+def linear_model(ds):
+    """OLS of the response when the fit succeeds, else fixed coefficients."""
+    try:
+        return fit_ols(ds, "y")
+    except ModelError:
+        encoder = Encoder.for_schema(ds.schema())
+        encoded = encoder.encode_columns([c.values for c in ds.feature_columns()])
+        return LinearModel(
+            schema=encoder.schema,
+            encoder=encoder,
+            intercept=0.75,
+            coefficients=np.linspace(-2.0, 3.0, encoder.n_encoded),
+            feature_means=encoded.mean(axis=0),
+        )
+
+
+def scorers(ds, x_new):
+    """(name, predictor, size of the terms forming its values) per scorer."""
+    columns = [np.append(c.values, x) for c, x in zip(ds.feature_columns(), x_new)]
+    ols = linear_model(ds)
+    terms = np.abs(ols.encoder.encode_columns(columns) * ols.coefficients)
+    ols_size = abs(ols.intercept) + float(terms.max(axis=0).sum())
+    interacting = InteractingPredictor(ds.schema())
+    product = np.abs(interacting.encoder.encode_columns(columns)).max(axis=0).prod()
+    constant = ConstantPredictor(schema=ds.schema(), value=-1.25)
+    return [
+        ("ols", ols, ols_size),
+        ("ols-scored", ScoredPredictor(ols), ols_size),
+        ("interacting", interacting, 1.0 + float(product)),
+        ("constant", constant, 1.25),
+    ]
+
+
+def oracle(predictor, ds, x_new, mask, background):
+    """Relaxed value by brute force: each hybrid row built cell by cell and
+    scored alone."""
+    rows = range(ds.n_rows) if background is None else background
+    total = 0.0
+    for i in rows:
+        row = list(ds.observation(int(i)))
+        for j in range(ds.n_features):
+            if mask >> j & 1:
+                row[j] = x_new[j]
+        total += float(predictor.score_rows([row])[0])
+    return total / len(rows)
+
+
+def assert_close(a, b, size, what):
+    assert abs(a - b) <= RELATIVE_TOLERANCE * size, (what, a, b, size)
+
+
+@HARNESS
+@given(cases())
+def test_relaxed_values_match_the_oracle(case):
+    ds, x_new, masks, background = case
+    for name, f, size in scorers(ds, x_new):
+        values = RelaxedValues(f, ds, x_new, background)
+        got = values.means([*masks, values.full])
+        for mask, value in zip(masks, got):
+            if mask != values.full:
+                assert_close(value, oracle(f, ds, x_new, mask, background), size, (name, mask))
+        assert got[-1] == f.score_one(x_new), name
+
+
+@HARNESS
+@given(cases())
+def test_closed_form_equals_scored_path(case):
+    ds, x_new, _, background = case
+    (_, ols, size), (_, scored, _), *_ = scorers(ds, x_new)
+    closed = RelaxedValues(ols, ds, x_new, background)
+    rows = RelaxedValues(scored, ds, x_new, background)
+    every = range(1 << ds.n_features)
+    for mask, a, b in zip(every, closed.means(every), rows.means(every)):
+        assert_close(a, b, size, mask)
+
+
+def explanations(f, ds, x_new, baseline):
+    rng = np.random.Generator(np.random.PCG64(11))
+    return {
+        "ag-break-up": ag_break(f, ds, x_new, "up", baseline),
+        "ag-break-up-to-fnew": ag_break(f, ds, x_new, "up", baseline, "to-fnew"),
+        "ag-break-down": ag_break(f, ds, x_new, "down", baseline),
+        "shapley-exact": shapley_exact(f, ds, x_new, baseline).attribution,
+        "shapley-sampled": shapley_sampled(f, ds, x_new, 3, rng, baseline).attribution,
+    }
+
+
+@HARNESS
+@given(cases(), st.sampled_from(("zero", "intercept")))
+def test_every_explanation_telescopes(case, baseline):
+    ds, x_new, _, _ = case
+    for name, f, size in scorers(ds, x_new):
+        f_new = f.score_one(x_new)
+        for method, a in explanations(f, ds, x_new, baseline).items():
+            assert a.final_prediction == f_new, (name, method)
+            total = a.baseline + sum(e.contribution for e in a.entries)
+            assert_close(total, f_new, size, (name, method))
+
+
+@HARNESS
+@given(cases())
+def test_additive_explanations_agree(case):
+    ds, x_new, _, _ = case
+    for name, f, size in scorers(ds, x_new)[:2]:
+        reference = lm_break(f.inner if name == "ols-scored" else f, x_new, "intercept")
+        results = explanations(f, ds, x_new, "intercept")
+        for method in ("ag-break-up", "ag-break-down", "shapley-exact"):
+            a = results[method]
+            assert_close(a.baseline, reference.baseline, size, (name, method))
+            for e in reference.entries:
+                assert_close(a.contribution_of(e.feature), e.contribution, size, (name, method))

@@ -23,10 +23,10 @@ from explainkit import (
     shapley_sampled,
 )
 from explainkit import predict
-from explainkit.predict import Predictor
+from explainkit.predict import LinearModel, Predictor
 from explainkit.tabular import Column, Dataset, FeatureSchema
 
-from conftest import fixture_command, make_regression
+from conftest import ScoredPredictor, fixture_command, make_regression
 
 
 class ProductPredictor(Predictor):
@@ -62,31 +62,23 @@ SPOILERS = {
 }
 
 
-class CountingPredictor(Predictor):
+class CountingPredictor(ScoredPredictor):
     """Wraps a model and counts its score_columns calls and their rows."""
 
     def __init__(self, inner):
-        self.inner = inner
-        self.schema = inner.schema
+        super().__init__(inner)
         self.calls = 0
         self.rows = []
 
     def score_columns(self, columns):
         self.calls += 1
         self.rows.append(len(columns[0]))
-        return self.inner.score_columns(columns)
+        return super().score_columns(columns)
 
 
-class ColumnsOnlyPredictor(Predictor):
+class ColumnsOnlyPredictor(ScoredPredictor):
     """Wraps a model but refuses `score_rows`, and so `score_one`: an
     explanation that scores outside the relaxed-value engine fails."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.schema = inner.schema
-
-    def score_columns(self, columns):
-        return self.inner.score_columns(columns)
 
     def score_rows(self, rows):
         raise AssertionError("scored outside the relaxed-value engine")
@@ -283,25 +275,45 @@ def test_unknown_modes_rejected_before_scoring(case):
     assert f.calls == 0
 
 
+# wine has p=11: the greedy walk scores 1 + p(p+1)/2 pinned sets, exact
+# Shapley 2^p sets and the trace p+1 steps; f(x_new) is the full set, not an
+# extra call.
+WINE_SCORER_CALLS = {
+    "ag-break-up": (lambda f, ds, x: ag_break(f, ds, x, direction="up"), 67),
+    "ag-break-down": (lambda f, ds, x: ag_break(f, ds, x, direction="down"), 67),
+    "shapley-exact": (lambda f, ds, x: shapley_exact(f, ds, x), 2048),
+    "trace": (
+        lambda f, ds, x: relaxation_trace(f, ds, x, list(range(ds.n_features)), "up"),
+        12,
+    ),
+}
+
+
 def test_scorer_calls_per_explanation(wine, wine_ols):
-    # wine has p=11: the greedy walk scores 1 + p(p+1)/2 pinned sets, exact
-    # Shapley 2^p sets and the trace p+1 steps; f(x_new) is the full set, not
-    # an extra call. Each pinned set is scored once per explanation, so a lost
-    # cache or an added scoring pass changes these counts.
+    # CountingPredictor has no additive view, so every pinned set is scored,
+    # and each once per explanation: a lost cache or an added scoring pass
+    # changes these counts.
     x = wine.observation(4)
-    cases = {
-        "ag-break-up": (lambda f: ag_break(f, wine, x, direction="up"), 67),
-        "ag-break-down": (lambda f: ag_break(f, wine, x, direction="down"), 67),
-        "shapley-exact": (lambda f: shapley_exact(f, wine, x), 2048),
-        "trace": (
-            lambda f: relaxation_trace(f, wine, x, list(range(wine.n_features)), "up"),
-            12,
-        ),
-    }
-    for name, (explain, expected) in cases.items():
+    for name, (explain, expected) in WINE_SCORER_CALLS.items():
         f = CountingPredictor(wine_ols)
-        explain(f)
+        explain(f, wine, x)
         assert f.calls == expected, name
+
+
+@pytest.mark.parametrize("name", ["ag-break-up", "ag-break-down", "shapley-exact"])
+def test_additive_view_scores_only_f_new(wine, wine_ols, monkeypatch, name):
+    # OLS has an additive view: every pinned set but the full one takes the
+    # closed form, so the explanation scores x_new alone, as one row
+    rows = []
+    score_columns = LinearModel.score_columns
+
+    def recording(self, columns):
+        rows.append(len(columns[0]))
+        return score_columns(self, columns)
+
+    monkeypatch.setattr(LinearModel, "score_columns", recording)
+    WINE_SCORER_CALLS[name][0](wine_ols, wine, wine.observation(4))
+    assert rows == [1]
 
 
 WINE_EXPLANATIONS = {
@@ -319,11 +331,12 @@ WINE_EXPLANATIONS = {
 @pytest.mark.parametrize("name", sorted(WINE_EXPLANATIONS))
 def test_explanations_score_only_through_the_engine(wine, wine_ols, name):
     # f(x_new) comes from the engine's full set, so a scorer that only takes
-    # feature columns explains exactly like the model it wraps
+    # feature columns explains exactly like the model it wraps, scored
+    # without its additive view
     x = wine.observation(4)
     explain = WINE_EXPLANATIONS[name]
     assert _dump(explain(ColumnsOnlyPredictor(wine_ols), wine, x)) == _dump(
-        explain(wine_ols, wine, x)
+        explain(ScoredPredictor(wine_ols), wine, x)
     )
 
 

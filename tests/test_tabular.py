@@ -109,6 +109,14 @@ class TestLoadCsv:
         ds = load_csv(str(f))
         assert ds.columns[0].values[0] == "a, b"
 
+    def test_delimiter_from_header_past_blank_lines(self, tmp_path):
+        f = tmp_path / "semicolons.csv"
+        f.write_text("\na;b\n1;2\n3;4\n")
+        ds = load_csv(str(f))
+        assert [c.name for c in ds.columns] == ["a", "b"]
+        assert [c.kind for c in ds.columns] == [NUMERIC, NUMERIC]
+        assert ds.columns[1].values.tolist() == [2.0, 4.0]
+
     def test_tab_delimiter(self, tmp_path):
         f = tmp_path / "tabs.tsv"
         f.write_text("a\tb\n1\t2\n")
