@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SchemaError
 from .predict import LinearModel, Predictor, _format_cell
-from .relax import DOWN, UP, RelaxedValues
+from .relax import DOWN, UP, RelaxedValues, additive_terms
 from .tabular import Cell, Dataset
 
 LM_BREAK = "lm-break"
@@ -155,18 +153,15 @@ def lm_break(
 ) -> Attribution:
     """Closed-form attribution for a linear model.
 
-    Each feature contributes its mean-centered additive term; for
-    categorical features the one-hot terms are folded into a single entry.
+    Each feature contributes its additive term against the stored training
+    means (`relax.additive_terms`), its one-hot terms folded into one entry.
     Entries are ordered by decreasing |contribution|.
     """
     _check_modes(baseline_mode)
     x_new = model.schema.validate_observation(x_new)
-    encoded = model.encoder.encode_observation(x_new)
-    per_encoded = (encoded - model.feature_means) * model.coefficients
-    contributions = np.zeros(model.schema.n_features)
-    for k, owner in enumerate(model.encoder.feature_of_encoded):
-        contributions[owner] += per_encoded[k]
-    mean_score = model.intercept + float(model.feature_means @ model.coefficients)
+    mean_score, contributions = additive_terms(
+        model.additive_view(), x_new, model.feature_means
+    )
     final = model.score_one(x_new)
     return _ranked_attribution(
         model.schema.names, x_new, contributions, baseline_mode, mean_score, final, LM_BREAK
@@ -223,7 +218,7 @@ def ag_break(
         current = value
     if down:
         entries.reverse()  # most important (released last) first
-    mean_score = values.mean(0)
+    mean_score = values.means([0])[0]
 
     method = AG_BREAK_DOWN if down else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)

@@ -316,11 +316,5 @@ def _r_squared(model: LinearModel, local: LocalDataset) -> float:
 
 
 def _nonzero_features(model: LinearModel) -> tuple[str, ...]:
-    selected = []
-    for j, name in enumerate(model.schema.names):
-        owned = [
-            k for k, owner in enumerate(model.encoder.feature_of_encoded) if owner == j
-        ]
-        if any(model.coefficients[k] != 0.0 for k in owned):
-            selected.append(name)
-    return tuple(selected)
+    nonzero = model.encoder.fold(model.coefficients != 0.0)
+    return tuple(name for name, count in zip(model.schema.names, nonzero) if count)

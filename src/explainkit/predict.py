@@ -148,18 +148,22 @@ class Encoder:
                 out[:, k] = np.asarray(columns[j], dtype=float)
                 k += 1
             else:
-                col = columns[j]
+                col = np.asarray(columns[j], dtype=object)
                 for lv in levels:
                     if lv == ref:
                         continue
-                    out[:, k] = np.fromiter(
-                        (1.0 if c == lv else 0.0 for c in col), dtype=float, count=n
-                    )
+                    out[:, k] = col == lv
                     k += 1
         return out
 
     def encode_observation(self, obs: Sequence[Cell]) -> np.ndarray:
         return self.encode_columns(self.schema.to_columns([obs]))[0]
+
+    def fold(self, per_encoded: np.ndarray) -> np.ndarray:
+        """Per-feature sums of a per-encoded-column vector, in column order,
+        summed in encoded order."""
+        owners = np.asarray(self.feature_of_encoded, dtype=np.intp)
+        return np.bincount(owners, per_encoded, self.schema.n_features)
 
 
 # ---------------------------------------------------------------------------

@@ -14,32 +14,44 @@ predictor's schema and normalises the observation once, builds the pinned
 columns once, scores hybrid rows through the checked `Predictor.scores_of`
 (so a scorer may take several pinned sets in one call), and caches relaxed
 predictions by pinned-set bitmask (bit j set means feature j is pinned).
-The background is the whole dataset unless an explicit row subsample is
-passed.
+The background is the whole dataset unless explicit rows are passed.
 
 A predictor with an additive view (score = intercept + coef . encoded row)
-has relaxed predictions in closed form: the mean of its hybrid-row scores is
-the model applied to the mean hybrid encoding, which takes x_new's encoded
-columns for pinned features and the background's encoded column means (for
-a categorical feature, its level frequencies) for the rest. Only the full
-set, f(x_new), is still scored.
+has relaxed predictions in closed form (`additive_terms`): the mean of its
+hybrid-row scores is its value at the background's encoded column means
+(for a categorical feature, its level frequencies) plus one term per pinned
+feature. Only the full set, f(x_new), is still scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, ModelError, SchemaError
-from .predict import Predictor
+from .errors import ModelError, SchemaError
+from .predict import Encoder, Predictor
 from .tabular import Cell, Dataset
 
 IndexSet = frozenset[int]
 
 DOWN = "down"
 UP = "up"
+
+
+def additive_terms(
+    view: tuple[float, Encoder, np.ndarray], x_new: Sequence[Cell], means: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(base, terms) of an additive view at x_new against encoded column
+    `means`: base = intercept + means . coef is the value at the means, and
+    terms[j] = coef . (encode(x_new) - means) over feature j's encoded
+    columns. Pinning a set S adds the terms of S to the base."""
+    intercept, encoder, coefficients = view
+    base = intercept + float(means @ coefficients)
+    per_encoded = (encoder.encode_observation(x_new) - means) * coefficients
+    return base, encoder.fold(per_encoded)
 
 
 class RelaxedValues:
@@ -78,11 +90,6 @@ class RelaxedValues:
         self.full = (1 << self.p) - 1
         self._means: dict[int, float] = {}
         self._view = predictor.additive_view()
-        if self._view is not None:
-            _, encoder, _ = self._view
-            self._owners = np.array(encoder.feature_of_encoded, dtype=np.intp)
-            self._background_means = encoder.encode_columns(self._background).mean(axis=0)
-            self._x_encoded = encoder.encode_columns(self._x)[0]
 
     def mask(self, fixed: Iterable[int]) -> int:
         """Bitmask of a set of feature indices."""
@@ -120,26 +127,25 @@ class RelaxedValues:
             self._means[mask] = float(np.mean(scores))
         return [self._means[m] for m in masks]
 
+    @cached_property
+    def _additive_terms(self) -> tuple[float, np.ndarray]:
+        """`additive_terms` of the view over this engine's own background."""
+        means = self._view[1].encode_columns(self._background).mean(axis=0)
+        return additive_terms(self._view, self.x_new, means)
+
     def _closed_form(self, masks: list[int]) -> list[float]:
         """Relaxed predictions of an additive predictor for `masks`, in one
-        product: encoded column k of m_S is x_new's if the feature owning it
-        is pinned and the background mean if not."""
-        intercept, _, coefficients = self._view
+        product: the base plus the terms of each mask's pinned features."""
+        base, terms = self._additive_terms
         # a mask may have more bits than an int64 holds, so unpack its bytes
         size = (self.p + 7) // 8
         packed = b"".join(m.to_bytes(size, "little") for m in masks)
         bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), size)
-        pinned = np.unpackbits(bits, axis=1, bitorder="little")[:, self._owners]
-        design = np.where(pinned == 1, self._x_encoded, self._background_means)
-        values = intercept + design @ coefficients
+        pinned = np.unpackbits(bits, axis=1, count=self.p, bitorder="little")
+        values = base + pinned @ terms
         if not np.all(np.isfinite(values)):
             raise ModelError("predictor produced non-finite scores")
         return values.tolist()
-
-    def mean(self, mask: int) -> float:
-        """Relaxed prediction for the pinned set `mask`, computed once."""
-        value = self._means.get(mask)
-        return self.means([mask])[0] if value is None else value
 
 
 def relaxed_prediction(
@@ -147,26 +153,14 @@ def relaxed_prediction(
     dataset: Dataset,
     x_new: Sequence[Cell],
     fixed: Iterable[int],
-    subsample: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Mean hybrid-row score with `fixed` coordinates pinned to x_new.
 
     `fixed` holds the pinned feature indices; its complement follows the
-    empirical distribution row by row. The full-population mean is exact;
-    pass `subsample` (with an rng) to average over a uniform row subset
-    instead, an explicit approximation for large n.
+    empirical distribution of the whole dataset, row by row.
     """
-    rows = None
-    n = dataset.n_rows
-    if subsample is not None and subsample < n:
-        if subsample < 1:
-            raise DataError("subsample must be at least 1")
-        if rng is None:
-            raise DataError("subsample requires a random generator")
-        rows = np.sort(rng.choice(n, size=subsample, replace=False))
-    values = RelaxedValues(predictor, dataset, x_new, rows)
-    return values.mean(values.mask(fixed))
+    values = RelaxedValues(predictor, dataset, x_new)
+    return values.means([values.mask(fixed)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -261,8 +261,9 @@ def load_csv(path: str, response_name: str | None = None) -> Dataset:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
-    lines = text.splitlines()
-    if not any(ln.strip() for ln in lines):
+    # a whitespace-only line is blank; it stays in place to keep line numbers
+    lines = [ln if ln.strip() else "" for ln in text.splitlines()]
+    if not any(lines):
         raise DataError(f"{path!r} is empty")
 
     reader = csv.reader(lines, delimiter=_detect_delimiter(next(ln for ln in lines if ln)))

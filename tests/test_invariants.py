@@ -1,7 +1,7 @@
 """Invariants of every relaxed-value explanation, on generated tables and
 scorers, against a brute-force oracle.
 
-Tables have 1-4 features and 2-30 rows, numeric and categorical. Labels
+Tables have 1-5 features and 2-30 rows, numeric and categorical. Labels
 include int-like ones and ones that need CSV quotes; some rows are
 duplicates and some columns constant. Each table is explained with four
 scorers:
@@ -18,7 +18,8 @@ relative to the size of the terms that form them. For a linear model that
 size is |intercept| plus, per encoded column, the largest |coef_k e_k| over
 the table's rows and x_new; for the other scorers it is 1 plus a bound on
 |score|. f(x_new), the value of the full pinned set, must equal
-`score_one(x_new)` bitwise.
+`score_one(x_new)` bitwise. A feature a scorer never reads must get a
+contribution within 1e-12 of zero (the Shapley dummy axiom).
 """
 
 import numpy as np
@@ -53,15 +54,16 @@ HARNESS = settings(max_examples=40, deadline=None, derandomize=True)
 
 class InteractingPredictor(Predictor):
     """Non-additive: tanh of a weighted sum of the encoded columns, plus
-    their product."""
+    their product; the columns of feature `unread` are left out of both."""
 
-    def __init__(self, schema):
+    def __init__(self, schema, unread=None):
         self.schema = schema
         self.encoder = Encoder.for_schema(schema)
-        self.weights = np.linspace(-1.0, 1.5, self.encoder.n_encoded)
+        self.read = np.array(self.encoder.feature_of_encoded) != unread
+        self.weights = np.linspace(-1.0, 1.5, self.encoder.n_encoded)[self.read]
 
     def score_columns(self, columns):
-        e = self.encoder.encode_columns(columns)
+        e = self.encoder.encode_columns(columns)[:, self.read]
         return np.tanh(e @ self.weights) + np.prod(e, axis=1)
 
 
@@ -69,7 +71,7 @@ class InteractingPredictor(Predictor):
 def cases(draw):
     """A table with a response, an observation, pinned-set masks and
     background rows (None for the whole table)."""
-    p = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 5))
     n = draw(st.integers(2, 30))
     kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=p, max_size=p))
     columns = []
@@ -95,20 +97,27 @@ def cases(draw):
     return ds, x_new, masks, background
 
 
+def fixed_linear_model(ds, unread=None):
+    """A linear model with fixed coefficients, zero on feature `unread`."""
+    encoder = Encoder.for_schema(ds.schema())
+    encoded = encoder.encode_columns([c.values for c in ds.feature_columns()])
+    coefficients = np.linspace(-2.0, 3.0, encoder.n_encoded)
+    coefficients[np.array(encoder.feature_of_encoded) == unread] = 0.0
+    return LinearModel(
+        schema=encoder.schema,
+        encoder=encoder,
+        intercept=0.75,
+        coefficients=coefficients,
+        feature_means=encoded.mean(axis=0),
+    )
+
+
 def linear_model(ds):
     """OLS of the response when the fit succeeds, else fixed coefficients."""
     try:
         return fit_ols(ds, "y")
     except ModelError:
-        encoder = Encoder.for_schema(ds.schema())
-        encoded = encoder.encode_columns([c.values for c in ds.feature_columns()])
-        return LinearModel(
-            schema=encoder.schema,
-            encoder=encoder,
-            intercept=0.75,
-            coefficients=np.linspace(-2.0, 3.0, encoder.n_encoded),
-            feature_means=encoded.mean(axis=0),
-        )
+        return fixed_linear_model(ds)
 
 
 def scorers(ds, x_new):
@@ -206,3 +215,14 @@ def test_additive_explanations_agree(case):
             assert_close(a.baseline, reference.baseline, size, (name, method))
             for e in reference.entries:
                 assert_close(a.contribution_of(e.feature), e.contribution, size, (name, method))
+
+
+@HARNESS
+@given(cases(), st.data())
+def test_unread_feature_gets_no_contribution(case, data):
+    ds, x_new, _, _ = case
+    unread = data.draw(st.integers(0, ds.n_features - 1))
+    name = ds.feature_names[unread]
+    for f in (fixed_linear_model(ds, unread), InteractingPredictor(ds.schema(), unread)):
+        for method, a in explanations(f, ds, x_new, "intercept").items():
+            assert abs(a.contribution_of(name)) <= 1e-12, (type(f).__name__, method)

@@ -18,6 +18,7 @@ from explainkit import (
     lasso_coordinate_descent,
     sample_locally,
 )
+from explainkit.predict import Encoder, LinearModel
 
 from conftest import make_regression
 
@@ -265,6 +266,30 @@ class TestFitExplanation:
         assert fit.model.score_one(x) == pytest.approx(
             black_box.score_one(x), abs=1e-8
         )
+
+    def test_one_nonzero_level_selects_its_feature(self):
+        rows = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 5.0), ("c", 0.0)]
+        ds = dataset_from_rows(
+            ["g", "x", "y"],
+            ["categorical", "numeric", "numeric"],
+            [(*r, 0.0) for r in rows],
+            "y",
+        )
+        encoder = Encoder.for_schema(ds.schema())
+        # the black box reads only the indicator of g == "c"
+        black_box = LinearModel(
+            schema=ds.schema(),
+            encoder=encoder,
+            intercept=1.0,
+            coefficients=np.array([0.0, 5.0, 0.0]),
+            feature_means=np.zeros(3),
+        )
+        local = sample_locally(ds, ("a", 2.0), "y", size=40, seed=13)
+        fit = fit_explanation(add_predictions(local, black_box), "lasso", lambda_=0.1)
+        coefficients = dict(zip(fit.model.encoder.encoded_names, fit.model.coefficients))
+        assert coefficients["g=b"] == 0.0 and coefficients["x"] == 0.0
+        assert coefficients["g=c"] != 0.0
+        assert fit.selected_features == ("g",)
 
 
 class TestLassoCoordinateDescent:

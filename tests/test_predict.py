@@ -125,6 +125,24 @@ class TestFitOls:
             with pytest.raises(SchemaError):
                 enc.encode_observation(bad)
 
+    def test_encode_columns_equals_a_loop_over_cells(self):
+        labels = ["1", "10", "a,b", 'say "hi"', " pad ", "1", "a,b", "10"]
+        ds = dataset_from_rows(
+            ["g", "x", "y"],
+            ["categorical", "numeric", "numeric"],
+            [(g, float(i), float(i % 3)) for i, g in enumerate(labels)],
+            "y",
+        )
+        enc = fit_ols(ds, 2).encoder
+        columns = [c.values for c in ds.feature_columns()]
+        expected = [
+            [float(g == lv) for lv in enc.schema.levels[0] if lv != enc.reference_levels[0]]
+            + [x]
+            for g, x in zip(*columns)
+        ]
+        assert enc.encode_columns(columns).tolist() == expected
+        assert enc.encode_columns([list(c) for c in columns]).tolist() == expected
+
 
 # The response/feature split is decided once, by Dataset.with_response, for
 # every library entry point that takes a response argument.

@@ -23,7 +23,8 @@ from explainkit import (
     shapley_sampled,
 )
 from explainkit import predict
-from explainkit.predict import LinearModel, Predictor
+from explainkit.predict import Encoder, LinearModel, Predictor
+from explainkit.relax import RelaxedValues
 from explainkit.tabular import Column, Dataset, FeatureSchema
 
 from conftest import ScoredPredictor, fixture_command, make_regression
@@ -149,18 +150,6 @@ class TestRelaxedPrediction:
                 slow = brute_force_relaxed(m, ds, x, fixed)
                 assert fast == pytest.approx(slow, abs=1e-12)
 
-    def test_subsample_reduces_rows(self):
-        ds = make_regression(2, 100, seed=2)
-        m = fit_ols(ds, 2)
-        x = ds.observation(0)
-        rng = np.random.Generator(np.random.PCG64(5))
-        a = relaxed_prediction(m, ds, x, frozenset({0}), subsample=10, rng=rng)
-        rng = np.random.Generator(np.random.PCG64(5))
-        b = relaxed_prediction(m, ds, x, frozenset({0}), subsample=10, rng=rng)
-        assert a == b  # same seed, same subsample
-        full = relaxed_prediction(m, ds, x, frozenset({0}))
-        assert a != pytest.approx(full, abs=1e-12)
-
     def test_categorical_pinning(self):
         rows = [
             ("a", 1.0, 10.0),
@@ -198,8 +187,8 @@ class TestRelaxedPrediction:
         with pytest.raises(ValueError, match="read-only"):
             relaxed_prediction(InPlacePredictor(), ds, ds.observation(0), frozenset({0}))
 
-    @pytest.mark.parametrize("subsample", [None, 5])
-    def test_background_columns_are_read_only(self, subsample):
+    @pytest.mark.parametrize("n_rows", [None, 5])
+    def test_background_columns_are_read_only(self, n_rows):
         ds = make_regression(2, 10, seed=6)
         m = fit_ols(ds, 2)
         before = ds.columns[1].values.copy()
@@ -211,11 +200,12 @@ class TestRelaxedPrediction:
                 columns[1][:] = 0.0
                 return m.score_columns(columns)
 
-        rng = np.random.Generator(np.random.PCG64(5))
+        x = ds.observation(0)
         with pytest.raises(ValueError, match="read-only"):
-            relaxed_prediction(
-                InPlacePredictor(), ds, ds.observation(0), frozenset({0}), subsample, rng
-            )
+            if n_rows is None:
+                relaxed_prediction(InPlacePredictor(), ds, x, frozenset({0}))
+            else:
+                RelaxedValues(InPlacePredictor(), ds, x, np.arange(n_rows)).means([1])
         assert np.array_equal(ds.columns[1].values, before)
 
 
@@ -314,6 +304,21 @@ def test_additive_view_scores_only_f_new(wine, wine_ols, monkeypatch, name):
     monkeypatch.setattr(LinearModel, "score_columns", recording)
     WINE_SCORER_CALLS[name][0](wine_ols, wine, wine.observation(4))
     assert rows == [1]
+
+
+def test_trace_encodes_only_the_rows_it_scores(wine, wine_ols, monkeypatch):
+    # the closed-form terms are built on first use, so a trace, which scores
+    # the rows of every step, never encodes the background on its own
+    calls = []
+    encode_columns = Encoder.encode_columns
+
+    def recording(self, columns):
+        calls.append(len(columns[0]))
+        return encode_columns(self, columns)
+
+    monkeypatch.setattr(Encoder, "encode_columns", recording)
+    relaxation_trace(wine_ols, wine, wine.observation(4), list(range(wine.n_features)))
+    assert len(calls) == wine.n_features + 1
 
 
 WINE_EXPLANATIONS = {

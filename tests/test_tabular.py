@@ -89,6 +89,7 @@ class TestLoadCsv:
         [
             ("a,b\n1,2\n\n\n3\n", "ragged row at line 5"),
             ("a,b\n1,2\n\n3,\n", "missing cell in column 'b' at line 4"),
+            ("a,b\n \t\n1,2\n  \n3\n", "ragged row at line 5"),
         ],
     )
     def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, message):
@@ -115,6 +116,16 @@ class TestLoadCsv:
         ds = load_csv(str(f))
         assert [c.name for c in ds.columns] == ["a", "b"]
         assert [c.kind for c in ds.columns] == [NUMERIC, NUMERIC]
+        assert ds.columns[1].values.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "text", ["  \na;b\n1;2\n3;4\n", "a,b\n1,2\n  \n3,4\n", "a;b\n1;2\n\t\n3;4\n \n"]
+    )
+    def test_whitespace_only_lines_are_blank(self, tmp_path, text):
+        f = tmp_path / "spaces.csv"
+        f.write_text(text)
+        ds = load_csv(str(f))
+        assert [c.name for c in ds.columns] == ["a", "b"]
         assert ds.columns[1].values.tolist() == [2.0, 4.0]
 
     def test_tab_delimiter(self, tmp_path):
