@@ -230,6 +230,14 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _fmt_array(values) -> list[str]:
+    """`_fmt` of each value of a float array, formatted in one call."""
+    texts = ("%.3f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    if "-0.000" in texts:
+        texts = ["0.000" if s == "-0.000" else s for s in texts]
+    return texts
+
+
 def attribution_text(attribution: Attribution) -> str:
     """Fixed-width text layout: one row per entry, signed contributions
     right-aligned, a baseline row on top and a final_prognosis row at the

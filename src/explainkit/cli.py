@@ -12,9 +12,9 @@ go to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,8 +112,69 @@ def _echo(config: argparse.Namespace) -> dict:
 
 def _canonical_json(payload) -> str:
     """Sorted keys, shortest-round-trip numbers, two-space indent, no
-    trailing newline. Identical inputs produce identical text."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    trailing newline. Identical inputs produce identical text.
+
+    Text and errors are those of `json.dumps(payload, sort_keys=True,
+    indent=2, allow_nan=False)`, which with an indent runs `json`'s
+    pure-Python encoder; this writer joins each all-float list at once.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_scalar(value) -> str | None:
+    """JSON text of a str, None, bool, int or float, as `json` writes it;
+    None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return None
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of `value` to `out`; `newline` is a line break
+    and the indent of the line `value` starts on."""
+    text = _json_scalar(value)
+    inner = newline + "  "
+    if text is not None:
+        out.append(text)
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        for k, (key, item) in enumerate(sorted(value.items())):
+            name = key if isinstance(key, str) else _json_scalar(key)
+            if name is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+            out.append(("," if k else "{") + inner + encode_basestring_ascii(name) + ": ")
+            _write_json(item, inner, out)
+        out.append(newline + "}")
+    else:
+        try:
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)))
+        except TypeError:  # not all floats
+            for k, item in enumerate(value):
+                out.append(("," if k else "[") + inner)
+                _write_json(item, inner, out)
+        else:
+            if "n" in out[-1]:  # of float reprs, only "nan", "inf" and "-inf" hold an "n"
+                for item in value:
+                    _json_scalar(item)  # raises on the first non-finite value
+        out.append(newline + "]")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -190,7 +190,7 @@ class RelaxationTrace:
                 {
                     "fixed": sorted(step.fixed),
                     "relaxed_feature": step.relaxed_feature,
-                    "scores": [float(s) for s in step.scores],
+                    "scores": step.scores.tolist(),
                     "mean": step.mean,
                 }
                 for step in self.steps

@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .breakdown import Attribution, _fmt, attribution_text
+from .breakdown import Attribution, _fmt, _fmt_array, attribution_text
 from .errors import ModelError
 from .live import SurrogateFit
 from .relax import DOWN, RelaxationTrace
@@ -226,8 +226,15 @@ def _silverman_bandwidth(scores: np.ndarray) -> float:
 
 
 def _density(scores: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    z = (grid[:, None] - scores[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=1) / (len(scores) * bandwidth * math.sqrt(2 * math.pi))
+    # one (grid x scores) array, updated in place; squaring before halving
+    # rounds as halving first would, since scaling by a power of two is exact
+    # except where exp of the result is 1 or 0 either way
+    z = grid[:, None] - scores[None, :]
+    z /= bandwidth
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    return z.sum(axis=1) / (len(scores) * bandwidth * math.sqrt(2 * math.pi))
 
 
 def render_trace(trace: RelaxationTrace) -> PlotDocument:
@@ -257,18 +264,21 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
     centers = [MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2 for i in range(rows)]
 
     # per-observation gray polylines between consecutive steps: each step's
-    # x coordinates come from one vectorised scale, and each y is formatted once
-    ys = [_fmt(y) for y in centers]
-    xs = [to_x(np.asarray(step.scores, dtype=float)).tolist() for step in steps]
-    for row in zip(*xs):
-        points = " ".join([f"{_fmt(x)},{y}" for x, y in zip(row, ys)])
+    # points are formatted as one array, and each polyline joins one row of them
+    suffixes = [f",{_fmt(y)}" for y in centers]
+    columns = [
+        [x + suffix for x in _fmt_array(to_x(step.scores))]
+        for step, suffix in zip(steps, suffixes)
+    ]
+    for row in zip(*columns):
         parts.append(
-            f'<polyline points="{points}" fill="none" '
+            f'<polyline points="{" ".join(row)}" fill="none" '
             f'stroke="{LINE_STROKE}" stroke-width="0.4"/>\n'
         )
 
     half = ROW_HEIGHT * 0.4
     grid = np.linspace(lo, hi, 81)
+    grid_x = _fmt_array(to_x(grid))
     for k, step in enumerate(steps):
         y = centers[k]
         parts.append(
@@ -280,15 +290,10 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
             dens = _density(step.scores, grid, bw)
             peak = dens.max()
             scaled = dens / peak * half if peak > 0 else dens
-            upper = [
-                f"{_fmt(to_x(float(g)))},{_fmt(y - s)}" for g, s in zip(grid, scaled)
-            ]
-            lower = [
-                f"{_fmt(to_x(float(g)))},{_fmt(y + s)}"
-                for g, s in zip(grid[::-1], scaled[::-1])
-            ]
+            upper = map("{},{}".format, grid_x, _fmt_array(y - scaled))
+            lower = map("{},{}".format, grid_x[::-1], _fmt_array(y + scaled[::-1]))
             parts.append(
-                f'<polygon points="{" ".join(upper + lower)}" '
+                f'<polygon points="{" ".join([*upper, *lower])}" '
                 f'fill="#a6bddb" fill-opacity="0.6" stroke="{NEUTRAL_STROKE}" '
                 f'stroke-width="0.5"/>\n'
             )

@@ -247,27 +247,35 @@ def load_csv(path: str, response_name: str | None = None) -> Dataset:
 
     The file has one format: its first non-blank line is the header of
     column names, and the delimiter (comma, semicolon or tab) is the one that
-    splits that line into the most fields. Blank lines are skipped. Column
-    kinds are inferred: numeric when every cell parses as a finite real
-    (decimal point format), categorical otherwise.
+    splits that line into the most fields. A quoted cell may span lines and
+    keeps its line breaks. Blank and whitespace-only lines outside quoted
+    cells are skipped. Column kinds are inferred: numeric when every cell
+    parses as a finite real (decimal point format), categorical otherwise.
 
     Raises DataError on unreadable or non-UTF-8 files, empty input, duplicate
     header names, no data rows, ragged rows or missing cells; row errors name
-    the row's line in the file.
+    the line in the file that the row starts on.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
-    # a whitespace-only line is blank; it stays in place to keep line numbers
-    lines = [ln if ln.strip() else "" for ln in text.splitlines()]
-    if not any(lines):
+    header_line = next((ln for ln in lines if ln.strip()), None)
+    if header_line is None:
         raise DataError(f"{path!r} is empty")
 
-    reader = csv.reader(lines, delimiter=_detect_delimiter(next(ln for ln in lines if ln)))
-    (_, header), *numbered = [(reader.line_num, row) for row in reader if row]
+    # (first file line, cells) of each row; a row that starts on a
+    # whitespace-only line is that blank line alone, as no quote opens on it
+    reader = csv.reader(lines, delimiter=_detect_delimiter(header_line))
+    rows: list[tuple[int, list[str]]] = []
+    start = 0
+    for row in reader:
+        if lines[start].strip():
+            rows.append((start + 1, row))
+        start = reader.line_num
+    (_, header), *numbered = rows
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})

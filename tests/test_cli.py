@@ -1,14 +1,16 @@
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from explainkit.cli import SUBCOMMANDS, export_json, parse_args, run
+from explainkit.cli import SUBCOMMANDS, _canonical_json, export_json, parse_args, run
 from explainkit.errors import UsageError
 
 from conftest import WINE_CSV, fixture_command
@@ -366,6 +368,65 @@ class TestExportJson:
         f = tmp_path / "t.json"
         export_json(trace, str(f))
         assert len(json.loads(f.read_text())["steps"]) == 1
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOATS = (
+    FINITE
+    | FINITE.map(np.float64)
+    | st.sampled_from((-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e22))
+)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+KEYS = st.text() | st.sampled_from(("é", "\u2028", 'q"\\/', "\x00\n\t", "\U0001f600"))
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(FLOATS),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.one_of(FLOATS, st.integers(), st.booleans(), st.none()))
+    | st.dictionaries(KEYS, inner),
+    max_leaves=30,
+)
+NON_FINITE = st.sampled_from((float("nan"), float("inf"), -float("inf"), np.float64("nan")))
+
+
+def json_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[], [[]]]})
+    @example([1.0, 2, True, None, -0.0])
+    def test_equals_json_dumps(self, value):
+        assert _canonical_json(value) == json_dumps(value)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(FLOATS), NON_FINITE, st.data())
+    def test_non_finite_float_raises_as_json_does(self, floats, bad, data):
+        floats.insert(data.draw(st.integers(0, len(floats))), bad)
+        value = data.draw(st.sampled_from((floats, tuple(floats), [1, floats], {"k": floats})))
+        with pytest.raises(ValueError) as expected:
+            json_dumps(value)
+        with pytest.raises(ValueError) as got:
+            _canonical_json(value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[np.int64(3)], {"a": {1, 2}}, [1.0, object()], np.bool_(True), {(1, 2): 3}, {1.5: np.nan}],
+    )
+    def test_unsupported_values_raise_as_json_does(self, value):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json_dumps(value)
+        with pytest.raises(expected.type, match="^" + re.escape(str(expected.value)) + "$"):
+            _canonical_json(value)
+
+    @pytest.mark.parametrize("value", [{3: "i", 1.5: "f", True: "t", -0.0: "z"}, {None: 1}])
+    def test_int_float_bool_and_none_keys_as_json(self, value):
+        assert _canonical_json(value) == json_dumps(value)
 
 
 class TestReproducibility:

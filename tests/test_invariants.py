@@ -19,8 +19,16 @@ size is |intercept| plus, per encoded column, the largest |coef_k e_k| over
 the table's rows and x_new; for the other scorers it is 1 plus a bound on
 |score|. f(x_new), the value of the full pinned set, must equal
 `score_one(x_new)` bitwise. A feature a scorer never reads must get a
-contribution within 1e-12 of zero (the Shapley dummy axiom).
+contribution within 1e-12 of zero (the Shapley dummy axiom), and a copy of
+a feature the same exact Shapley value as the feature itself (symmetry).
+Sampled Shapley and `live` give the same bits for the same seed, and
+`load_csv` reads back every table `csv.writer` writes.
 """
+
+import csv
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,11 +36,16 @@ from hypothesis import strategies as st
 
 from explainkit import (
     ConstantPredictor,
+    ExplainError,
     ModelError,
+    add_predictions,
     ag_break,
     dataset_from_rows,
+    fit_explanation,
     fit_ols,
     lm_break,
+    load_csv,
+    sample_locally,
     shapley_exact,
     shapley_sampled,
 )
@@ -120,19 +133,25 @@ def linear_model(ds):
         return fixed_linear_model(ds)
 
 
+def linear_size(model, columns):
+    terms = np.abs(model.encoder.encode_columns(columns) * model.coefficients)
+    return abs(model.intercept) + float(terms.max(axis=0).sum())
+
+
+def interacting_size(f, columns):
+    return 1.0 + float(np.abs(f.encoder.encode_columns(columns)).max(axis=0).prod())
+
+
 def scorers(ds, x_new):
     """(name, predictor, size of the terms forming its values) per scorer."""
     columns = [np.append(c.values, x) for c, x in zip(ds.feature_columns(), x_new)]
     ols = linear_model(ds)
-    terms = np.abs(ols.encoder.encode_columns(columns) * ols.coefficients)
-    ols_size = abs(ols.intercept) + float(terms.max(axis=0).sum())
     interacting = InteractingPredictor(ds.schema())
-    product = np.abs(interacting.encoder.encode_columns(columns)).max(axis=0).prod()
     constant = ConstantPredictor(schema=ds.schema(), value=-1.25)
     return [
-        ("ols", ols, ols_size),
-        ("ols-scored", ScoredPredictor(ols), ols_size),
-        ("interacting", interacting, 1.0 + float(product)),
+        ("ols", ols, linear_size(ols, columns)),
+        ("ols-scored", ScoredPredictor(ols), linear_size(ols, columns)),
+        ("interacting", interacting, interacting_size(interacting, columns)),
         ("constant", constant, 1.25),
     ]
 
@@ -226,3 +245,136 @@ def test_unread_feature_gets_no_contribution(case, data):
     for f in (fixed_linear_model(ds, unread), InteractingPredictor(ds.schema(), unread)):
         for method, a in explanations(f, ds, x_new, "intercept").items():
             assert abs(a.contribution_of(name)) <= 1e-12, (type(f).__name__, method)
+
+
+def with_copy_of(ds, x_new, j):
+    """The table and observation with a copy of feature j as the last feature."""
+    features = ds.feature_columns()
+    y = ds.columns[ds.response_index].values.tolist()
+    rows = [(*r, r[j], v) for r, v in zip(zip(*(c.values.tolist() for c in features)), y)]
+    kinds = [c.kind for c in features]
+    out = dataset_from_rows(
+        [*ds.feature_names, "copy", "y"], [*kinds, kinds[j], NUMERIC], rows, "y"
+    )
+    return out, out.schema().validate_observation([*x_new, x_new[j]])
+
+
+@HARNESS
+@given(cases(), st.data())
+def test_copied_feature_gets_an_equal_shapley_value(case, data):
+    ds, x_new, _, _ = case
+    j = data.draw(st.integers(0, ds.n_features - 1))
+    ds, x_new = with_copy_of(ds, x_new, j)
+    copy = ds.n_features - 1
+    owner = np.array(Encoder.for_schema(ds.schema()).feature_of_encoded)
+
+    def tied(weights):  # the copy's encoded columns weighted as feature j's
+        weights = weights.copy()
+        weights[owner == copy] = weights[owner == j]
+        return weights
+
+    linear = fixed_linear_model(ds)
+    linear = dataclasses.replace(linear, coefficients=tied(linear.coefficients))
+    interacting = InteractingPredictor(ds.schema())
+    interacting.weights = tied(interacting.weights)
+    columns = [np.append(c.values, x) for c, x in zip(ds.feature_columns(), x_new)]
+    for f, size in (
+        (linear, linear_size(linear, columns)),
+        (ScoredPredictor(linear), linear_size(linear, columns)),
+        (interacting, interacting_size(interacting, columns)),
+    ):
+        for baseline in ("zero", "intercept"):
+            a = shapley_exact(f, ds, x_new, baseline).attribution
+            phi_j, phi_copy = (a.contribution_of(name) for name in (ds.feature_names[j], "copy"))
+            assert_close(phi_j, phi_copy, size, (type(f).__name__, baseline))
+
+
+def values(attribution):
+    """Baseline, contributions and final prediction, as one float array."""
+    contributions = [e.contribution for e in attribution.entries]
+    return np.array([attribution.baseline, *contributions, attribution.final_prediction])
+
+
+@HARNESS
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_sampled_shapley_is_seed_deterministic(case, seed):
+    ds, x_new, _, _ = case
+    f = InteractingPredictor(ds.schema())
+    runs = [
+        shapley_sampled(f, ds, x_new, 5, np.random.Generator(np.random.PCG64(seed)))
+        for _ in range(2)
+    ]
+    a, b = (
+        np.concatenate([r.std_errors, r.unadjusted, values(r.attribution)]).tobytes()
+        for r in runs
+    )
+    assert a == b
+
+
+def live_result(ds, x_new, seed, white_box):
+    """The local sample, its scores and the surrogate fitted to them, or the
+    error the fit raised."""
+    local = sample_locally(ds, x_new, "y", size=12, seed=seed)
+    local = add_predictions(local, InteractingPredictor(local.schema))
+    sample = (
+        [c.tobytes() if c.dtype != object else c.tolist() for c in local.feature_values],
+        local.response.tobytes(),
+    )
+    try:
+        fit = fit_explanation(local, white_box=white_box)
+    except ExplainError as exc:
+        return sample, (type(exc), str(exc))
+    model = fit.model
+    numbers = [fit.lambda_, fit.r2, model.intercept, *model.coefficients]
+    if model.std_errors is not None:
+        numbers += [model.intercept_std_error, *model.std_errors]
+    return sample, (fit.selected_features, np.array(numbers).tobytes())
+
+
+@HARNESS
+@given(cases(), st.integers(0, 2**32 - 1), st.sampled_from(("ols", "lasso")))
+def test_live_is_seed_deterministic(case, seed, white_box):
+    ds, x_new, _, _ = case
+    assert live_result(ds, x_new, seed, white_box) == live_result(ds, x_new, seed, white_box)
+
+
+def not_a_number(label):
+    try:
+        float(label)
+    except ValueError:
+        return True
+    return False
+
+
+# non-empty, not a number, and not only whitespace: a one-column row of
+# spaces is a blank line, which the loader skips
+CSV_LABELS = st.text(alphabet='ab ,;"\n\r\t', min_size=1, max_size=8).filter(
+    lambda s: s.strip() and not_a_number(s)
+)
+CSV_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_csv_round_trip(data):
+    p = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+    delimiter = data.draw(st.sampled_from((",", ";", "\t") if p > 1 else (",",)))
+    kinds = data.draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=p, max_size=p))
+    columns = [
+        data.draw(st.lists(CSV_NUMBERS if k == NUMERIC else CSV_LABELS, min_size=n, max_size=n))
+        for k in kinds
+    ]
+    names = [f"f{j}" for j in range(p)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, delimiter=delimiter)
+            for row in [names, *zip(*columns)]:
+                # blank and whitespace-only lines between rows are skipped
+                fh.write(data.draw(st.sampled_from(("", "", "\n", "  \r\n", "\t\n"))))
+                writer.writerow(row)
+        ds = load_csv(str(path))
+    assert [c.name for c in ds.columns] == names
+    assert [c.kind for c in ds.columns] == kinds
+    assert [c.values.tolist() for c in ds.columns] == columns

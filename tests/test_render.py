@@ -1,8 +1,11 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explainkit import (
     ModelError,
@@ -13,9 +16,11 @@ from explainkit import (
     render_trace,
     render_waterfall,
 )
-from explainkit.breakdown import Attribution, AttributionEntry
+from explainkit.breakdown import Attribution, AttributionEntry, _fmt, _fmt_array
+from explainkit.cli import export_json
 from explainkit.live import SurrogateFit
 from explainkit.predict import ConstantPredictor, Encoder, LinearModel
+from explainkit.relax import RelaxationTrace, TraceStep
 from explainkit.tabular import FeatureSchema
 
 from conftest import GOLDEN_DIR, make_regression
@@ -177,6 +182,22 @@ class TestForest:
             render_forest(fit)
 
 
+# tiny negatives, signed zeros, and odd sixteenths: the floats that lie
+# exactly halfway between two three-decimal numbers
+EDGE_VALUES = st.sampled_from(
+    (0.0625, 2.1875, -2.1875, 0.0005, -0.0005, -0.0004999, -1e-300, 0.0, -0.0)
+) | st.integers(-20000, 20000).map(lambda k: (2 * k + 1) / 16)
+
+
+class TestFmtArray:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats() | EDGE_VALUES))
+    @example([])
+    @example([-0.0, 0.0, -1e-4, 1e-4, -0.0005, 0.0005, 0.0625, -0.0625, 2.1875, -2.1875])
+    def test_equals_fmt_elementwise(self, values):
+        assert _fmt_array(np.array(values, dtype=float)) == [_fmt(v) for v in values]
+
+
 class TestTrace:
     def test_constant_scores_spike(self):
         ds = dataset_from_rows(
@@ -217,6 +238,38 @@ class TestTrace:
         m = fit_ols(ds, 2)
         trace = relaxation_trace(m, ds, ds.observation(1), [0, 1], "down")
         assert render_trace(trace).svg_text == render_trace(trace).svg_text
+
+    def test_wine_scale_bytes_are_pinned(self, tmp_path):
+        """SVG and JSON of a 1,599-row, 12-step trace keep their exact bytes.
+
+        The scores are drawn, not scored, so no BLAS path moves their last
+        bits. Step 0 is all equal (the spike rect); step 6 is so narrow that
+        its density underflows to zero on 80 of the 81 grid points; step 9
+        holds zeros of both signs and values that print with exponents.
+        """
+        rng = np.random.Generator(np.random.PCG64(1599))
+        n, p = 1599, 11
+        steps = [TraceStep(frozenset(range(p)), None, np.full(n, 5.625))]
+        for k in range(1, p + 1):
+            scores = rng.normal(5.0 + 0.3 * np.sin(k), 0.1 * k, n)
+            if k == 6:
+                scores = 5.0 + 5e-3 * rng.standard_normal(n)
+            if k == 9:
+                scores[:4] = (0.0, -0.0, 1e-300, -2.5e-8)
+            steps.append(TraceStep(frozenset(range(p - k)), p - k, scores))
+        names = tuple(f"f{j}" for j in range(p - 1)) + ("a<b & ñ",)
+        trace = RelaxationTrace("down", names, tuple(steps))
+
+        svg = render_trace(trace).svg_text.encode("utf-8")
+        export_json(trace, str(tmp_path / "trace.json"))
+        digests = (
+            hashlib.sha256(svg).hexdigest(),
+            hashlib.sha256((tmp_path / "trace.json").read_bytes()).hexdigest(),
+        )
+        assert digests == (
+            "603f3aa4948078c3bd2906d3e351c6691048d445fe09e4202db15376c26e891c",
+            "7a8041ae53a5d82e035f52cf811a5b805411f40a7b6bd05e8e419ba0c1a057bd",
+        )
 
 
 class TestGoldenFiles:

@@ -90,6 +90,8 @@ class TestLoadCsv:
             ("a,b\n1,2\n\n\n3\n", "ragged row at line 5"),
             ("a,b\n1,2\n\n3,\n", "missing cell in column 'b' at line 4"),
             ("a,b\n \t\n1,2\n  \n3\n", "ragged row at line 5"),
+            # a row spanning lines is named by the line it starts on
+            ('a,b\n"x\n\ny",1\n\n"p\nq",\n', "missing cell in column 'b' at line 6"),
         ],
     )
     def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, message):
@@ -109,6 +111,13 @@ class TestLoadCsv:
         f.write_text('name,v\n"a, b",1\nplain,2\n')
         ds = load_csv(str(f))
         assert ds.columns[0].values[0] == "a, b"
+
+    def test_quoted_cell_keeps_its_line_breaks(self, tmp_path):
+        f = tmp_path / "multiline.csv"
+        f.write_bytes(b'name,v\n"a\n  \nb",1\nc,2\n')
+        ds = load_csv(str(f))
+        assert ds.columns[0].values.tolist() == ["a\n  \nb", "c"]
+        assert ds.columns[1].values.tolist() == [1.0, 2.0]
 
     def test_delimiter_from_header_past_blank_lines(self, tmp_path):
         f = tmp_path / "semicolons.csv"
