@@ -10,7 +10,8 @@ telescopes: baseline plus the contributions equals the model prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .errors import SchemaError
 from .predict import LinearModel, Predictor, _format_cell
@@ -197,19 +198,20 @@ def ag_break(
     # Every feature is a candidate of the first step, so the start set and
     # the full set, whose value is f(x_new), are scored together with them.
     first = [fixed, *(fixed ^ 1 << j for j in range(p)), values.full]
-    current, *_, f_new = values.means(first)
+    current, *_, f_new = values.means(first, _layers(fixed, range(p)))
 
     to_mean = not down and up_distance == UP_DISTANCE_TO_BASELINE
     reference = current if to_mean else f_new
     # Down releases the pinned feature that moves least from f_new; Up pins
     # the free feature that moves furthest from the reference. min and max
     # both return the first extreme, so ties go to the lowest index. Each
-    # step scores all of its candidates together.
+    # step scores all of its candidates together, with later steps' sets.
     pick = min if down else max
     entries: list[AttributionEntry] = []
     for _ in range(p):
         candidates = [j for j in range(p) if (fixed >> j & 1) == down]
-        moved = dict(zip(candidates, values.means(fixed ^ 1 << j for j in candidates)))
+        steps = (fixed ^ 1 << j for j in candidates)
+        moved = dict(zip(candidates, values.means(steps, _layers(fixed, candidates))))
         j = pick(candidates, key=lambda j: abs(moved[j] - reference))
         fixed ^= 1 << j
         value = moved[j]
@@ -222,6 +224,12 @@ def ag_break(
 
     method = AG_BREAK_DOWN if down else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)
+
+
+def _layers(fixed: int, free: Sequence[int]) -> Iterator[Iterator[int]]:
+    """Lazy layers of the sets 2, 3, ... flips of `free` features from `fixed`."""
+    for k in range(2, len(free) + 1):
+        yield (fixed ^ sum(1 << j for j in c) for c in combinations(free, k))
 
 
 def _fmt(v: float) -> str:

@@ -48,6 +48,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--model", choices=["ols", "kernel-ridge", "external"], default="ols"
         )
+        p.add_argument("--scorer-timeout", type=float, dest="scorer_timeout", metavar="SECONDS")
         p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--ridge", type=float, default=0.1)
         p.add_argument("--direction", choices=["up", "down"], default="up")
@@ -86,6 +87,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         raise UsageError("--model external requires '-- <command ...>'")
     if ns.model != "external" and external_command:
         raise UsageError("'-- <command>' is only valid with --model external")
+    if ns.scorer_timeout is not None and not 0 < ns.scorer_timeout < math.inf:
+        raise UsageError("--scorer-timeout must be a positive number of seconds")
     if (ns.row is None) == (ns.observation is None):
         raise UsageError("exactly one of --row or --observation is required")
     if ns.size < 0:
@@ -105,6 +108,8 @@ def _echo(config: argparse.Namespace) -> dict:
     """The configuration as echoed into the JSON envelope."""
     out = vars(config).copy()
     out["lambda"] = out.pop("lambda_")
+    # how long a spawn may run bounds the run, not what it computes
+    del out["scorer_timeout"]
     command = config.external_command
     out["external_command"] = list(command) if command else None
     return out
@@ -230,7 +235,7 @@ def _build_predictor(config: argparse.Namespace, dataset):
         return fit_ols(dataset, dataset.response_index)
     if config.model == "kernel-ridge":
         return fit_kernel_ridge(dataset, dataset.response_index, config.gamma, config.ridge)
-    return external_scorer(list(config.external_command), dataset.schema())
+    return external_scorer(list(config.external_command), dataset.schema(), config.scorer_timeout)
 
 
 def _feature_order_from_entries(attribution, schema) -> list[int]:

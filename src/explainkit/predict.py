@@ -62,6 +62,10 @@ class Predictor:
         """The checked `scores` of each batch, in order, one batch at a time."""
         return (self.scores(columns) for columns in batches)
 
+    def lookahead_rows(self) -> int:
+        """Rows a call may add for sets later calls may need (`RelaxedValues.means`)."""
+        return 0
+
     def additive_view(self) -> tuple[float, Encoder, np.ndarray] | None:
         """(intercept, encoder, coefficients) when every score is
         intercept + coefficients . the row's encoding, else None. With a view,
@@ -378,9 +382,24 @@ def _format_cell(v: Cell) -> str:
     return repr(int(f)) if f.is_integer() and abs(f) < 1e16 else repr(f)
 
 
+def _field(v: Cell, alone: bool) -> str:
+    """`_format_cell(v)` as `csv.writer` writes it in a row (`alone`: as its only
+    field); numbers never need quotes, labels are quoted by `csv.writer`."""
+    text = _format_cell(v)
+    if not isinstance(v, str):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[: -1 if alone else -2]
+
+
 # Most rows one external scorer payload holds. A batch larger than this still
 # goes alone in one payload.
 PAYLOAD_ROWS = 32_768
+
+# Most extra rows a payload takes for sets later greedy steps may need: about
+# one spawn's start-up worth of scoring.
+LOOKAHEAD_ROWS = 5_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,20 +410,27 @@ class ExternalPredictor(Predictor):
     joined by commas, then one CSV row per observation (decimal-point
     numerics, unquoted; labels quoted only when necessary), with a trailing
     newline, all UTF-8. It must print one decimal score per line on stdout,
-    in row order, in UTF-8, and exit 0.
+    in row order, in UTF-8, and exit 0. With a `timeout` (seconds), a
+    command still running then is killed and raises ScorerError.
 
     `scores_of` joins the rows of consecutive batches (the hybrid rows of
     several pinned sets) into one payload of at most `PAYLOAD_ROWS` rows, so
     the command must score each row independently of the others. Pinning
     everything gives f(x_new) exactly: that set is the one row x_new. Spawns
-    per explanation: `ag_break` one per greedy step, the start and full sets
-    joining the first (Up p - 1 for p >= 2, Down p); `relaxation_trace` 1;
-    the Shapley estimators one per payload of as many whole pinned sets as
-    fit in `PAYLOAD_ROWS` rows (at least one).
+    per explanation: `ag_break` one per greedy step with unscored candidates,
+    the start and full sets joining the first, each taking whole layers of
+    later steps' sets within `LOOKAHEAD_ROWS` extra rows: 1 whenever all 2^p
+    sets fit, 2 for Up and Down at p = 5 over 400 rows. `relaxation_trace`
+    1; the Shapley estimators one per payload of as many whole pinned sets
+    as fit in `PAYLOAD_ROWS` rows (at least one).
     """
 
     schema: FeatureSchema
     command: tuple[str, ...]
+    timeout: float | None = None
+
+    def lookahead_rows(self) -> int:
+        return LOOKAHEAD_ROWS
 
     def scores_of(
         self, batches: Iterable[Sequence[np.ndarray]]
@@ -432,60 +458,63 @@ class ExternalPredictor(Predictor):
             col.flags.writeable = False
         return np.split(self.scores(joined), np.cumsum(sizes[:-1], dtype=int))
 
+    def _payload(self, columns: Sequence[np.ndarray]) -> bytes:
+        """Header and rows in UTF-8: each distinct value of a column is
+        formatted once, then one `%` pass fills a template of every row."""
+        n, alone = len(columns[0]), len(columns) == 1
+        fields = np.empty((n, len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            values, index = np.unique(col, return_inverse=True)
+            texts = [_field(v, alone).encode("utf-8") for v in values.tolist()]
+            fields[:, j] = np.array(texts, dtype=object)[index]
+        header = b",".join(_field(name, alone).encode("utf-8") for name in self.schema.names)
+        row = b",".join([b"%s"] * len(columns)) + b"\n"
+        return (header.replace(b"%", b"%%") + b"\n" + row * n) % tuple(fields.ravel())
+
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         n = len(columns[0])
-        buf = io.StringIO()
-        writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-        writer.writerow(self.schema.names)
-        for i in range(n):
-            writer.writerow([_format_cell(col[i]) for col in columns])
         try:
             proc = subprocess.run(
                 list(self.command),
-                input=buf.getvalue().encode("utf-8"),
+                input=self._payload(columns),
                 capture_output=True,
+                timeout=self.timeout,
             )
+        except subprocess.TimeoutExpired as exc:
+            name, seconds = self.command[0], self.timeout
+            raise ScorerError(f"scorer {name!r} timed out after {seconds:g} s") from exc
         except OSError as exc:
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
         stderr = proc.stderr.decode("utf-8", errors="replace")
+
+        def failure(message: str) -> ScorerError:
+            return ScorerError(message, exit_status=proc.returncode, stderr_text=stderr)
+
         if proc.returncode != 0:
-            raise ScorerError(
-                f"scorer {self.command[0]!r} failed",
-                exit_status=proc.returncode,
-                stderr_text=stderr,
-            )
+            raise failure(f"scorer {self.command[0]!r} failed")
         try:
             stdout = proc.stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ScorerError(
-                f"scorer output is not UTF-8: {exc}",
-                exit_status=proc.returncode,
-                stderr_text=stderr,
-            ) from exc
+            raise failure(f"scorer output is not UTF-8: {exc}") from exc
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         if len(lines) != n:
-            raise ScorerError(
-                f"scorer returned {len(lines)} scores for {n} rows",
-                exit_status=proc.returncode,
-                stderr_text=stderr,
-            )
+            raise failure(f"scorer returned {len(lines)} scores for {n} rows")
         out = np.empty(n, dtype=float)
         for i, ln in enumerate(lines):
             try:
                 out[i] = float(ln)
             except ValueError:
-                raise ScorerError(
-                    f"unparsable score line {ln!r}",
-                    exit_status=proc.returncode,
-                    stderr_text=stderr,
-                )
+                raise failure(f"unparsable score line {ln!r}")
         if not np.all(np.isfinite(out)):
             raise ScorerError("scorer produced non-finite scores")
         return out
 
 
-def external_scorer(command: Sequence[str], schema: FeatureSchema) -> ExternalPredictor:
-    """Wrap an executable (plus args) as a Predictor over the given schema."""
+def external_scorer(
+    command: Sequence[str], schema: FeatureSchema, timeout: float | None = None
+) -> ExternalPredictor:
+    """Wrap an executable (plus args) as a Predictor over the given schema;
+    a spawn still running after `timeout` seconds raises ScorerError."""
     if not command:
         raise ScorerError("external scorer command is empty")
-    return ExternalPredictor(schema=schema, command=tuple(command))
+    return ExternalPredictor(schema=schema, command=tuple(command), timeout=timeout)

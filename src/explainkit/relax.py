@@ -79,12 +79,12 @@ class RelaxedValues:
         self.x_new = schema.validate_observation(x_new)
         self.p = schema.n_features
         self._background = [c.values for c in dataset.feature_columns()]
-        n = dataset.n_rows
+        self.n = dataset.n_rows
         if background_rows is not None:
             self._background = [c[background_rows] for c in self._background]
-            n = len(background_rows)
+            self.n = len(background_rows)
         self._x = schema.to_columns([self.x_new])
-        self._pinned = [np.repeat(col, n) for col in self._x]
+        self._pinned = [np.repeat(col, self.n) for col in self._x]
         for col in (*self._background, *self._x, *self._pinned):
             col.flags.writeable = False
         self.full = (1 << self.p) - 1
@@ -111,21 +111,41 @@ class RelaxedValues:
         """Scores of all hybrid rows of each mask, in order."""
         return self.predictor.scores_of(self._hybrid(mask) for mask in masks)
 
-    def means(self, masks: Iterable[int]) -> list[float]:
+    def means(self, masks: Iterable[int], ahead: Iterable[Iterable[int]] = ()) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
         the uncached ones go to the scorer together, or into one closed-form
         product when the predictor has an additive view. The full set is the
-        one row x_new, so its value is f(x_new)."""
+        one row x_new, so its value is f(x_new). A scorer call also takes the
+        whole layers of sets `ahead` (later calls may need them) whose
+        uncached rows fit, in order, in the predictor's `lookahead_rows`."""
         masks = list(masks)
         todo = [m for m in dict.fromkeys(masks) if m not in self._means]
         if self._view is not None:
             closed = [m for m in todo if m != self.full]
             self._means.update(zip(closed, self._closed_form(closed)))
             todo = [m for m in todo if m == self.full]
+        elif todo:
+            todo = self._lookahead(todo, ahead)
         batches = (self._x if m == self.full else self._hybrid(m) for m in todo)
         for mask, scores in zip(todo, self.predictor.scores_of(batches)):
             self._means[mask] = float(np.mean(scores))
         return [self._means[m] for m in masks]
+
+    def _lookahead(self, todo: list[int], ahead: Iterable[Iterable[int]]) -> list[int]:
+        """`todo` plus the layers that fit: a set costs n rows, the full set 1.
+        It counts rows, never time, so the calls a request makes are fixed."""
+        budget = self.predictor.lookahead_rows()
+        chosen = dict.fromkeys(todo)
+        rows = 0
+        for layer in ahead:
+            kept = len(chosen)
+            for m in layer:
+                if m not in chosen and m not in self._means:
+                    chosen[m] = None
+                    rows += 1 if m == self.full else self.n
+                    if rows > budget:
+                        return list(chosen)[:kept]
+        return list(chosen)
 
     @cached_property
     def _additive_terms(self) -> tuple[float, np.ndarray]:

@@ -194,6 +194,53 @@ class TestRunBreakdown:
         assert message in err
 
 
+    def test_hung_scorer_times_out_with_exit_2(self, tmp_path, capsys):
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,y\n1,2,3\n2,1,4\n3,3,9\n0,1,1\n")
+        pid_file = tmp_path / "pid"
+        code = run(
+            [
+                "breakdown",
+                "--data", str(small),
+                "--response", "y",
+                "--row", "1",
+                "--model", "external",
+                "--scorer-timeout", "0.5",
+                "--",
+                *fixture_command("sleeping_scorer.py", str(pid_file)),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "timed out after 0.5 s" in err
+        assert "Traceback" not in err
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(pid_file.read_text()), 0)
+
+    def test_scorer_timeout_leaves_the_artifacts_alone(self, tmp_path):
+        # a timeout bounds how long a spawn may run, not what it computes, so
+        # it is not echoed into the envelope
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,y\n1,2,3\n2,1,4\n3,3,9\n0,1,1\n2,2,6\n1,0,2\n")
+        out = tmp_path / "out.json"
+        outputs = []
+        for flags in ([], ["--scorer-timeout", "30"]):
+            argv = ["breakdown", "--data", str(small), "--response", "y", "--row", "2"]
+            argv += ["--model", "external", *flags, "--json", str(out), "--"]
+            assert run([*argv, *fixture_command("linear_scorer.py", "0.0", "1.0", "1.0")]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
+    def test_bad_scorer_timeout_is_usage_error(self, capsys, seconds):
+        argv = ["breakdown", *wine_args("--row", "1", "--model", "external")]
+        argv += ["--scorer-timeout", seconds, "--", *fixture_command("linear_scorer.py", "0.0")]
+        assert run(argv) == 1
+        assert "--scorer-timeout" in capsys.readouterr().err
+
+
 class TestRunShapley:
     def test_exact_cap_is_model_error(self, tmp_path, capsys):
         import numpy as np
@@ -479,6 +526,7 @@ FLAG_VALUES = {
     "--method": st.sampled_from(["exact", "sample"]),
     "--permutations": st.integers(-1, 5).map(str),
     "--seed": st.integers(-3, 3).map(str),
+    "--scorer-timeout": st.sampled_from(["30", "0", "-1", "nan", "x"]),
     **{flag: st.sampled_from(["out", "missing/out"]) for flag in OUTPUTS},
 }
 

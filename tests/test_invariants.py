@@ -22,15 +22,20 @@ the table's rows and x_new; for the other scorers it is 1 plus a bound on
 contribution within 1e-12 of zero (the Shapley dummy axiom), and a copy of
 a feature the same exact Shapley value as the feature itself (symmetry).
 Sampled Shapley and `live` give the same bits for the same seed, and
-`load_csv` reads back every table `csv.writer` writes.
+`load_csv` reads back every table `csv.writer` writes. On small numeric
+tables the greedy breakdown through the external `linear_scorer.py`
+fixture, with a lookahead budget that fits the whole lattice of pinned
+sets or cuts it, equals bitwise that of an in-process twin of the fixture.
 """
 
 import csv
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,11 +54,12 @@ from explainkit import (
     shapley_exact,
     shapley_sampled,
 )
-from explainkit.predict import Encoder, LinearModel, Predictor
+from explainkit import predict
+from explainkit.predict import Encoder, LinearModel, Predictor, external_scorer
 from explainkit.relax import RelaxedValues
 from explainkit.tabular import CATEGORICAL, NUMERIC
 
-from conftest import ScoredPredictor
+from conftest import ScoredPredictor, fixture_command
 
 RELATIVE_TOLERANCE = 1e-12
 
@@ -378,3 +384,51 @@ def test_csv_round_trip(data):
     assert [c.name for c in ds.columns] == names
     assert [c.kind for c in ds.columns] == kinds
     assert [c.values.tolist() for c in ds.columns] == columns
+
+
+class TwinLinearScorer(Predictor):
+    """In-process twin of the `linear_scorer.py` fixture: mu + sum(b * c) over
+    each row's cells as Python floats, in the fixture's order."""
+
+    def __init__(self, schema, mu, betas):
+        self.schema, self.mu, self.betas = schema, mu, betas
+
+    def score_columns(self, columns):
+        rows = zip(*(c.tolist() for c in columns))
+        return np.array([self.mu + sum(b * c for b, c in zip(self.betas, row)) for row in rows])
+
+
+@st.composite
+def numeric_cases(draw):
+    """A small numeric table with a response, a row to explain, the scorer's
+    mu and betas, and a lookahead budget below the rows of the pinned sets
+    that the greedy walk's first call does not need (0 when there are none)."""
+    p = draw(st.sampled_from((4, 3, 2, 1)))  # p >= 3 for a lattice to cut
+    n = draw(st.integers(2, 5))
+    number = NUMBERS | st.floats(-1e3, 1e3, allow_subnormal=False)
+    rows = draw(st.lists(st.tuples(*[number] * (p + 1)), min_size=n, max_size=n))
+    names = [f"f{j}" for j in range(p)] + ["y"]
+    ds = dataset_from_rows(names, [NUMERIC] * (p + 1), rows, "y")
+    coefficients = draw(st.lists(NUMBERS | st.floats(-4, 4), min_size=p + 1, max_size=p + 1))
+    cut = draw(st.integers(0, max(0, n * (2**p - p - 2) - 1)))
+    return ds, ds.observation(draw(st.integers(0, n - 1))), coefficients, cut
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(numeric_cases())
+def test_external_breakdown_equals_its_in_process_twin(case):
+    ds, x_new, (mu, *betas), cut = case
+    python, *script = fixture_command("linear_scorer.py", *map(repr, (mu, *betas)))
+    external = external_scorer((python, "-I", "-S", *script), ds.schema())
+    twin = TwinLinearScorer(ds.schema(), mu, betas)
+    for direction in ("up", "down"):
+        want = canonical(ag_break(twin, ds, x_new, direction=direction))
+        assert canonical(ag_break(external, ds, x_new, direction=direction)) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(predict, "LOOKAHEAD_ROWS", cut)
+            assert canonical(ag_break(external, ds, x_new, direction=direction)) == want
+
+
+def canonical(attribution):
+    # JSON floats round-trip, so equal text means bitwise-equal results
+    return json.dumps(attribution.to_json_dict(), sort_keys=True)

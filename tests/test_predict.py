@@ -1,8 +1,14 @@
+import csv
 import dataclasses
+import io
+import os
+import subprocess
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explainkit import (
     ConstantPredictor,
@@ -18,7 +24,8 @@ from explainkit import (
     fit_ols,
     sample_locally,
 )
-from explainkit.predict import KERNEL_BLOCK_ENTRIES, _rbf
+from explainkit import predict
+from explainkit.predict import KERNEL_BLOCK_ENTRIES, ExternalPredictor, _format_cell, _rbf
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
@@ -415,3 +422,80 @@ class TestExternalScorer:
     def test_empty_batch_skips_spawn(self):
         p = external_scorer(["/nonexistent/binary-xyz"], _schema(1))
         assert p.score_rows([]).tolist() == []
+
+    def test_hung_scorer_is_killed_at_the_timeout(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        python, script = fixture_command("sleeping_scorer.py")
+        p = external_scorer(
+            [python, "-I", "-S", script, str(pid_file)], _schema(1), timeout=0.5
+        )
+        with pytest.raises(ScorerError, match=r"timed out after 0\.5 s"):
+            p.score_rows([(1.0,)])
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(pid_file.read_text()), 0)
+
+
+def _csv_writer_payload(names, columns):
+    """The payload as `csv.writer` writes it, cell by cell: the reference for
+    the per-column formatting of `ExternalPredictor.score_columns`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
+    writer.writerow(names)
+    for i in range(len(columns[0])):
+        writer.writerow([_format_cell(col[i]) for col in columns])
+    return buf.getvalue().encode("utf-8")
+
+
+def _sent_payload(monkeypatch, schema, columns):
+    """The bytes `score_columns` hands the scorer, without spawning it."""
+    sent = []
+
+    def fake_run(command, input, **kwargs):
+        sent.append(input)
+        return subprocess.CompletedProcess(command, 0, b"0\n" * len(columns[0]), b"")
+
+    monkeypatch.setattr(predict.subprocess, "run", fake_run)
+    ExternalPredictor(schema=schema, command=("scorer",)).score_columns(columns)
+    return sent[0]
+
+
+# labels csv.writer quotes (delimiter, quote, newline), one it leaves bare
+# although a reader splits on it (carriage return), the empty label and plain ones
+LABELS = ("a,b", 'say "hi"', "two\nlines", '"', "cr\rx", "", " pad ", "é", "1", "z")
+NUMBERS = (-0.0, 0.0, 2.5, -3.0, 1e15, 1e16, -1e16, 1e-300, 5e-324, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_payload_bytes_equal_csv_writer(monkeypatch, p):
+    # one categorical feature alone (an empty label alone on its row is
+    # written as ""), or between two numeric ones; names need quotes too,
+    # and a % in a name is written as it is
+    kinds = ("categorical",) if p == 1 else ("numeric", "categorical", "numeric")
+    names = ("na,%me",) if p == 1 else ("x%s", 'say "y"', "z")
+    levels = tuple(LABELS if k == "categorical" else None for k in kinds)
+    schema = FeatureSchema(names, kinds, levels)
+    rows = len(LABELS) * 2
+    labels = np.array([LABELS[i % len(LABELS)] for i in range(rows)], dtype=object)
+    numbers = np.array([NUMBERS[i % len(NUMBERS)] for i in range(rows)])
+    columns = [labels] if p == 1 else [numbers, labels, numbers[::-1].copy()]
+    assert _sent_payload(monkeypatch, schema, columns) == _csv_writer_payload(names, columns)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_payload_bytes_equal_csv_writer_on_generated_batches(data):
+    kind = st.sampled_from(("numeric", "categorical"))
+    kinds = data.draw(st.lists(kind, min_size=1, max_size=4))
+    rows = data.draw(st.integers(1, 6))
+    label = st.text(alphabet='ab ,;%"\n\r\t\\\'é', max_size=4)
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    columns = [
+        np.array(data.draw(st.lists(label, min_size=rows, max_size=rows)), dtype=object)
+        if kind == "categorical"
+        else np.array(data.draw(st.lists(number, min_size=rows, max_size=rows)))
+        for kind in kinds
+    ]
+    names = tuple(data.draw(st.text(alphabet='xy,%"\n', min_size=1, max_size=3)) for _ in kinds)
+    schema = FeatureSchema(names, tuple(kinds), (None,) * len(kinds))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _sent_payload(monkeypatch, schema, columns) == _csv_writer_payload(names, columns)

@@ -306,6 +306,26 @@ def test_additive_view_scores_only_f_new(wine, wine_ols, monkeypatch, name):
     assert rows == [1]
 
 
+# Rows of each call of an in-process scorer without an additive view, as
+# they were before the greedy lookahead (n background rows; f(x_new) is one):
+# Up scores the start set, the first step's 11 candidates and f(x_new), then
+# the candidates of steps 2 to 10; Down scores f(x_new), then every step's.
+IN_PROCESS_ROWS = {
+    "ag-break-up": lambda n: [n] * 12 + [1] + [n] * 54,
+    "ag-break-down": lambda n: [1] + [n] * 66,
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PROCESS_ROWS))
+def test_in_process_scorers_take_no_lookahead(wine, wine_ols, name):
+    # the lookahead budget is the external scorer's alone; OLS, with its
+    # view, still scores f(x_new) alone (see the test above)
+    f = CountingPredictor(wine_ols)
+    WINE_SCORER_CALLS[name][0](f, wine, wine.observation(4))
+    assert f.rows == IN_PROCESS_ROWS[name](wine.n_rows)
+    assert f.lookahead_rows() == 0
+
+
 def test_trace_encodes_only_the_rows_it_scores(wine, wine_ols, monkeypatch):
     # the closed-form terms are built on first use, so a trace, which scores
     # the rows of every step, never encodes the background on its own
@@ -519,9 +539,11 @@ class CountingExternal(ExternalPredictor):
 
 @dataclass(frozen=True, eq=False)
 class PerMaskExternal(CountingExternal):
-    """Keeps the base `Predictor.scores_of`: one payload per pinned set."""
+    """Keeps the base `Predictor.scores_of` and takes no lookahead: one
+    payload per pinned set, each scored when it is asked for."""
 
     scores_of = Predictor.scores_of
+    lookahead_rows = Predictor.lookahead_rows
 
 
 BATCH_TABLE = make_regression(5, 12, seed=31)
@@ -537,14 +559,25 @@ EXPLANATIONS = {
 
 # p = 5 features. Per pinned set: the greedy walk scores 1 + p(p+1)/2 sets,
 # the trace p + 1 sets, exact Shapley 2^p sets; f(x_new) is the full set.
-# Joined: one payload per greedy step, the start and full sets joining the
-# first. Up's last step pins the full set, already scored, so it takes p - 1;
-# Down takes p. One payload holds the whole trace, one all 2^p subsets.
+# Joined: the greedy walk's first payload takes the start and full sets and
+# the first step's candidates, and looks ahead: all 2^p sets are 373 rows
+# (31 of 12 rows and the one-row full set), within `LOOKAHEAD_ROWS`, so one
+# payload holds them all. One payload holds the whole trace, one all 2^p
+# subsets.
 SPAWNS = {
-    "ag-break-up": (16, 4),
-    "ag-break-down": (16, 5),
+    "ag-break-up": (16, 1),
+    "ag-break-down": (16, 1),
     "trace": (6, 1),
     "shapley-exact": (32, 1),
+}
+
+# Rows scored (per pinned set, joined). The lookahead scores the 16 sets the
+# greedy walk never asks for as well, 192 rows.
+ROWS = {
+    "ag-break-up": (181, 373),
+    "ag-break-down": (181, 373),
+    "trace": (72, 72),
+    "shapley-exact": (373, 373),
 }
 
 
@@ -576,7 +609,7 @@ def test_joined_payloads_give_identical_results(per_mask_results, name):
     assert _dump(EXPLANATIONS[name](f)) == per_mask
     assert (len(per_mask_payloads), len(f.payloads)) == SPAWNS[name]
     assert len(f.payloads) <= BATCH_TABLE.n_features + 2
-    assert sum(f.payloads) == sum(per_mask_payloads)
+    assert (sum(per_mask_payloads), sum(f.payloads)) == ROWS[name]
 
 
 @pytest.mark.parametrize(
@@ -594,10 +627,38 @@ def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
     assert f.payloads == payloads
 
 
-# The first payload of the greedy walk joins the start set and five
-# candidates of 12 rows each, plus the one-row full set; the trace's joins
-# its six sets of 12 rows.
-FIRST_PAYLOAD = {"ag-break-up": 73, "trace": 72}
+# Layers of the greedy lookahead on the 12-row table: 10 sets two flips from
+# the start, 10 three flips, 5 four flips (120, 120 and 60 rows), then the
+# one set five flips away: Up's full set, already in the first payload, or
+# Down's empty set, 12 rows. Each step that needs a call adds whole layers
+# while their rows stay within the budget.
+@pytest.mark.parametrize(
+    "direction, budget, payloads",
+    [
+        ("up", 0, [73, 48, 36, 24]),  # no lookahead: one payload per step
+        ("down", 0, [61, 48, 36, 24, 12]),
+        # the first step's two-flip layer does not fit, the second step's does
+        ("up", 119, [73, 48 + 72, 24]),
+        ("up", 120, [73 + 120, 36 + 36]),
+        ("down", 120, [61 + 120, 36 + 36 + 12]),
+        ("up", 240, [73 + 240, 24]),
+        ("up", 300, [373]),
+    ],
+)
+def test_lookahead_budget_cuts_whole_layers(
+    per_mask_results, monkeypatch, direction, budget, payloads
+):
+    monkeypatch.setattr(predict, "LOOKAHEAD_ROWS", budget)
+    f = _external(CountingExternal, *LINEAR_SCORER)
+    name = f"ag-break-{direction}"
+    assert _dump(EXPLANATIONS[name](f)) == per_mask_results[name][0]
+    assert f.payloads == payloads
+
+
+# The first payload of the greedy walk joins the start set, five candidates
+# of 12 rows each and the one-row full set, and looks ahead to the other 26
+# sets; the trace's joins its six sets of 12 rows.
+FIRST_PAYLOAD = {"ag-break-up": 373, "trace": 72}
 
 
 @pytest.mark.parametrize(
