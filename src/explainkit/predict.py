@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import subprocess
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -384,50 +385,78 @@ def _format_cell(v: Cell) -> str:
 
 def _field(v: Cell, alone: bool) -> str:
     """`_format_cell(v)` as `csv.writer` writes it in a row (`alone`: as its only
-    field); numbers never need quotes, labels are quoted by `csv.writer`."""
+    field); numbers never need quotes, labels are quoted by `csv.writer`. Its
+    `\r\n` terminator makes it quote a label holding `\r` too, which a
+    `csv.reader` would otherwise split on."""
     text = _format_cell(v)
     if not isinstance(v, str):
         return text
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
-    return buf.getvalue()[: -1 if alone else -2]
+    csv.writer(buf, lineterminator="\r\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[: -2 if alone else -3]
 
 
 # Most rows one external scorer payload holds. A batch larger than this still
 # goes alone in one payload.
 PAYLOAD_ROWS = 32_768
 
-# Most extra rows a payload takes for sets later greedy steps may need: about
-# one spawn's start-up worth of scoring.
+# Most extra rows a payload takes for sets later greedy steps may need. The
+# spare hides a process's start-up, but each payload still costs a round trip
+# to a fresh process, which outweighs this many rows.
 LOOKAHEAD_ROWS = 5_000
+
+
+def _reap(procs: list[subprocess.Popen]) -> None:
+    """Kill and reap every process in `procs`, emptying it."""
+    while procs:
+        proc = procs.pop()
+        proc.kill()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+        proc.wait()
 
 
 @dataclass(frozen=True, eq=False)
 class ExternalPredictor(Predictor):
-    """Scores rows by spawning a command once per payload.
+    """Scores rows by running a command once per payload.
 
     Wire protocol: the command receives a header line of feature names
     joined by commas, then one CSV row per observation (decimal-point
-    numerics, unquoted; labels quoted only when necessary), with a trailing
-    newline, all UTF-8. It must print one decimal score per line on stdout,
-    in row order, in UTF-8, and exit 0. With a `timeout` (seconds), a
-    command still running then is killed and raises ScorerError.
+    numerics, unquoted; labels quoted when they hold a comma, a double
+    quote, a newline or a carriage return), with a trailing newline, all
+    UTF-8. It must print one decimal score per line on stdout, in row order,
+    in UTF-8, and exit 0. With a `timeout` (seconds), a command still
+    running then is killed and raises ScorerError.
 
     `scores_of` joins the rows of consecutive batches (the hybrid rows of
     several pinned sets) into one payload of at most `PAYLOAD_ROWS` rows, so
     the command must score each row independently of the others. Pinning
-    everything gives f(x_new) exactly: that set is the one row x_new. Spawns
+    everything gives f(x_new) exactly: that set is the one row x_new. Payloads
     per explanation: `ag_break` one per greedy step with unscored candidates,
     the start and full sets joining the first, each taking whole layers of
     later steps' sets within `LOOKAHEAD_ROWS` extra rows: 1 whenever all 2^p
     sets fit, 2 for Up and Down at p = 5 over 400 rows. `relaxation_trace`
     1; the Shapley estimators one per payload of as many whole pinned sets
     as fit in `PAYLOAD_ROWS` rows (at least one).
+
+    Each call also starts the process the next call will use (the spare),
+    so the command's start-up runs while this payload is scored; a
+    predictor that scores k payloads starts k + 1 processes, so start-up
+    side effects run once more than there are payloads. The spare gets
+    pipes for all three streams. It is killed and reaped after any error,
+    when the predictor is garbage-collected and at interpreter exit; one
+    orphaned otherwise reads an empty stdin. `timeout` counts from when the
+    payload is sent.
     """
 
     schema: FeatureSchema
     command: tuple[str, ...]
     timeout: float | None = None
+    _spare: list[subprocess.Popen] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_spare", [])
+        weakref.finalize(self, _reap, self._spare)
 
     def lookahead_rows(self) -> int:
         return LOOKAHEAD_ROWS
@@ -471,50 +500,63 @@ class ExternalPredictor(Predictor):
         row = b",".join([b"%s"] * len(columns)) + b"\n"
         return (header.replace(b"%", b"%%") + b"\n" + row * n) % tuple(fields.ravel())
 
-    def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        n = len(columns[0])
+    def _spawn(self) -> subprocess.Popen:
+        pipe = subprocess.PIPE
         try:
-            proc = subprocess.run(
-                list(self.command),
-                input=self._payload(columns),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            name, seconds = self.command[0], self.timeout
-            raise ScorerError(f"scorer {name!r} timed out after {seconds:g} s") from exc
+            return subprocess.Popen(list(self.command), stdin=pipe, stdout=pipe, stderr=pipe)
         except OSError as exc:
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
-        stderr = proc.stderr.decode("utf-8", errors="replace")
 
-        def failure(message: str) -> ScorerError:
-            return ScorerError(message, exit_status=proc.returncode, stderr_text=stderr)
-
-        if proc.returncode != 0:
-            raise failure(f"scorer {self.command[0]!r} failed")
+    def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        spare, used = self._spare, []
         try:
-            stdout = proc.stdout.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise failure(f"scorer output is not UTF-8: {exc}") from exc
-        lines = [ln for ln in stdout.splitlines() if ln.strip()]
-        if len(lines) != n:
-            raise failure(f"scorer returned {len(lines)} scores for {n} rows")
-        out = np.empty(n, dtype=float)
-        for i, ln in enumerate(lines):
+            used.append(spare.pop() if spare else self._spawn())
+            spare.append(self._spawn())
             try:
-                out[i] = float(ln)
-            except ValueError:
-                raise failure(f"unparsable score line {ln!r}")
-        if not np.all(np.isfinite(out)):
-            raise ScorerError("scorer produced non-finite scores")
-        return out
+                stdout, stderr = used[0].communicate(self._payload(columns), self.timeout)
+            except subprocess.TimeoutExpired as exc:
+                name, seconds = self.command[0], self.timeout
+                raise ScorerError(f"scorer {name!r} timed out after {seconds:g} s") from exc
+            return _read_scores(self.command[0], used[0].returncode, stdout, stderr, len(columns[0]))
+        except BaseException:
+            _reap(used)
+            _reap(spare)
+            raise
+
+
+def _read_scores(name: str, status: int, stdout: bytes, stderr: bytes, n: int) -> np.ndarray:
+    """The n scores a scorer named `name` printed, or ScorerError."""
+    stderr_text = stderr.decode("utf-8", errors="replace")
+
+    def failure(message: str) -> ScorerError:
+        return ScorerError(message, exit_status=status, stderr_text=stderr_text)
+
+    if status != 0:
+        raise failure(f"scorer {name!r} failed")
+    try:
+        text = stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise failure(f"scorer output is not UTF-8: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != n:
+        raise failure(f"scorer returned {len(lines)} scores for {n} rows")
+    out = np.empty(n, dtype=float)
+    for i, ln in enumerate(lines):
+        try:
+            out[i] = float(ln)
+        except ValueError:
+            raise failure(f"unparsable score line {ln!r}")
+    if not np.all(np.isfinite(out)):
+        raise ScorerError("scorer produced non-finite scores")
+    return out
 
 
 def external_scorer(
     command: Sequence[str], schema: FeatureSchema, timeout: float | None = None
 ) -> ExternalPredictor:
     """Wrap an executable (plus args) as a Predictor over the given schema;
-    a spawn still running after `timeout` seconds raises ScorerError."""
+    a scorer still running `timeout` seconds after its payload was sent
+    raises ScorerError."""
     if not command:
         raise ScorerError("external scorer command is empty")
     return ExternalPredictor(schema=schema, command=tuple(command), timeout=timeout)

@@ -1,9 +1,14 @@
 import csv
 import dataclasses
+import gc
 import io
 import os
 import subprocess
+import sys
+import tempfile
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +29,7 @@ from explainkit import (
     fit_ols,
     sample_locally,
 )
-from explainkit import predict
-from explainkit.predict import KERNEL_BLOCK_ENTRIES, ExternalPredictor, _format_cell, _rbf
+from explainkit.predict import KERNEL_BLOCK_ENTRIES, _format_cell, _rbf
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
@@ -424,61 +428,174 @@ class TestExternalScorer:
         assert p.score_rows([]).tolist() == []
 
     def test_hung_scorer_is_killed_at_the_timeout(self, tmp_path):
-        pid_file = tmp_path / "pid"
+        pid_file = tmp_path / "pids"
         python, script = fixture_command("sleeping_scorer.py")
         p = external_scorer(
             [python, "-I", "-S", script, str(pid_file)], _schema(1), timeout=0.5
         )
         with pytest.raises(ScorerError, match=r"timed out after 0\.5 s"):
             p.score_rows([(1.0,)])
-        with pytest.raises(ProcessLookupError):  # killed and reaped
-            os.kill(int(pid_file.read_text()), 0)
+        pids = _listed_pids(pid_file)
+        assert 1 <= len(pids) <= 2  # the scorer sent the payload, and the spare
+        assert not any(map(_alive, pids))  # killed and reaped
+
+    def test_garbage_collection_reaps_the_spare(self, tmp_path):
+        pid_file = tmp_path / "pids"
+        p = external_scorer(_recorder(tmp_path / "payload", pid_file), _schema(1))
+        assert p.score_rows([(1.0,)]).tolist() == [0.0]
+        alive = [pid for pid in _listed_pids(pid_file, wait_for=2) if _alive(pid)]
+        assert len(alive) == 1  # the spare waits for a payload
+        del p
+        gc.collect()
+        assert not _alive(alive[0])
+
+    def test_a_process_that_exits_leaves_no_scorer_running(self, tmp_path):
+        pid_file = tmp_path / "pids"
+        child = f"""
+import time
+from explainkit import external_scorer
+from explainkit.tabular import FeatureSchema
+schema = FeatureSchema(("x1",), ("numeric",), (None,))
+p = external_scorer({_recorder(tmp_path / "payload", pid_file)!r}, schema)
+assert p.score_rows([(1.0,)]).tolist() == [0.0]
+deadline = time.monotonic() + 30
+while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < deadline:
+    time.sleep(0.01)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=60)
+        pids = _listed_pids(pid_file)
+        assert len(pids) == 2  # the scorer that answered, and the spare
+        assert not any(map(_alive, pids))
+
+    def test_failure_is_the_same_from_a_fresh_process_and_from_the_spare(self):
+        # every call of the failing scorer fails; a failure leaves no spare,
+        # so its second call spawns afresh too
+        p = external_scorer(fixture_command("failing_scorer.py"), _schema(1))
+        first, second = (_scorer_error(p, [(1.0,)]) for _ in range(2))
+        assert _described(first) == _described(second)
+        assert (first.exit_status, first.stderr_text.strip()) == (1, "deliberate failure")
+        # the identity scorer fails on a label that is not a number: after a
+        # call that scores, the failing call is the spare's
+        schema = FeatureSchema(("f",), ("categorical",), (("1", "x"),))
+        fresh = _scorer_error(external_scorer(fixture_command("identity_first_column.py"), schema), [("x",)])
+        p = external_scorer(fixture_command("identity_first_column.py"), schema)
+        assert p.score_rows([("1",)]).tolist() == [1.0]
+        assert _described(_scorer_error(p, [("x",)])) == _described(fresh)
+        assert fresh.exit_status == 1 and "ValueError" in fresh.stderr_text
 
 
-def _csv_writer_payload(names, columns):
-    """The payload as `csv.writer` writes it, cell by cell: the reference for
-    the per-column formatting of `ExternalPredictor.score_columns`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-    writer.writerow(names)
-    for i in range(len(columns[0])):
-        writer.writerow([_format_cell(col[i]) for col in columns])
-    return buf.getvalue().encode("utf-8")
+def _scorer_error(predictor, rows):
+    with pytest.raises(ScorerError) as err:
+        predictor.score_rows(rows)
+    return err.value
 
 
-def _sent_payload(monkeypatch, schema, columns):
-    """The bytes `score_columns` hands the scorer, without spawning it."""
-    sent = []
+def _described(error):
+    return str(error), error.exit_status, error.stderr_text
 
-    def fake_run(command, input, **kwargs):
-        sent.append(input)
-        return subprocess.CompletedProcess(command, 0, b"0\n" * len(columns[0]), b"")
 
-    monkeypatch.setattr(predict.subprocess, "run", fake_run)
-    ExternalPredictor(schema=schema, command=("scorer",)).score_columns(columns)
-    return sent[0]
+def _alive(pid):
+    """Whether process `pid` exists, as a zombie not yet reaped too."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _listed_pids(pid_file, wait_for=0):
+    """The process ids in `pid_file`, one a line, once it lists `wait_for`."""
+    deadline = time.monotonic() + 30
+    while len(pid_file.read_text().split()) < wait_for and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return [int(pid) for pid in pid_file.read_text().split()]
+
+
+def _recorder(payload_file, pid_file=None):
+    """`recording_scorer.py`, isolated and without site packages, so it
+    starts fast."""
+    python, script = fixture_command("recording_scorer.py")
+    return [python, "-I", "-S", script, str(payload_file), *([str(pid_file)] if pid_file else [])]
+
+
+def _cells(names, columns):
+    """The header and every row of a batch as lists of formatted cells."""
+    rows = ([_format_cell(col[i]) for col in columns] for i in range(len(columns[0])))
+    return [list(names), *rows]
+
+
+def _csv_writer_payload(names, columns, terminator="\n"):
+    """The payload as `csv.writer` writes it, row by row with `terminator`,
+    each row then ending in a newline: the reference for the per-column
+    formatting of `ExternalPredictor.score_columns`. With `"\r\n"` the
+    writer quotes a field holding a carriage return too."""
+    lines = []
+    for row in _cells(names, columns):
+        buf = io.StringIO()
+        csv.writer(buf, delimiter=",", lineterminator=terminator).writerow(row)
+        lines.append(buf.getvalue()[: -len(terminator)] + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _read_back(payload):
+    """Every cell of a payload, as `csv.reader` reads it."""
+    return list(csv.reader(io.StringIO(payload.decode("utf-8"), newline="")))
+
+
+def _sent_payload(schema, columns, calls=1):
+    """The bytes `score_columns` writes to the scorer's stdin, as the scorer
+    read them; with `calls`, each call's bytes (the first call spawns its
+    scorer, later ones take the spare) must be the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        payload_file = Path(tmp) / "payload"
+        p = external_scorer(_recorder(payload_file), schema)
+        sent = []
+        for _ in range(calls):
+            assert p.score_columns(columns).tolist() == [0.0] * len(columns[0])
+            sent.append(payload_file.read_bytes())
+        assert sent == sent[:1] * calls
+        return sent[0]
 
 
 # labels csv.writer quotes (delimiter, quote, newline), one it leaves bare
-# although a reader splits on it (carriage return), the empty label and plain ones
+# although a reader splits on it (carriage return; the payload quotes it),
+# the empty label and plain ones
 LABELS = ("a,b", 'say "hi"', "two\nlines", '"', "cr\rx", "", " pad ", "é", "1", "z")
 NUMBERS = (-0.0, 0.0, 2.5, -3.0, 1e15, 1e16, -1e16, 1e-300, 5e-324, 1.7976931348623157e308)
 
 
-@pytest.mark.parametrize("p", [1, 3])
-def test_payload_bytes_equal_csv_writer(monkeypatch, p):
-    # one categorical feature alone (an empty label alone on its row is
-    # written as ""), or between two numeric ones; names need quotes too,
-    # and a % in a name is written as it is
+def _label_batch(p, labels):
+    """Names, schema and columns of `labels` alone (p = 1) or between two
+    numeric columns (p = 3), each label twice. An empty label alone on its
+    row is written as ""; names need quotes too, and a % in a name is
+    written as it is."""
     kinds = ("categorical",) if p == 1 else ("numeric", "categorical", "numeric")
     names = ("na,%me",) if p == 1 else ("x%s", 'say "y"', "z")
-    levels = tuple(LABELS if k == "categorical" else None for k in kinds)
-    schema = FeatureSchema(names, kinds, levels)
-    rows = len(LABELS) * 2
-    labels = np.array([LABELS[i % len(LABELS)] for i in range(rows)], dtype=object)
+    levels = tuple(tuple(labels) if k == "categorical" else None for k in kinds)
+    rows = len(labels) * 2
+    texts = np.array([labels[i % len(labels)] for i in range(rows)], dtype=object)
     numbers = np.array([NUMBERS[i % len(NUMBERS)] for i in range(rows)])
-    columns = [labels] if p == 1 else [numbers, labels, numbers[::-1].copy()]
-    assert _sent_payload(monkeypatch, schema, columns) == _csv_writer_payload(names, columns)
+    columns = [texts] if p == 1 else [numbers, texts, numbers[::-1].copy()]
+    return names, FeatureSchema(names, kinds, levels), columns
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_payload_bytes_equal_csv_writer(p):
+    # the fresh process and the spare are sent the same bytes
+    names, schema, columns = _label_batch(p, [lb for lb in LABELS if "\r" not in lb])
+    assert _sent_payload(schema, columns, calls=2) == _csv_writer_payload(names, columns)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_payload_quotes_carriage_returns_for_csv_reader(p):
+    names, schema, columns = _label_batch(p, LABELS)
+    payload = _sent_payload(schema, columns)
+    assert _read_back(payload) == _cells(names, columns)
+    assert payload == _csv_writer_payload(names, columns, "\r\n")
+    # the quotes around the label are the one change from plain csv.writer
+    assert payload.count(b'"cr\rx"') == 2
+    assert payload.replace(b'"cr\rx"', b"cr\rx") == _csv_writer_payload(names, columns)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -497,5 +614,8 @@ def test_payload_bytes_equal_csv_writer_on_generated_batches(data):
     ]
     names = tuple(data.draw(st.text(alphabet='xy,%"\n', min_size=1, max_size=3)) for _ in kinds)
     schema = FeatureSchema(names, tuple(kinds), (None,) * len(kinds))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert _sent_payload(monkeypatch, schema, columns) == _csv_writer_payload(names, columns)
+    payload = _sent_payload(schema, columns)
+    assert _read_back(payload) == _cells(names, columns)
+    assert payload == _csv_writer_payload(names, columns, "\r\n")
+    if not any("\r" in str(v) for col in columns for v in col):
+        assert payload == _csv_writer_payload(names, columns)
