@@ -58,9 +58,11 @@ class Predictor:
         return scores
 
     def scores_of(
-        self, batches: Iterable[Sequence[np.ndarray]]
+        self, batches: Iterable[Sequence[np.ndarray]], more: bool = False
     ) -> Iterator[np.ndarray]:
-        """The checked `scores` of each batch, in order, one batch at a time."""
+        """The checked `scores` of each batch, in order, one batch at a time.
+        `more`: the caller expects to call again, which a predictor may
+        prepare for."""
         return (self.scores(columns) for columns in batches)
 
     def lookahead_rows(self) -> int:
@@ -400,20 +402,29 @@ def _field(v: Cell, alone: bool) -> str:
 # goes alone in one payload.
 PAYLOAD_ROWS = 32_768
 
-# Most extra rows a payload takes for sets later greedy steps may need. The
-# spare hides a process's start-up, but each payload still costs a round trip
-# to a fresh process, which outweighs this many rows.
+# Most extra rows a payload takes for sets later greedy steps may need. A
+# spare hides much of a later payload's start-up, but each payload still costs
+# a round trip to a process, which outweighs this many rows.
 LOOKAHEAD_ROWS = 5_000
 
 
-def _reap(procs: list[subprocess.Popen]) -> None:
-    """Kill and reap every process in `procs`, emptying it."""
-    while procs:
-        proc = procs.pop()
-        proc.kill()
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
-            pipe.close()
-        proc.wait()
+@dataclass(eq=False)
+class _Spare:
+    """The process an ExternalPredictor started for its next payload, if
+    any, and whether another payload is known to follow the one about to
+    be scored."""
+
+    proc: subprocess.Popen | None = None
+    follows: bool = False
+
+    def reap(self, *others: subprocess.Popen | None) -> None:
+        """Kill and reap the spare and `others` (None: no process)."""
+        procs, self.proc = (self.proc, *others), None
+        for proc in filter(None, procs):
+            proc.kill()
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()
+            proc.wait()
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,30 +450,30 @@ class ExternalPredictor(Predictor):
     1; the Shapley estimators one per payload of as many whole pinned sets
     as fit in `PAYLOAD_ROWS` rows (at least one).
 
-    Each call also starts the process the next call will use (the spare),
-    so the command's start-up runs while this payload is scored; a
-    predictor that scores k payloads starts k + 1 processes, so start-up
-    side effects run once more than there are payloads. The spare gets
-    pipes for all three streams. It is killed and reaped after any error,
-    when the predictor is garbage-collected and at interpreter exit; one
-    orphaned otherwise reads an empty stdin. `timeout` counts from when the
-    payload is sent.
+    A payload known to be followed by another (a later payload of the same
+    `scores_of` call, or `more`) starts the process the next one takes (the
+    spare), so the command's start-up overlaps this payload's scoring. A
+    predictor still starts one process per payload, but that process reads
+    its files, environment and working directory one payload early, and two
+    are alive while such a payload is scored. The spare has pipes for all
+    three streams, is killed and reaped after any error, on garbage
+    collection and at exit, and if orphaned reads an empty stdin. `timeout`
+    counts from when the payload is sent.
     """
 
     schema: FeatureSchema
     command: tuple[str, ...]
     timeout: float | None = None
-    _spare: list[subprocess.Popen] = field(init=False, repr=False, compare=False)
+    _spare: _Spare = field(default_factory=_Spare, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_spare", [])
-        weakref.finalize(self, _reap, self._spare)
+        weakref.finalize(self, self._spare.reap)
 
     def lookahead_rows(self) -> int:
         return LOOKAHEAD_ROWS
 
     def scores_of(
-        self, batches: Iterable[Sequence[np.ndarray]]
+        self, batches: Iterable[Sequence[np.ndarray]], more: bool = False
     ) -> Iterator[np.ndarray]:
         chunk: list[Sequence[np.ndarray]] = []
         sizes: list[int] = []
@@ -470,12 +481,14 @@ class ExternalPredictor(Predictor):
         for columns in batches:
             n = self._check_columns(columns)
             if chunk and rows + n > PAYLOAD_ROWS:
+                self._spare.follows = True  # this batch goes in the next payload
                 yield from self._joined_scores(chunk, sizes)
                 chunk, sizes, rows = [], [], 0
             chunk.append(columns)
             sizes.append(n)
             rows += n
         if chunk:
+            self._spare.follows = more
             yield from self._joined_scores(chunk, sizes)
 
     def _joined_scores(
@@ -508,47 +521,43 @@ class ExternalPredictor(Predictor):
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        spare, used = self._spare, []
+        n, spare, proc = len(columns[0]), self._spare, None
+        follows, spare.follows = spare.follows, False
         try:
-            used.append(spare.pop() if spare else self._spawn())
-            spare.append(self._spawn())
+            proc, spare.proc = spare.proc or self._spawn(), None
+            if follows:
+                spare.proc = self._spawn()
             try:
-                stdout, stderr = used[0].communicate(self._payload(columns), self.timeout)
+                stdout, stderr = proc.communicate(self._payload(columns), self.timeout)
             except subprocess.TimeoutExpired as exc:
                 name, seconds = self.command[0], self.timeout
                 raise ScorerError(f"scorer {name!r} timed out after {seconds:g} s") from exc
-            return _read_scores(self.command[0], used[0].returncode, stdout, stderr, len(columns[0]))
+            stderr = stderr.decode("utf-8", errors="replace")
+
+            def failure(message: str) -> ScorerError:
+                return ScorerError(message, exit_status=proc.returncode, stderr_text=stderr)
+
+            if proc.returncode != 0:
+                raise failure(f"scorer {self.command[0]!r} failed")
+            try:
+                stdout = stdout.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise failure(f"scorer output is not UTF-8: {exc}") from exc
+            lines = [ln for ln in stdout.splitlines() if ln.strip()]
+            if len(lines) != n:
+                raise failure(f"scorer returned {len(lines)} scores for {n} rows")
+            out = np.empty(n, dtype=float)
+            for i, ln in enumerate(lines):
+                try:
+                    out[i] = float(ln)
+                except ValueError:
+                    raise failure(f"unparsable score line {ln!r}")
+            if not np.all(np.isfinite(out)):
+                raise ScorerError("scorer produced non-finite scores")
         except BaseException:
-            _reap(used)
-            _reap(spare)
+            spare.reap(proc)
             raise
-
-
-def _read_scores(name: str, status: int, stdout: bytes, stderr: bytes, n: int) -> np.ndarray:
-    """The n scores a scorer named `name` printed, or ScorerError."""
-    stderr_text = stderr.decode("utf-8", errors="replace")
-
-    def failure(message: str) -> ScorerError:
-        return ScorerError(message, exit_status=status, stderr_text=stderr_text)
-
-    if status != 0:
-        raise failure(f"scorer {name!r} failed")
-    try:
-        text = stdout.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise failure(f"scorer output is not UTF-8: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != n:
-        raise failure(f"scorer returned {len(lines)} scores for {n} rows")
-    out = np.empty(n, dtype=float)
-    for i, ln in enumerate(lines):
-        try:
-            out[i] = float(ln)
-        except ValueError:
-            raise failure(f"unparsable score line {ln!r}")
-    if not np.all(np.isfinite(out)):
-        raise ScorerError("scorer produced non-finite scores")
-    return out
+        return out
 
 
 def external_scorer(

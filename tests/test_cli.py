@@ -217,7 +217,7 @@ class TestRunBreakdown:
         assert "timed out after 0.5 s" in err
         assert "Traceback" not in err
         pids = [int(pid) for pid in pid_file.read_text().split()]
-        assert 1 <= len(pids) <= 2  # the scorer sent the payload, and the spare
+        assert len(pids) == 1  # one payload, so no spare: every set fits in it
         for pid in pids:
             with pytest.raises(ProcessLookupError):  # killed and reaped
                 os.kill(pid, 0)

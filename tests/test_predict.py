@@ -434,15 +434,30 @@ class TestExternalScorer:
             [python, "-I", "-S", script, str(pid_file)], _schema(1), timeout=0.5
         )
         with pytest.raises(ScorerError, match=r"timed out after 0\.5 s"):
-            p.score_rows([(1.0,)])
-        pids = _listed_pids(pid_file)
-        assert 1 <= len(pids) <= 2  # the scorer sent the payload, and the spare
+            _score_ahead(p, [(1.0,)])
+        pids = _listed_pids(pid_file, wait_for=2)
+        assert len(pids) == 2  # the scorer sent the payload, and the spare
         assert not any(map(_alive, pids))  # killed and reaped
+
+    def test_one_process_per_payload(self, tmp_path):
+        # a payload not known to be followed starts no spare; one told that
+        # another follows starts the process the next payload takes
+        pid_file = tmp_path / "pids"
+        p = external_scorer(_recorder(tmp_path / "payload", pid_file), _schema(1))
+        for calls in (1, 2):
+            assert p.score_rows([(1.0,)]).tolist() == [0.0]
+            assert p._spare.proc is None
+            assert len(_listed_pids(pid_file)) == calls
+        assert _score_ahead(p, [(1.0,)]).tolist() == [0.0]
+        assert p._spare.proc is not None
+        assert p.score_rows([(1.0,)]).tolist() == [0.0]
+        assert p._spare.proc is None
+        assert len(_listed_pids(pid_file, wait_for=4)) == 4
 
     def test_garbage_collection_reaps_the_spare(self, tmp_path):
         pid_file = tmp_path / "pids"
         p = external_scorer(_recorder(tmp_path / "payload", pid_file), _schema(1))
-        assert p.score_rows([(1.0,)]).tolist() == [0.0]
+        assert _score_ahead(p, [(1.0,)]).tolist() == [0.0]
         alive = [pid for pid in _listed_pids(pid_file, wait_for=2) if _alive(pid)]
         assert len(alive) == 1  # the spare waits for a payload
         del p
@@ -457,7 +472,8 @@ from explainkit import external_scorer
 from explainkit.tabular import FeatureSchema
 schema = FeatureSchema(("x1",), ("numeric",), (None,))
 p = external_scorer({_recorder(tmp_path / "payload", pid_file)!r}, schema)
-assert p.score_rows([(1.0,)]).tolist() == [0.0]
+[scores] = p.scores_of([schema.to_columns([(1.0,)])], more=True)
+assert scores.tolist() == [0.0]
 deadline = time.monotonic() + 30
 while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < deadline:
     time.sleep(0.01)
@@ -468,6 +484,20 @@ while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < dea
         assert len(pids) == 2  # the scorer that answered, and the spare
         assert not any(map(_alive, pids))
 
+    def test_a_process_reads_its_files_one_payload_early(self, tmp_path):
+        # the process for payload k + 1 starts at payload k when payload k is
+        # known to be followed, and reads its model then: a change made
+        # after payload k reaches payload k + 2
+        value, pid_file = tmp_path / "value", tmp_path / "pids"
+        python, script = fixture_command("startup_scorer.py")
+        p = external_scorer([python, "-I", "-S", script, str(value), str(pid_file)], _schema(1))
+        value.write_text("1")
+        assert _score_ahead(p, [(0.0,)]).tolist() == [1.0]
+        _listed_pids(pid_file, wait_for=2)  # the spare has read the file
+        value.write_text("2")
+        assert p.score_rows([(0.0,)]).tolist() == [1.0]
+        assert p.score_rows([(0.0,)]).tolist() == [2.0]
+
     def test_failure_is_the_same_from_a_fresh_process_and_from_the_spare(self):
         # every call of the failing scorer fails; a failure leaves no spare,
         # so its second call spawns afresh too
@@ -476,13 +506,20 @@ while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < dea
         assert _described(first) == _described(second)
         assert (first.exit_status, first.stderr_text.strip()) == (1, "deliberate failure")
         # the identity scorer fails on a label that is not a number: after a
-        # call that scores, the failing call is the spare's
+        # call that scores and starts a spare, the failing call is the spare's
         schema = FeatureSchema(("f",), ("categorical",), (("1", "x"),))
         fresh = _scorer_error(external_scorer(fixture_command("identity_first_column.py"), schema), [("x",)])
         p = external_scorer(fixture_command("identity_first_column.py"), schema)
-        assert p.score_rows([("1",)]).tolist() == [1.0]
+        assert _score_ahead(p, [("1",)]).tolist() == [1.0]
+        assert p._spare.proc is not None
         assert _described(_scorer_error(p, [("x",)])) == _described(fresh)
         assert fresh.exit_status == 1 and "ValueError" in fresh.stderr_text
+
+
+def _score_ahead(predictor, rows):
+    """Score `rows` in a payload told that another follows."""
+    [scores] = predictor.scores_of([predictor.schema.to_columns(rows)], more=True)
+    return scores
 
 
 def _scorer_error(predictor, rows):
@@ -544,15 +581,16 @@ def _read_back(payload):
 
 
 def _sent_payload(schema, columns, calls=1):
-    """The bytes `score_columns` writes to the scorer's stdin, as the scorer
-    read them; with `calls`, each call's bytes (the first call spawns its
-    scorer, later ones take the spare) must be the same."""
+    """The bytes the scorer reads on its stdin; with `calls`, each call's
+    bytes must be the same (each call is told that another follows, so the
+    first spawns its scorer and starts a spare, and later ones take it)."""
     with tempfile.TemporaryDirectory() as tmp:
         payload_file = Path(tmp) / "payload"
         p = external_scorer(_recorder(payload_file), schema)
         sent = []
         for _ in range(calls):
-            assert p.score_columns(columns).tolist() == [0.0] * len(columns[0])
+            [scores] = p.scores_of([columns], more=True)
+            assert scores.tolist() == [0.0] * len(columns[0])
             sent.append(payload_file.read_bytes())
         assert sent == sent[:1] * calls
         return sent[0]

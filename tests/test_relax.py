@@ -528,13 +528,29 @@ def test_base_scores_of_is_lazy():
 
 @dataclass(frozen=True, eq=False)
 class CountingExternal(ExternalPredictor):
-    """Records the row count of every payload the scorer is spawned for."""
+    """Records the row count of every payload the scorer is sent, whether a
+    spare waits after it, and the number of scorer processes started."""
 
     payloads: list = field(default_factory=list)
+    spares: list = field(default_factory=list)
+    starts: list = field(default_factory=lambda: [0])
 
     def score_columns(self, columns):
         self.payloads.append(len(columns[0]))
-        return super().score_columns(columns)
+        scores = super().score_columns(columns)
+        self.spares.append(self._spare.proc is not None)
+        return scores
+
+    def _spawn(self):
+        self.starts[0] += 1
+        return super()._spawn()
+
+
+def _starts_one_ahead(f):
+    """Each payload of an explanation but the last starts the process the
+    next one takes, so k payloads start k processes."""
+    k = len(f.payloads)
+    return f.spares == [True] * (k - 1) + [False] and f.starts[0] == k
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,6 +626,7 @@ def test_joined_payloads_give_identical_results(per_mask_results, name):
     assert (len(per_mask_payloads), len(f.payloads)) == SPAWNS[name]
     assert len(f.payloads) <= BATCH_TABLE.n_features + 2
     assert (sum(per_mask_payloads), sum(f.payloads)) == ROWS[name]
+    assert _starts_one_ahead(f)
 
 
 @pytest.mark.parametrize(
@@ -625,6 +642,23 @@ def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
     f = _external(CountingExternal, *LINEAR_SCORER)
     assert _dump(EXPLANATIONS["trace"](f)) == per_mask_results["trace"][0]
     assert f.payloads == payloads
+    assert _starts_one_ahead(f)  # a later payload of the same call follows
+
+
+@pytest.mark.parametrize(
+    "budget, spares", [(5_000, [False, False]), (0, [True, True, True, False, False])]
+)
+def test_a_spare_starts_only_where_another_payload_is_known_to_follow(
+    monkeypatch, budget, spares
+):
+    # a walk whose every set fits in one payload starts no spare; one that
+    # left a layer out starts one at each payload but its last; the trace
+    # after either is not announced, so it spawns afresh and starts none
+    monkeypatch.setattr(predict, "LOOKAHEAD_ROWS", budget)
+    f = _external(CountingExternal, *LINEAR_SCORER)
+    EXPLANATIONS["ag-break-up"](f)
+    EXPLANATIONS["trace"](f)
+    assert (f.spares, f.starts[0]) == (spares, len(spares))
 
 
 # Layers of the greedy lookahead on the 12-row table: 10 sets two flips from
@@ -653,6 +687,7 @@ def test_lookahead_budget_cuts_whole_layers(
     name = f"ag-break-{direction}"
     assert _dump(EXPLANATIONS[name](f)) == per_mask_results[name][0]
     assert f.payloads == payloads
+    assert _starts_one_ahead(f)  # a walk that left a layer out calls again
 
 
 # The first payload of the greedy walk joins the start set, five candidates
