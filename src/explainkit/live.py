@@ -131,14 +131,14 @@ def _soft_threshold(z: float, lam: float) -> float:
     return 0.0
 
 
+LASSO_TOL = 1e-9
+LASSO_MAX_SWEEPS = 10_000
+CV_FOLDS = 5
+LAMBDA_GRID_POINTS = 50
+
+
 def lasso_coordinate_descent(
-    x: np.ndarray,
-    y: np.ndarray,
-    lambda_: float,
-    tol: float = 1e-9,
-    max_sweeps: int = 10_000,
-    *,
-    start: np.ndarray | None = None,
+    x: np.ndarray, y: np.ndarray, lambda_: float, *, start: np.ndarray | None = None
 ) -> LassoResult:
     """Cyclic coordinate descent for min (1/2n)||y - X b||^2 + lambda ||b||_1.
 
@@ -149,7 +149,8 @@ def lasso_coordinate_descent(
     floats and updated per changed coordinate, so the updates of a sweep
     cost O(k^2) whatever n is. `start` warm-starts from the given
     coefficients (left unchanged) instead of zero. Stops when the largest
-    coefficient change in a sweep falls below `tol`. The penalized
+    coefficient change in a sweep falls below `LASSO_TOL`, and raises
+    ConvergenceError after `LASSO_MAX_SWEEPS` sweeps. The penalized
     objective is evaluated from the residual after every sweep and must
     never increase; its Gram form y'y/2n - c'b + b'Gb/2 would lose the
     residual sum of squares of a close fit to cancellation.
@@ -165,7 +166,7 @@ def lasso_coordinate_descent(
     rows = gram.tolist()
     b = beta.tolist()
     objectives = [_lasso_objective(x, y, beta, lambda_)]
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
         max_delta = 0.0
         for j, row in enumerate(rows):
             col_sq = row[j]
@@ -186,19 +187,19 @@ def lasso_coordinate_descent(
                 f"{objectives[-1]!r} -> {obj!r}"
             )
         objectives.append(obj)
-        if max_delta < tol:
+        if max_delta < LASSO_TOL:
             return LassoResult(beta, sweep, tuple(objectives))
-    raise ConvergenceError(f"coordinate descent did not converge in {max_sweeps} sweeps")
+    raise ConvergenceError(f"coordinate descent did not converge in {LASSO_MAX_SWEEPS} sweeps")
 
 
-def _lambda_grid(lambda_max: float, points: int = 50) -> np.ndarray:
-    return np.geomspace(lambda_max, 1e-4 * lambda_max, points)
+def _lambda_grid(lambda_max: float) -> np.ndarray:
+    return np.geomspace(lambda_max, 1e-4 * lambda_max, LAMBDA_GRID_POINTS)
 
 
-def _cross_validate_lambda(x: np.ndarray, y: np.ndarray, folds: int = 5) -> float:
-    """Pick lambda by k-fold CV over a log grid from lambda_max down.
+def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
+    """Pick lambda by `CV_FOLDS`-fold CV on a `LAMBDA_GRID_POINTS` log grid down from lambda_max.
 
-    Fold assignment is row index modulo `folds` (deterministic); a fold
+    Fold assignment is row index modulo `CV_FOLDS` (deterministic); a fold
     whose training or validation part is empty is skipped. Each fold walks
     the grid from high to low lambda, warm-starting every fit from the
     previous lambda's coefficients, and adds its validation error to that
@@ -210,9 +211,9 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray, folds: int = 5) -> floa
     if lambda_max == 0.0:
         return 0.0
     grid = _lambda_grid(lambda_max)
-    fold_of = np.arange(n) % folds
+    fold_of = np.arange(n) % CV_FOLDS
     errors = [0.0] * len(grid)
-    for f in range(folds):
+    for f in range(CV_FOLDS):
         train = fold_of != f
         val = ~train
         if not val.any() or not train.any():

@@ -16,6 +16,7 @@ import io
 import subprocess
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,16 +59,13 @@ class Predictor:
         return scores
 
     def scores_of(
-        self, batches: Iterable[Sequence[np.ndarray]], more: bool = False
+        self, batches: Iterable[Sequence[np.ndarray]], ahead: Iterable[Iterable] = ()
     ) -> Iterator[np.ndarray]:
         """The checked `scores` of each batch, in order, one batch at a time.
-        `more`: the caller expects to call again, which a predictor may
-        prepare for."""
+        `ahead`: lazy layers of batches later calls may need, which a scorer
+        may score after `batches`, in the order it pulls them; this one never
+        pulls it."""
         return (self.scores(columns) for columns in batches)
-
-    def lookahead_rows(self) -> int:
-        """Rows a call may add for sets later calls may need (`RelaxedValues.means`)."""
-        return 0
 
     def additive_view(self) -> tuple[float, Encoder, np.ndarray] | None:
         """(intercept, encoder, coefficients) when every score is
@@ -402,9 +400,9 @@ def _field(v: Cell, alone: bool) -> str:
 # goes alone in one payload.
 PAYLOAD_ROWS = 32_768
 
-# Most extra rows a payload takes for sets later greedy steps may need. A
-# spare hides much of a later payload's start-up, but each payload still costs
-# a round trip to a process, which outweighs this many rows.
+# Most rows `ExternalPredictor.scores_of` takes from the layers `ahead` of a
+# call. A spare hides much of a later payload's start-up, but each payload
+# still costs a round trip to a process, which outweighs this many rows.
 LOOKAHEAD_ROWS = 5_000
 
 
@@ -445,20 +443,20 @@ class ExternalPredictor(Predictor):
     everything gives f(x_new) exactly: that set is the one row x_new. Payloads
     per explanation: `ag_break` one per greedy step with unscored candidates,
     the start and full sets joining the first, each taking whole layers of
-    later steps' sets within `LOOKAHEAD_ROWS` extra rows: 1 whenever all 2^p
+    later steps' sets `ahead` within `LOOKAHEAD_ROWS` rows: 1 whenever all 2^p
     sets fit, 2 for Up and Down at p = 5 over 400 rows. `relaxation_trace`
     1; the Shapley estimators one per payload of as many whole pinned sets
     as fit in `PAYLOAD_ROWS` rows (at least one).
 
     A payload known to be followed by another (a later payload of the same
-    `scores_of` call, or `more`) starts the process the next one takes (the
-    spare), so the command's start-up overlaps this payload's scoring. A
-    predictor still starts one process per payload, but that process reads
-    its files, environment and working directory one payload early, and two
-    are alive while such a payload is scored. The spare has pipes for all
-    three streams, is killed and reaped after any error, on garbage
-    collection and at exit, and if orphaned reads an empty stdin. `timeout`
-    counts from when the payload is sent.
+    `scores_of` call, or the last one of a call that left a layer out) starts
+    the process the next one takes (the spare), so the command's start-up
+    overlaps this payload's scoring. A predictor still starts one process per
+    payload, but that process reads its files, environment and working
+    directory one payload early, and two are alive while such a payload is
+    scored. The spare has pipes for all three streams, is killed and reaped
+    after any error, on garbage collection and at exit, and if orphaned reads
+    an empty stdin. `timeout` counts from when the payload is sent.
     """
 
     schema: FeatureSchema
@@ -469,16 +467,14 @@ class ExternalPredictor(Predictor):
     def __post_init__(self):
         weakref.finalize(self, self._spare.reap)
 
-    def lookahead_rows(self) -> int:
-        return LOOKAHEAD_ROWS
-
     def scores_of(
-        self, batches: Iterable[Sequence[np.ndarray]], more: bool = False
+        self, batches: Iterable[Sequence[np.ndarray]], ahead: Iterable[Iterable] = ()
     ) -> Iterator[np.ndarray]:
+        left_out: list[bool] = []
         chunk: list[Sequence[np.ndarray]] = []
         sizes: list[int] = []
         rows = 0
-        for columns in batches:
+        for columns in chain(batches, self._whole_layers(ahead, left_out)):
             n = self._check_columns(columns)
             if chunk and rows + n > PAYLOAD_ROWS:
                 self._spare.follows = True  # this batch goes in the next payload
@@ -488,8 +484,23 @@ class ExternalPredictor(Predictor):
             sizes.append(n)
             rows += n
         if chunk:
-            self._spare.follows = more
+            self._spare.follows = bool(left_out)
             yield from self._joined_scores(chunk, sizes)
+
+    def _whole_layers(self, ahead: Iterable[Iterable], left_out: list[bool]) -> Iterator:
+        """The batches of the layers `ahead`, in order, while their rows stay
+        within `LOOKAHEAD_ROWS`. The layer that overflows is left out, no later
+        one is pulled, and `left_out` notes that another call will come."""
+        rows = 0
+        for layer in ahead:
+            taken = []
+            for columns in layer:
+                rows += self._check_columns(columns)
+                if rows > LOOKAHEAD_ROWS:
+                    left_out.append(True)
+                    return
+                taken.append(columns)
+            yield from taken
 
     def _joined_scores(
         self, chunk: list[Sequence[np.ndarray]], sizes: list[int]

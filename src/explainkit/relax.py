@@ -115,42 +115,29 @@ class RelaxedValues:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
         the uncached ones go to the scorer together, or into one closed-form
         product when the predictor has an additive view. The full set is the
-        one row x_new, so its value is f(x_new). A scorer call also takes the
-        whole layers of sets `ahead` (later calls may need them) whose
-        uncached rows fit, in order, in the predictor's `lookahead_rows`, and
-        tells the predictor (`more`) when a layer did not fit."""
+        one row x_new, so its value is f(x_new). A scorer call is also offered
+        the uncached sets of the layers `ahead`, which later calls may need,
+        lazily (`Predictor.scores_of`); the ones it scores are cached too."""
         masks = list(masks)
         todo = [m for m in dict.fromkeys(masks) if m not in self._means]
-        more = False
         if self._view is not None:
             closed = [m for m in todo if m != self.full]
             self._means.update(zip(closed, self._closed_form(closed)))
             todo = [m for m in todo if m == self.full]
-        elif todo:
-            todo, more = self._lookahead(todo, ahead)
-        batches = (self._x if m == self.full else self._hybrid(m) for m in todo)
-        for mask, scores in zip(todo, self.predictor.scores_of(batches, more)):
-            self._means[mask] = float(np.mean(scores))
-        return [self._means[m] for m in masks]
+        if todo:
+            offered: list[int] = []  # as handed over, the order of the scores
+            seen: set[int] = set()
 
-    def _lookahead(
-        self, todo: list[int], ahead: Iterable[Iterable[int]]
-    ) -> tuple[list[int], bool]:
-        """`todo` plus the layers that fit (a set costs n rows, the full set
-        1), and whether a layer was left out, so that a later call will come.
-        It counts rows, never time, so the calls a request makes are fixed."""
-        budget = self.predictor.lookahead_rows()
-        chosen = dict.fromkeys(todo)
-        rows = 0
-        for layer in ahead:
-            kept = len(chosen)
-            for m in layer:
-                if m not in chosen and m not in self._means:
-                    chosen[m] = None
-                    rows += 1 if m == self.full else self.n
-                    if rows > budget:
-                        return list(chosen)[:kept], True
-        return list(chosen), False
+            def handed(sets: Iterable[int]) -> Iterator[list[np.ndarray]]:
+                for m in sets:
+                    if m not in seen and m not in self._means:
+                        seen.add(m)
+                        offered.append(m)
+                        yield self._x if m == self.full else self._hybrid(m)
+
+            for i, scores in enumerate(self.predictor.scores_of(handed(todo), map(handed, ahead))):
+                self._means[offered[i]] = float(np.mean(scores))
+        return [self._means[m] for m in masks]
 
     @cached_property
     def _additive_terms(self) -> tuple[float, np.ndarray]:

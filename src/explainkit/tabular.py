@@ -252,12 +252,12 @@ def load_csv(path: str, response_name: str | None = None) -> Dataset:
     cells are skipped. Column kinds are inferred: numeric when every cell
     parses as a finite real (decimal point format), categorical otherwise.
 
-    Raises DataError on unreadable or non-UTF-8 files, empty input, duplicate
-    header names, no data rows, ragged rows or missing cells; row errors name
-    the line in the file that the row starts on.
+    Raises DataError on unreadable or non-UTF-8 files (a leading byte-order
+    mark is dropped), empty input, duplicate header names, no data rows,
+    ragged rows or missing cells; row errors name the file line a row starts on.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc

@@ -110,7 +110,7 @@ class TestSampleLocally:
         assert set(local.feature_values[0]) <= {"a", "b", "c"}
 
     @given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_locality_property(self, p, size, seed):
         ds = make_regression(p, 15, seed=1234)
         x = ds.observation(0)

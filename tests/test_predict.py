@@ -29,6 +29,7 @@ from explainkit import (
     fit_ols,
     sample_locally,
 )
+from explainkit import predict
 from explainkit.predict import KERNEL_BLOCK_ENTRIES, _format_cell, _rbf
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
@@ -468,11 +469,13 @@ class TestExternalScorer:
         pid_file = tmp_path / "pids"
         child = f"""
 import time
-from explainkit import external_scorer
+from explainkit import external_scorer, predict
 from explainkit.tabular import FeatureSchema
 schema = FeatureSchema(("x1",), ("numeric",), (None,))
 p = external_scorer({_recorder(tmp_path / "payload", pid_file)!r}, schema)
-[scores] = p.scores_of([schema.to_columns([(1.0,)])], more=True)
+predict.LOOKAHEAD_ROWS = 0  # the layer offered along is left out: another payload follows
+batch = schema.to_columns([(1.0,)])
+[scores] = p.scores_of([batch], [[batch]])
 assert scores.tolist() == [0.0]
 deadline = time.monotonic() + 30
 while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < deadline:
@@ -515,10 +518,60 @@ while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < dea
         assert _described(_scorer_error(p, [("x",)])) == _described(fresh)
         assert fresh.exit_status == 1 and "ValueError" in fresh.stderr_text
 
+    @pytest.mark.parametrize(
+        "budget, scored, pulled, spare",
+        [
+            # the second layer overflows at 5: none of it goes, the third is
+            # never pulled, and the call that left it out starts a spare
+            (3, [1, 2, 3], [2, 3, 4, 5], True),
+            (6, [1, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7], False),
+        ],
+        ids=["cut", "fits"],
+    )
+    def test_lookahead_takes_whole_layers_within_the_budget(
+        self, monkeypatch, budget, scored, pulled, spare
+    ):
+        monkeypatch.setattr(predict, "LOOKAHEAD_ROWS", budget)
+        p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
+        seen = []
+
+        def layer(values):
+            for v in values:
+                seen.append(v)
+                yield p.schema.to_columns([(float(v),)])
+
+        ahead = map(layer, [[2, 3], [4, 5, 6], [7]])
+        scores = p.scores_of([p.schema.to_columns([(1.0,)])], ahead)
+        assert [s.tolist() for s in scores] == [[float(v)] for v in scored]
+        assert seen == pulled
+        assert (p._spare.proc is not None) == spare
+        p._spare.reap()
+
+
+def test_in_process_scorers_never_pull_ahead():
+    # the base `Predictor.scores_of` scores its batches and leaves `ahead`
+    def ahead():
+        raise AssertionError("pulled a layer ahead")
+        yield
+
+    p = _linear(1, 0.5, [2.0])
+    scores = p.scores_of([p.schema.to_columns([(1.0,)])], ahead())
+    assert [s.tolist() for s in scores] == [[2.5]]
+
 
 def _score_ahead(predictor, rows):
-    """Score `rows` in a payload told that another follows."""
-    [scores] = predictor.scores_of([predictor.schema.to_columns(rows)], more=True)
+    """Score `rows` in a payload known to be followed by another (`_announced`)."""
+    return _announced(predictor, predictor.schema.to_columns(rows))
+
+
+def _announced(predictor, columns):
+    """The scores of the batch `columns`, sent in a payload known to be
+    followed by another. The one way to say so: with `LOOKAHEAD_ROWS` at 0,
+    the layer offered along (the batch again) is left out, so another call
+    must come."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predict, "LOOKAHEAD_ROWS", 0)
+        [scores] = predictor.scores_of([columns], [[columns]])
     return scores
 
 
@@ -582,14 +635,14 @@ def _read_back(payload):
 
 def _sent_payload(schema, columns, calls=1):
     """The bytes the scorer reads on its stdin; with `calls`, each call's
-    bytes must be the same (each call is told that another follows, so the
-    first spawns its scorer and starts a spare, and later ones take it)."""
+    bytes must be the same (each payload is `_announced`, so the first spawns
+    its scorer and starts a spare, and later ones take it)."""
     with tempfile.TemporaryDirectory() as tmp:
         payload_file = Path(tmp) / "payload"
         p = external_scorer(_recorder(payload_file), schema)
         sent = []
         for _ in range(calls):
-            [scores] = p.scores_of([columns], more=True)
+            scores = _announced(p, columns)
             assert scores.tolist() == [0.0] * len(columns[0])
             sent.append(payload_file.read_bytes())
         assert sent == sent[:1] * calls

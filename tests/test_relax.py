@@ -306,8 +306,9 @@ def test_additive_view_scores_only_f_new(wine, wine_ols, monkeypatch, name):
     assert rows == [1]
 
 
-# Rows of each call of an in-process scorer without an additive view, as
-# they were before the greedy lookahead (n background rows; f(x_new) is one):
+# Rows of each call of an in-process scorer without an additive view. Only
+# the external scorer takes sets `ahead`, so each call scores just the sets
+# asked for (n background rows each; f(x_new) is one):
 # Up scores the start set, the first step's 11 candidates and f(x_new), then
 # the candidates of steps 2 to 10; Down scores f(x_new), then every step's.
 IN_PROCESS_ROWS = {
@@ -323,7 +324,6 @@ def test_in_process_scorers_take_no_lookahead(wine, wine_ols, name):
     f = CountingPredictor(wine_ols)
     WINE_SCORER_CALLS[name][0](f, wine, wine.observation(4))
     assert f.rows == IN_PROCESS_ROWS[name](wine.n_rows)
-    assert f.lookahead_rows() == 0
 
 
 def test_trace_encodes_only_the_rows_it_scores(wine, wine_ols, monkeypatch):
@@ -559,7 +559,6 @@ class PerMaskExternal(CountingExternal):
     payload per pinned set, each scored when it is asked for."""
 
     scores_of = Predictor.scores_of
-    lookahead_rows = Predictor.lookahead_rows
 
 
 BATCH_TABLE = make_regression(5, 12, seed=31)

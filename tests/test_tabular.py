@@ -52,6 +52,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="utf-8"):
             load_csv(str(f))
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n5,6\n")
+        ds = load_csv(str(f), response_name="a")
+        assert [c.name for c in ds.columns] == ["a", "b"]
+        assert ds.response_values().tolist() == [1.0, 3.0, 5.0]
+
     def test_column_values_are_read_only_views(self):
         source = np.array([1.0, 2.0])
         col = Column("a", NUMERIC, source)
