@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 import subprocess
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -406,23 +407,14 @@ PAYLOAD_ROWS = 32_768
 LOOKAHEAD_ROWS = 5_000
 
 
-@dataclass(eq=False)
-class _Spare:
-    """The process an ExternalPredictor started for its next payload, if
-    any, and whether another payload is known to follow the one about to
-    be scored."""
-
-    proc: subprocess.Popen | None = None
-    follows: bool = False
-
-    def reap(self, *others: subprocess.Popen | None) -> None:
-        """Kill and reap the spare and `others` (None: no process)."""
-        procs, self.proc = (self.proc, *others), None
-        for proc in filter(None, procs):
-            proc.kill()
-            for pipe in (proc.stdin, proc.stdout, proc.stderr):
-                pipe.close()
-            proc.wait()
+def _reap(procs: list[subprocess.Popen | None]) -> None:
+    """Kill and reap every process of `procs` (None: no process), and empty it."""
+    for proc in filter(None, procs):
+        proc.kill()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+        proc.wait()
+    procs.clear()
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,68 +440,62 @@ class ExternalPredictor(Predictor):
     1; the Shapley estimators one per payload of as many whole pinned sets
     as fit in `PAYLOAD_ROWS` rows (at least one).
 
-    A payload known to be followed by another (a later payload of the same
-    `scores_of` call, or the last one of a call that left a layer out) starts
-    the process the next one takes (the spare), so the command's start-up
-    overlaps this payload's scoring. A predictor still starts one process per
-    payload, but that process reads its files, environment and working
-    directory one payload early, and two are alive while such a payload is
-    scored. The spare has pipes for all three streams, is killed and reaped
-    after any error, on garbage collection and at exit, and if orphaned reads
-    an empty stdin. `timeout` counts from when the payload is sent.
+    Before a payload known to be followed by another (a later payload of the
+    same `scores_of` call, or the last one of a call that left a layer out),
+    `scores_of` starts processes until two wait: its own and the next one's
+    (the spare), so the command's start-up overlaps this payload's scoring;
+    `score_columns` takes the oldest, or starts one. A predictor starts one
+    process per payload, but that process reads its files, environment and
+    working directory one payload early, and two are alive while such a
+    payload is scored. Waiting processes have pipes for all three streams,
+    are killed and reaped after any error, on garbage collection and at
+    exit, and if orphaned read an empty stdin. `timeout` counts from when
+    the payload is sent.
     """
 
     schema: FeatureSchema
     command: tuple[str, ...]
     timeout: float | None = None
-    _spare: _Spare = field(default_factory=_Spare, init=False, repr=False, compare=False)
+    # processes started for payloads still to come, oldest first
+    _started: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weakref.finalize(self, self._spare.reap)
+        weakref.finalize(self, _reap, self._started)
 
     def scores_of(
         self, batches: Iterable[Sequence[np.ndarray]], ahead: Iterable[Iterable] = ()
     ) -> Iterator[np.ndarray]:
-        left_out: list[bool] = []
-        chunk: list[Sequence[np.ndarray]] = []
-        sizes: list[int] = []
-        rows = 0
-        for columns in chain(batches, self._whole_layers(ahead, left_out)):
-            n = self._check_columns(columns)
-            if chunk and rows + n > PAYLOAD_ROWS:
-                self._spare.follows = True  # this batch goes in the next payload
-                yield from self._joined_scores(chunk, sizes)
-                chunk, sizes, rows = [], [], 0
-            chunk.append(columns)
-            sizes.append(n)
-            rows += n
-        if chunk:
-            self._spare.follows = bool(left_out)
-            yield from self._joined_scores(chunk, sizes)
-
-    def _whole_layers(self, ahead: Iterable[Iterable], left_out: list[bool]) -> Iterator:
-        """The batches of the layers `ahead`, in order, while their rows stay
-        within `LOOKAHEAD_ROWS`. The layer that overflows is left out, no later
-        one is pulled, and `left_out` notes that another call will come."""
-        rows = 0
+        # the asked batches, then whole layers `ahead` within `LOOKAHEAD_ROWS`
+        # rows; the layer that overflows is left out, and no later one pulled
+        taken = [(columns, self._check_columns(columns)) for columns in batches]
+        pulled = 0
         for layer in ahead:
-            taken = []
+            in_layer = []
             for columns in layer:
-                rows += self._check_columns(columns)
-                if rows > LOOKAHEAD_ROWS:
-                    left_out.append(True)
-                    return
-                taken.append(columns)
-            yield from taken
-
-    def _joined_scores(
-        self, chunk: list[Sequence[np.ndarray]], sizes: list[int]
-    ) -> list[np.ndarray]:
-        """Score the batches of `chunk` in one payload, then split the scores."""
-        joined = [np.concatenate(parts) for parts in zip(*chunk)]
-        for col in joined:
-            col.flags.writeable = False
-        return np.split(self.scores(joined), np.cumsum(sizes[:-1], dtype=int))
+                in_layer.append((columns, self._check_columns(columns)))
+                pulled += in_layer[-1][1]
+                if pulled > LOOKAHEAD_ROWS:
+                    break
+            if pulled > LOOKAHEAD_ROWS:
+                break
+            taken += in_layer
+        runs, rows = [], 0  # the batches of each payload, with their rows
+        for columns, n in taken:
+            if not runs or rows + n > PAYLOAD_ROWS:
+                runs.append([])
+                rows = 0
+            runs[-1].append((columns, n))
+            rows += n
+        for k, run in enumerate(runs):
+            chunk, sizes = zip(*run)
+            # followed by a later payload of this call, or by a later call
+            if sum(sizes) and (k + 1 < len(runs) or pulled > LOOKAHEAD_ROWS):
+                while len(self._started) < 2:
+                    self._started.append(self._spawn())
+            joined = [np.concatenate(parts) for parts in zip(*chunk)]
+            for col in joined:
+                col.flags.writeable = False
+            yield from np.split(self.scores(joined), np.cumsum(sizes[:-1], dtype=int))
 
     def _payload(self, columns: Sequence[np.ndarray]) -> bytes:
         """Header and rows in UTF-8: each distinct value of a column is
@@ -525,19 +511,18 @@ class ExternalPredictor(Predictor):
         return (header.replace(b"%", b"%%") + b"\n" + row * n) % tuple(fields.ravel())
 
     def _spawn(self) -> subprocess.Popen:
+        """A new process of the command; if none starts, every started one is reaped."""
         pipe = subprocess.PIPE
         try:
             return subprocess.Popen(list(self.command), stdin=pipe, stdout=pipe, stderr=pipe)
         except OSError as exc:
+            _reap(self._started)
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        n, spare, proc = len(columns[0]), self._spare, None
-        follows, spare.follows = spare.follows, False
+        n, started, proc = len(columns[0]), self._started, None
         try:
-            proc, spare.proc = spare.proc or self._spawn(), None
-            if follows:
-                spare.proc = self._spawn()
+            proc = started.pop(0) if started else self._spawn()
             try:
                 stdout, stderr = proc.communicate(self._payload(columns), self.timeout)
             except subprocess.TimeoutExpired as exc:
@@ -566,7 +551,8 @@ class ExternalPredictor(Predictor):
             if not np.all(np.isfinite(out)):
                 raise ScorerError("scorer produced non-finite scores")
         except BaseException:
-            spare.reap(proc)
+            started.append(proc)
+            _reap(started)
             raise
         return out
 
@@ -577,6 +563,8 @@ def external_scorer(
     """Wrap an executable (plus args) as a Predictor over the given schema;
     a scorer still running `timeout` seconds after its payload was sent
     raises ScorerError."""
-    if not command:
-        raise ScorerError("external scorer command is empty")
+    if isinstance(command, str) or not command:
+        raise ScorerError(f"scorer command must be a non-empty argument list, got {command!r}")
+    if timeout is not None and not (isinstance(timeout, numbers.Real) and 0 < timeout < math.inf):
+        raise ScorerError(f"scorer timeout must be a positive number of seconds, got {timeout!r}")
     return ExternalPredictor(schema=schema, command=tuple(command), timeout=timeout)

@@ -1,3 +1,5 @@
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +53,17 @@ def make_regression(
     names = [f"x{i + 1}" for i in range(p)] + ["y"]
     rows = [tuple(x[i]) + (y[i],) for i in range(n)]
     return dataset_from_rows(names, ["numeric"] * (p + 1), rows, response_name="y")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left_running():
+    """Fails the run if the tests leave a child process running or unreaped,
+    where /proc lists a process's children."""
+    yield
+    gc.collect()  # finalizers reap what unreachable scorers started
+    lists = Path(f"/proc/{os.getpid()}/task").glob("*/children")
+    children = [pid for path in lists for pid in path.read_text().split()]
+    assert not children, f"tests left child processes running: {children}"
 
 
 @pytest.fixture(scope="session")

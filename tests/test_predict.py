@@ -398,6 +398,42 @@ class TestExternalScorer:
         with pytest.raises(ScorerError, match="spawn"):
             p.score_rows([(1.0,)])
 
+    @pytest.mark.parametrize(
+        "command, timeout",
+        [
+            ([sys.executable], float("nan")),
+            ([sys.executable], float("inf")),
+            ([sys.executable], "5"),
+            ([sys.executable], 0),
+            ([sys.executable], -1),
+            (sys.executable, None),  # one string, not a list of arguments
+        ],
+        ids=["nan", "inf", "str-timeout", "zero", "negative", "str-command"],
+    )
+    def test_bad_arguments_are_rejected_before_any_spawn(self, monkeypatch, command, timeout):
+        def spawn(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        with pytest.raises(ScorerError, match="scorer (command|timeout) must be"):
+            external_scorer(command, _schema(1), timeout).score_rows([(1.0,)])
+
+    def test_a_failed_spare_spawn_reaps_the_process_started(self, monkeypatch):
+        started, popen = [], subprocess.Popen
+
+        def spawn(*args, **kwargs):
+            if started:
+                raise OSError("no second process")
+            started.append(popen(*args, **kwargs))
+            return started[0]
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
+        with pytest.raises(ScorerError, match="cannot spawn"):
+            _score_ahead(p, [(1.0,)])
+        assert started[0].returncode is not None
+        assert p._started == []
+
     def test_output_not_utf8(self):
         p = external_scorer(fixture_command("non_utf8_output_scorer.py"), _schema(1))
         with pytest.raises(ScorerError, match="not UTF-8") as err:
@@ -447,12 +483,12 @@ class TestExternalScorer:
         p = external_scorer(_recorder(tmp_path / "payload", pid_file), _schema(1))
         for calls in (1, 2):
             assert p.score_rows([(1.0,)]).tolist() == [0.0]
-            assert p._spare.proc is None
+            assert p._started == []
             assert len(_listed_pids(pid_file)) == calls
         assert _score_ahead(p, [(1.0,)]).tolist() == [0.0]
-        assert p._spare.proc is not None
+        assert len(p._started) == 1
         assert p.score_rows([(1.0,)]).tolist() == [0.0]
-        assert p._spare.proc is None
+        assert p._started == []
         assert len(_listed_pids(pid_file, wait_for=4)) == 4
 
     def test_garbage_collection_reaps_the_spare(self, tmp_path):
@@ -514,7 +550,7 @@ while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < dea
         fresh = _scorer_error(external_scorer(fixture_command("identity_first_column.py"), schema), [("x",)])
         p = external_scorer(fixture_command("identity_first_column.py"), schema)
         assert _score_ahead(p, [("1",)]).tolist() == [1.0]
-        assert p._spare.proc is not None
+        assert len(p._started) == 1
         assert _described(_scorer_error(p, [("x",)])) == _described(fresh)
         assert fresh.exit_status == 1 and "ValueError" in fresh.stderr_text
 
@@ -544,8 +580,8 @@ while open({str(pid_file)!r}).read().count("\\n") < 2 and time.monotonic() < dea
         scores = p.scores_of([p.schema.to_columns([(1.0,)])], ahead)
         assert [s.tolist() for s in scores] == [[float(v)] for v in scored]
         assert seen == pulled
-        assert (p._spare.proc is not None) == spare
-        p._spare.reap()
+        assert len(p._started) == spare
+        predict._reap(p._started)
 
 
 def test_in_process_scorers_never_pull_ahead():

@@ -538,7 +538,7 @@ class CountingExternal(ExternalPredictor):
     def score_columns(self, columns):
         self.payloads.append(len(columns[0]))
         scores = super().score_columns(columns)
-        self.spares.append(self._spare.proc is not None)
+        self.spares.append(bool(self._started))
         return scores
 
     def _spawn(self):
