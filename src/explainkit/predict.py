@@ -275,13 +275,20 @@ def fit_ols(dataset: Dataset, response: int | str) -> LinearModel:
 KERNEL_BLOCK_ENTRIES = 32_768
 
 
-def _rbf(a: np.ndarray, b: np.ndarray, gamma: float, b_sq: np.ndarray) -> np.ndarray:
-    """RBF kernel matrix exp(-gamma ||a_i - b_j||^2) between the rows of a and b,
-    given b's squared row norms `b_sq`."""
-    k = np.sum(a * a, axis=1)[:, None] + b_sq
-    k -= 2.0 * a @ b.T
-    np.maximum(k, 0.0, out=k)
-    k *= -gamma
+def _lift_train(t: np.ndarray, gamma: float) -> np.ndarray:
+    """Columns [2 gamma t_k, -gamma ||t_k||^2, -gamma], one per training point t_k."""
+    return np.vstack([2.0 * gamma * t.T, -gamma * np.sum(t * t, axis=1), np.full(len(t), -gamma)])
+
+
+def _lift_batch(z: np.ndarray) -> np.ndarray:
+    """Rows [z_i, 1, ||z_i||^2]: times `_lift_train(t, gamma)`, -gamma ||z_i - t_k||^2."""
+    return np.column_stack([z, np.ones(len(z)), np.sum(z * z, axis=1)])
+
+
+def _rbf(lifted_rows: np.ndarray, lifted_train: np.ndarray) -> np.ndarray:
+    """exp(-gamma ||z_i - t_k||^2) from one product, the exponent clamped to <= 0."""
+    k = lifted_rows @ lifted_train
+    np.minimum(k, 0.0, out=k)
     return np.exp(k, out=k)
 
 
@@ -291,8 +298,13 @@ class KernelRidgePredictor(Predictor):
 
     Features are standardized by the stored training means and standard
     deviations; responses are centered so predictions shrink toward the
-    training mean as the ridge grows. Scoring evaluates the kernel in blocks of
-    about `KERNEL_BLOCK_ENTRIES` entries, so its memory does not grow with the batch.
+    training mean as the ridge grows. Each kernel block is one product of the
+    lifted rows [z, 1, ||z||^2] and `lifted_train` (see `_rbf`), clamped so no
+    entry exceeds 1. A batch is padded with copies of its last row to a
+    multiple of 4 rows and scored in blocks of a multiple of 4 rows and about
+    `KERNEL_BLOCK_ENTRIES` entries: BLAS then sums every row alike, so a row's
+    score does not depend on its batch or its place in it, and memory does
+    not grow with the batch.
     """
 
     schema: FeatureSchema
@@ -303,23 +315,20 @@ class KernelRidgePredictor(Predictor):
     response_mean: float
     gamma: float
     ridge: float
-    train_sq_norms: np.ndarray = field(init=False, repr=False)
+    lifted_train: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "train_sq_norms", np.sum(self.train_standardized**2, axis=1))
+        object.__setattr__(self, "lifted_train", _lift_train(self.train_standardized, self.gamma))
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         x = np.column_stack([np.asarray(c, dtype=float) for c in columns])
         z = (x - self.feature_means) / self.feature_scales
-        # A multiple of 4 rows per block and no 1-row last block: BLAS then
-        # groups each row's sums as it does over the whole batch.
+        z = _lift_batch(np.concatenate([z, z[-1:].repeat(-len(z) % 4, axis=0)]))
         rows = max(4, KERNEL_BLOCK_ENTRIES // len(self.dual_weights) // 4 * 4)
-        ends = [0, *range(rows, len(z) - 1, rows), len(z)]
         fitted = np.empty(len(z))
-        for i, j in zip(ends, ends[1:]):
-            k = _rbf(z[i:j], self.train_standardized, self.gamma, self.train_sq_norms)
-            fitted[i:j] = k @ self.dual_weights
-        return self.response_mean + fitted
+        for i in range(0, len(z), rows):
+            fitted[i : i + rows] = _rbf(z[i : i + rows], self.lifted_train) @ self.dual_weights
+        return self.response_mean + fitted[: len(x)]
 
 
 def fit_kernel_ridge(
@@ -342,7 +351,7 @@ def fit_kernel_ridge(
     scales = x.std(axis=0)
     scales = np.where(scales == 0.0, 1.0, scales)
     z = (x - means) / scales
-    kmat = _rbf(z, z, gamma, np.sum(z**2, axis=1))
+    kmat = _rbf(_lift_batch(z), _lift_train(z, gamma))
     y_mean = float(y.mean())
     try:
         alpha = np.linalg.solve(kmat + ridge * np.eye(len(y)), y - y_mean)

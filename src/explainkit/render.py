@@ -217,6 +217,8 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
 
 
 def _silverman_bandwidth(scores: np.ndarray) -> float:
+    if scores.min() == scores.max():  # np.std may give them about 1e-16
+        return 0.0
     n = len(scores)
     sd = float(np.std(scores))
     q75, q25 = np.percentile(scores, [75, 25])
@@ -238,8 +240,9 @@ def _density(scores: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarr
 
 
 def render_trace(trace: RelaxationTrace) -> PlotDocument:
-    """Violin silhouettes of the conditional score distributions per step,
-    with the conditional mean marked and per-observation connecting lines."""
+    """Violin silhouettes of the conditional score distributions per step (a
+    thin rect for equal scores or a density 0 on the whole grid), with the
+    conditional mean marked and per-observation connecting lines."""
     if not trace.steps:
         raise ModelError("trace has no steps")
     steps = trace.steps
@@ -286,10 +289,10 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
             f'text-anchor="end">{escape(labels[k])}</text>\n'
         )
         bw = _silverman_bandwidth(step.scores)
-        if bw > 0:
-            dens = _density(step.scores, grid, bw)
-            peak = dens.max()
-            scaled = dens / peak * half if peak > 0 else dens
+        dens = _density(step.scores, grid, bw) if bw > 0 else np.zeros_like(grid)
+        peak = dens.max()
+        if peak > 0:
+            scaled = dens / peak * half
             upper = map("{},{}".format, grid_x, _fmt_array(y - scaled))
             lower = map("{},{}".format, grid_x[::-1], _fmt_array(y + scaled[::-1]))
             parts.append(

@@ -1,10 +1,10 @@
 """Invariants of every relaxed-value explanation, on generated tables and
 scorers, against a brute-force oracle.
 
-Tables have 1-5 features and 2-30 rows, numeric and categorical. Labels
-include int-like ones and ones that need CSV quotes; some rows are
-duplicates and some columns constant. Each table is explained with four
-scorers:
+Tables have 1-5 features and 2-30 rows, numeric and categorical; half of
+them are all numeric. Labels include int-like ones and ones that need CSV
+quotes; some rows are duplicates and some columns constant. Each table is
+explained with four scorers, and an all-numeric one with a fifth:
 
 - "ols": `fit_ols` where the fit succeeds, else a linear model with fixed
   coefficients over the same encoder. Its additive view gives closed-form
@@ -12,13 +12,17 @@ scorers:
 - "ols-scored": the same model without the view, so hybrid rows are scored.
 - "interacting": a non-additive scorer.
 - "constant": `ConstantPredictor`.
+- "kernel-ridge": `fit_kernel_ridge`.
 
 Tolerance: values that agree mathematically must agree within 1e-12
 relative to the size of the terms that form them. For a linear model that
 size is |intercept| plus, per encoded column, the largest |coef_k e_k| over
-the table's rows and x_new; for the other scorers it is 1 plus a bound on
-|score|. f(x_new), the value of the full pinned set, must equal
-`score_one(x_new)` bitwise. A feature a scorer never reads must get a
+the table's rows and x_new; for kernel ridge, 1 plus |response mean| plus the
+sum of |dual weights|, each kernel entry being in [0, 1]; for the other
+scorers it is 1 plus a bound on |score|. f(x_new), the value of the full
+pinned set, must equal `score_one(x_new)` bitwise. The Shapley values of
+both estimators sum to f(x_new) minus the mean score over the table, scored
+row by row (efficiency). A feature a scorer never reads must get a
 contribution within 1e-12 of zero (the Shapley dummy axiom), and a copy of
 a feature the same exact Shapley value as the feature itself (symmetry).
 Sampled Shapley and `live` give the same bits for the same seed, and
@@ -47,6 +51,7 @@ from explainkit import (
     ag_break,
     dataset_from_rows,
     fit_explanation,
+    fit_kernel_ridge,
     fit_ols,
     lm_break,
     load_csv,
@@ -92,7 +97,8 @@ def cases(draw):
     background rows (None for the whole table)."""
     p = draw(st.integers(1, 5))
     n = draw(st.integers(2, 30))
-    kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=p, max_size=p))
+    kind = st.just(NUMERIC) if draw(st.booleans()) else st.sampled_from((NUMERIC, CATEGORICAL))
+    kinds = draw(st.lists(kind, min_size=p, max_size=p))
     columns = []
     for kind in kinds:
         cell = NUMBERS if kind == NUMERIC else LABELS
@@ -154,12 +160,17 @@ def scorers(ds, x_new):
     ols = linear_model(ds)
     interacting = InteractingPredictor(ds.schema())
     constant = ConstantPredictor(schema=ds.schema(), value=-1.25)
-    return [
+    named = [
         ("ols", ols, linear_size(ols, columns)),
         ("ols-scored", ScoredPredictor(ols), linear_size(ols, columns)),
         ("interacting", interacting, interacting_size(interacting, columns)),
         ("constant", constant, 1.25),
     ]
+    if all(c.kind == NUMERIC for c in ds.feature_columns()):
+        krr = fit_kernel_ridge(ds, "y", gamma=0.5, ridge=0.1)
+        size = 1.0 + abs(krr.response_mean) + float(np.abs(krr.dual_weights).sum())
+        named.append(("kernel-ridge", krr, size))
+    return named
 
 
 def oracle(predictor, ds, x_new, mask, background):
@@ -226,6 +237,23 @@ def test_every_explanation_telescopes(case, baseline):
             assert a.final_prediction == f_new, (name, method)
             total = a.baseline + sum(e.contribution for e in a.entries)
             assert_close(total, f_new, size, (name, method))
+
+
+@HARNESS
+@given(cases())
+def test_shapley_values_are_efficient(case):
+    ds, x_new, _, _ = case
+    for name, f, size in scorers(ds, x_new):
+        gain = f.score_one(x_new) - oracle(f, ds, x_new, 0, None)
+        exact = shapley_exact(f, ds, x_new, "intercept").attribution
+        rng = np.random.Generator(np.random.PCG64(12))
+        sampled = shapley_sampled(f, ds, x_new, 4, rng, "intercept")
+        for method, phis in (
+            ("exact", [e.contribution for e in exact.entries]),
+            ("sampled", [e.contribution for e in sampled.attribution.entries]),
+            ("sampled-unadjusted", sampled.unadjusted),
+        ):
+            assert_close(float(np.sum(phis)), gain, size, (name, method))
 
 
 @HARNESS
@@ -305,16 +333,16 @@ def values(attribution):
 @given(cases(), st.integers(0, 2**32 - 1))
 def test_sampled_shapley_is_seed_deterministic(case, seed):
     ds, x_new, _, _ = case
-    f = InteractingPredictor(ds.schema())
-    runs = [
-        shapley_sampled(f, ds, x_new, 5, np.random.Generator(np.random.PCG64(seed)))
-        for _ in range(2)
-    ]
-    a, b = (
-        np.concatenate([r.std_errors, r.unadjusted, values(r.attribution)]).tobytes()
-        for r in runs
-    )
-    assert a == b
+    for name, f, _ in scorers(ds, x_new)[2:]:
+        runs = [
+            shapley_sampled(f, ds, x_new, 5, np.random.Generator(np.random.PCG64(seed)))
+            for _ in range(2)
+        ]
+        a, b = (
+            np.concatenate([r.std_errors, r.unadjusted, values(r.attribution)]).tobytes()
+            for r in runs
+        )
+        assert a == b, name
 
 
 def live_result(ds, x_new, seed, white_box):

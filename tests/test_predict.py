@@ -30,7 +30,13 @@ from explainkit import (
     sample_locally,
 )
 from explainkit import predict
-from explainkit.predict import KERNEL_BLOCK_ENTRIES, _format_cell, _rbf
+from explainkit.predict import (
+    KERNEL_BLOCK_ENTRIES,
+    _format_cell,
+    _lift_batch,
+    _lift_train,
+    _rbf,
+)
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
 from conftest import fixture_command, make_regression
@@ -314,6 +320,27 @@ def _random_columns(p, n, seed):
     return [rng.uniform(-2.5, 2.5, size=n) for _ in range(p)]
 
 
+def _brute_force_scores(model, columns):
+    """Kernel ridge scores by Python loops over features and training rows."""
+    p = len(columns)
+    want = []
+    for i in range(len(columns[0])):
+        zi = [(columns[k][i] - model.feature_means[k]) / model.feature_scales[k] for k in range(p)]
+        total = model.response_mean
+        for t, w in zip(model.train_standardized, model.dual_weights):
+            total += w * np.exp(-model.gamma * sum((zi[k] - t[k]) ** 2 for k in range(p)))
+        want.append(total)
+    return want
+
+
+def _with_duplicates(ds, copies):
+    """The table with its first `copies` rows appended again."""
+    x = np.column_stack([c.values for c in ds.columns])
+    x = np.vstack([x, x[:copies]])
+    names = [c.name for c in ds.columns]
+    return dataset_from_rows(names, [NUMERIC] * len(names), [tuple(r) for r in x], "y")
+
+
 class TestKernelScoring:
     @pytest.mark.parametrize("n_train", [5, 400])
     def test_blocks_equal_dense_kernel_bitwise(self, n_train):
@@ -322,22 +349,52 @@ class TestKernelScoring:
         for size in (1, b - 1, b, b + 1, 3 * b + 7):
             columns = _random_columns(3, size, seed=size)
             z = (np.column_stack(columns) - m.feature_means) / m.feature_scales
-            t = m.train_standardized
-            dense = _rbf(z, t, m.gamma, np.sum(t * t, axis=1))
-            want = m.response_mean + dense @ m.dual_weights
+            # the batch as the scorer pads it: copies of its last row up to a multiple of 4
+            z = np.concatenate([z, np.repeat(z[-1:], -size % 4, axis=0)])
+            dense = _rbf(_lift_batch(z), _lift_train(m.train_standardized, m.gamma))
+            want = m.response_mean + (dense @ m.dual_weights)[:size]
             assert np.array_equal(m.scores(columns), want), size
 
     def test_agrees_with_brute_force_loop(self):
         m = fit_kernel_ridge(make_regression(3, 6, seed=62, noise=0.3), 3, 0.6, 0.2)
         columns = _random_columns(3, 10, seed=63)
-        want = []
-        for i in range(10):
-            zi = [(columns[k][i] - m.feature_means[k]) / m.feature_scales[k] for k in range(3)]
-            total = m.response_mean
-            for t, w in zip(m.train_standardized, m.dual_weights):
-                total += w * np.exp(-m.gamma * sum((zi[k] - t[k]) ** 2 for k in range(3)))
-            want.append(total)
+        want = _brute_force_scores(m, columns)
         np.testing.assert_allclose(m.scores(columns), want, rtol=1e-12, atol=0.0)
+
+    def test_agrees_with_brute_force_loop_at_bench_shape(self):
+        ds = make_regression(11, 400, seed=62, noise=0.3)
+        m = fit_kernel_ridge(ds, 11, 0.1, 0.2)
+        # training rows, nudged, so that many kernel entries are far from 0
+        rng = np.random.Generator(np.random.PCG64(63))
+        columns = [c.values[:10] + rng.normal(0.0, 0.1, 10) for c in ds.feature_columns()]
+        want = _brute_force_scores(m, columns)
+        np.testing.assert_allclose(m.scores(columns), want, rtol=1e-12, atol=0.0)
+
+    def test_kernel_entries_stay_in_the_unit_interval_with_duplicate_rows(self):
+        ds = _with_duplicates(make_regression(11, 400, seed=70, noise=0.3), 200)
+        m = fit_kernel_ridge(ds, 11, 1.0, 0.1)
+        t = m.train_standardized
+        k = _rbf(_lift_batch(t), m.lifted_train)
+        assert k.min() >= 0.0 and k.max() == 1.0
+        # the exponent itself rounds above 0 for some pairs of equal rows
+        assert np.any(_lift_batch(t) @ m.lifted_train > 0.0)
+
+    def test_row_score_independent_of_batch_and_position(self, wine):
+        m = fit_kernel_ridge(wine, wine.response_index, 1.0, 0.1)
+        assert _block_rows(m) == 20
+        features = [c.values for c in wine.feature_columns()]
+        rng = np.random.Generator(np.random.PCG64(71))
+        for r in (5, 100, 777):
+            one = m.scores([c[r : r + 1] for c in features])[0]
+            for n in (*range(1, 200), 1599):
+                copies = m.scores([np.repeat(c[r], n) for c in features])
+                assert np.all(copies == one), (r, n)
+            for n in (7, 23, 50):
+                others = rng.integers(0, wine.n_rows, n)
+                for at in range(n):
+                    rows = others.copy()
+                    rows[at] = r
+                    assert m.scores([c[rows] for c in features])[at] == one, (r, n, at)
 
     def test_kernel_memory_bounded_by_block_not_batch(self):
         m = fit_kernel_ridge(make_regression(3, 400, seed=64, noise=0.3), 3, 1.0, 0.1)
@@ -359,8 +416,7 @@ class TestKernelScoring:
         first = m.scores(columns)
         for name in fields:
             assert np.array_equal(getattr(m, name), before[name]), name
-        t = m.train_standardized
-        assert np.array_equal(m.train_sq_norms, np.sum(t * t, axis=1))
+        assert np.array_equal(m.lifted_train, _lift_train(m.train_standardized, m.gamma))
         assert np.array_equal(m.scores(columns), first)
 
     def test_read_only_columns_and_replaced_predictor_score_identically(self):
@@ -372,8 +428,10 @@ class TestKernelScoring:
             c.flags.writeable = False
         assert np.array_equal(m.scores(frozen), want)
         copy = dataclasses.replace(m)
-        assert np.array_equal(copy.train_sq_norms, m.train_sq_norms)
+        assert np.array_equal(copy.lifted_train, m.lifted_train)
         assert np.array_equal(copy.scores(columns), want)
+        wider = dataclasses.replace(m, gamma=2 * m.gamma)
+        assert np.array_equal(wider.lifted_train, _lift_train(m.train_standardized, 2 * m.gamma))
 
 
 class TestExternalScorer:

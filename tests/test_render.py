@@ -219,6 +219,20 @@ class TestTrace:
         assert doc.svg_text.count("<rect") == 1
         assert doc.svg_text.count("<polygon") == 2
 
+    @pytest.mark.parametrize("row", [41, 410])
+    def test_fully_pinned_wine_step_is_spike(self, wine, wine_ols, row):
+        # row 41's 1,599 fully pinned scores are equal, yet np.std gives them a
+        # bandwidth of about 1e-16; row 410's may differ in the last bit, so
+        # their density is 0 on the whole grid. Either way: a rect, no polygon
+        # of zero height.
+        trace = relaxation_trace(wine_ols, wine, wine.observation(row), range(11), "down")
+        svg = render_trace(trace).svg_text
+        assert svg.count("<rect") == 1
+        polygons = re.findall(r'<polygon points="([^"]*)"', svg)
+        assert len(polygons) == 11
+        for points in polygons:
+            assert len({xy.split(",")[1] for xy in points.split()}) > 1
+
     def test_polyline_per_observation(self):
         ds = make_regression(2, 9, seed=31, noise=0.3)
         m = fit_ols(ds, 2)

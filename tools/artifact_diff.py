@@ -22,10 +22,11 @@ low/mid/high at fixed points (row 3), so label handling is covered too.
 Kernel ridge and the linear scorer accept only numeric features, so their
 setups stay numeric. A fifth setup runs `--model kernel-ridge` on the whole
 wine fixture (row 5), for breakdown down and trace up and down only (about
-2 s each; exact Shapley there takes about 35 s). At 200 training rows BLAS
-gives each scored row the same bits whatever batch it is scored in; at
-1,599 the last bits depend on the batch, so only this setup sees a change
-to how kernel ridge batches its rows. That makes 39 runs.
+2 s each; exact Shapley there takes about 35 s). Kernel ridge pads each
+batch to a multiple of 4 rows, so at either size a row gets the same bits
+whatever batch it is scored in (unpadded, most batch sizes gave other last
+bits at both); this setup scores kernel blocks of 20 rows, where the
+200-row one has blocks of 160. That makes 39 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
