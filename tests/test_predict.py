@@ -396,6 +396,24 @@ class TestKernelScoring:
                     rows[at] = r
                     assert m.scores([c[rows] for c in features])[at] == one, (r, n, at)
 
+    def test_blocks_written_into_one_64_byte_aligned_buffer(self, monkeypatch):
+        m = fit_kernel_ridge(make_regression(3, 50, seed=72, noise=0.3), 3, 1.0, 0.1)
+        b = _block_rows(m)
+        batches = [_random_columns(3, size, seed=size) for size in (1, b + 1, 3 * b + 7)]
+        want = [m.scores(columns) for columns in batches]
+        seen = []
+        rbf = predict._rbf
+
+        def recording(lifted_rows, lifted_train, out=None):
+            seen.append(out.ctypes.data)
+            return rbf(lifted_rows, lifted_train, out)
+
+        monkeypatch.setattr(predict, "_rbf", recording)
+        for columns, scores in zip(batches, want):
+            seen.clear()
+            assert np.array_equal(m.scores(columns), scores)
+            assert len(set(seen)) == 1 and seen[0] % 64 == 0, seen
+
     def test_kernel_memory_bounded_by_block_not_batch(self):
         m = fit_kernel_ridge(make_regression(3, 400, seed=64, noise=0.3), 3, 1.0, 0.1)
         columns = _random_columns(3, 4000, seed=65)
