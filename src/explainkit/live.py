@@ -11,7 +11,7 @@ an L1-penalized fit when sparsity is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,29 +112,79 @@ def add_predictions(local: LocalDataset, predictor: Predictor) -> LocalDataset:
 
 @dataclass(frozen=True, eq=False)
 class LassoResult:
+    """One lasso fit; `objectives` holds the start's and each sweep's objective."""
+
     coefficients: np.ndarray
     n_sweeps: int
     objectives: tuple[float, ...]
 
 
-def _lasso_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    r = y - x @ beta
-    n = len(y)
-    return float(r @ r) / (2.0 * n) + lam * float(np.abs(beta).sum())
-
-
-def _soft_threshold(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
 LASSO_TOL = 1e-9
 LASSO_MAX_SWEEPS = 10_000
+OBJECTIVE_BLOCK = 64
 CV_FOLDS = 5
 LAMBDA_GRID_POINTS = 50
+
+
+def _append_objectives(
+    xt: np.ndarray, y: np.ndarray, lam: float, history: list, objectives: list, sweep: int
+) -> None:
+    """Append the objective of each vector in `history` (the last after `sweep`),
+    raising ModelError at the first that increased; `xt` is X', so
+    `history @ xt - y` are the residuals, negated, of the whole block."""
+    b = np.array(history)
+    r = b @ xt - y
+    values = np.einsum("ij,ij->i", r, r) / (2.0 * len(y)) + lam * np.abs(b).sum(axis=1)
+    for i, obj in enumerate(values.tolist(), sweep - len(history) + 1):
+        prev = objectives[-1] if objectives else np.inf
+        if obj > prev + 1e-12 * max(1.0, abs(prev)):
+            raise ModelError(f"penalized objective increased in sweep {i}: {prev!r} -> {obj!r}")
+        objectives.append(obj)
+
+
+def _lasso_path(
+    x: np.ndarray, y: np.ndarray, lambdas: Sequence[float], start: np.ndarray | None = None
+) -> Iterator[LassoResult]:
+    """`lasso_coordinate_descent` down `lambdas`, each fit warm-started from the
+    previous one (the first from `start`); G = X'X/n and X'y/n are formed once."""
+    lambdas = [float(lam) for lam in lambdas]
+    if any(lam < 0 for lam in lambdas):
+        raise ModelError("lambda must be nonnegative")
+    n, k = x.shape
+    beta = np.zeros(k) if start is None else np.array(start, dtype=float)
+    if beta.shape != (k,):
+        raise ModelError(f"start has shape {beta.shape}, wanted ({k},)")
+    gram = x.T @ x / n
+    corr = x.T @ y / n
+    xt = np.ascontiguousarray(x.T)
+    coords = [(j, row, row[j]) for j, row in enumerate(gram.tolist()) if row[j] != 0.0]
+    for lam in lambdas:
+        grad = (corr - gram @ beta).tolist()
+        b = beta.tolist()
+        objectives, history = [], [b[:]]
+        for sweep in range(1, LASSO_MAX_SWEEPS + 1):
+            max_delta = 0.0
+            for j, row, col_sq in coords:
+                old = b[j]
+                z = grad[j] + col_sq * old  # new = soft_threshold(z, lam) / col_sq
+                new = (z - lam) / col_sq if z > lam else (z + lam) / col_sq if z < -lam else 0.0
+                if new != old:
+                    step = new - old
+                    grad = [g - gij * step for g, gij in zip(grad, row)]
+                    b[j] = new
+                    if step > max_delta or -step > max_delta:
+                        max_delta = abs(step)
+            history.append(b[:])
+            done = max_delta < LASSO_TOL
+            if done or len(history) == OBJECTIVE_BLOCK or sweep == LASSO_MAX_SWEEPS:
+                _append_objectives(xt, y, lam, history, objectives, sweep)
+                history = []
+            if done:
+                break
+        else:
+            raise ConvergenceError(f"coordinate descent did not converge in {sweep} sweeps")
+        beta = np.array(b)
+        yield LassoResult(beta, sweep, tuple(objectives))
 
 
 def lasso_coordinate_descent(
@@ -144,52 +194,19 @@ def lasso_coordinate_descent(
 
     Expects standardized columns (mean 0, variance 1); the intercept is
     handled by the caller through centering. Uses covariance updates
-    (Friedman, Hastie & Tibshirani 2010): G = X'X/n is formed once per
-    call, and the gradient X'(y - X b)/n = X'y/n - G b is kept in plain
-    floats and updated per changed coordinate, so the updates of a sweep
+    (Friedman, Hastie & Tibshirani 2010) as the one-lambda `_lasso_path`:
+    G = X'X/n is formed once per path and the gradient X'y/n - G b is kept
+    in plain floats, updated per changed coordinate, so a sweep's updates
     cost O(k^2) whatever n is. `start` warm-starts from the given
     coefficients (left unchanged) instead of zero. Stops when the largest
-    coefficient change in a sweep falls below `LASSO_TOL`, and raises
+    coefficient change in a sweep falls below `LASSO_TOL`; raises
     ConvergenceError after `LASSO_MAX_SWEEPS` sweeps. The penalized
-    objective is evaluated from the residual after every sweep and must
-    never increase; its Gram form y'y/2n - c'b + b'Gb/2 would lose the
-    residual sum of squares of a close fit to cancellation.
+    objective must not increase in any sweep; it is evaluated from the
+    residuals per block of at most `OBJECTIVE_BLOCK` sweeps and at the last,
+    so an increase raises ModelError at most one block late (its Gram form
+    y'y/2n - c'b + b'Gb/2 would lose a close fit's residual to cancellation).
     """
-    if lambda_ < 0:
-        raise ModelError("lambda must be nonnegative")
-    n, k = x.shape
-    beta = np.zeros(k) if start is None else np.array(start, dtype=float)
-    if beta.shape != (k,):
-        raise ModelError(f"start has shape {beta.shape}, wanted ({k},)")
-    gram = x.T @ x / n
-    grad = (x.T @ y / n - gram @ beta).tolist()
-    rows = gram.tolist()
-    b = beta.tolist()
-    objectives = [_lasso_objective(x, y, beta, lambda_)]
-    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
-        max_delta = 0.0
-        for j, row in enumerate(rows):
-            col_sq = row[j]
-            if col_sq == 0.0:
-                continue
-            old = b[j]
-            new = _soft_threshold(grad[j] + col_sq * old, lambda_) / col_sq
-            if new != old:
-                step = new - old
-                grad = [g - gij * step for g, gij in zip(grad, row)]
-                b[j] = new
-                max_delta = max(max_delta, abs(step))
-        beta = np.array(b)
-        obj = _lasso_objective(x, y, beta, lambda_)
-        if obj > objectives[-1] + 1e-12 * max(1.0, abs(objectives[-1])):
-            raise ModelError(
-                f"penalized objective increased in sweep {sweep}: "
-                f"{objectives[-1]!r} -> {obj!r}"
-            )
-        objectives.append(obj)
-        if max_delta < LASSO_TOL:
-            return LassoResult(beta, sweep, tuple(objectives))
-    raise ConvergenceError(f"coordinate descent did not converge in {LASSO_MAX_SWEEPS} sweeps")
+    return next(_lasso_path(x, y, [lambda_], start))
 
 
 def _lambda_grid(lambda_max: float) -> np.ndarray:
@@ -201,9 +218,10 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
 
     Fold assignment is row index modulo `CV_FOLDS` (deterministic); a fold
     whose training or validation part is empty is skipped. Each fold walks
-    the grid from high to low lambda, warm-starting every fit from the
-    previous lambda's coefficients, and adds its validation error to that
-    lambda's total. Ties in total error prefer the larger lambda.
+    the grid from high to low lambda as one `_lasso_path`, warm-starting
+    every fit from the previous lambda's coefficients, and adds its
+    validation error to that lambda's total. Ties in total error prefer the
+    larger lambda.
     """
     n = len(y)
     # with no varying column x has no columns, and lambda_max is 0
@@ -221,10 +239,8 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
         xt, yt, xv, yv = x[train], y[train], x[val], y[val]
         mu = yt.mean()
         yt = yt - mu
-        beta = None
-        for i, lam in enumerate(grid):
-            beta = lasso_coordinate_descent(xt, yt, float(lam), start=beta).coefficients
-            pred = mu + xv @ beta
+        for i, fit in enumerate(_lasso_path(xt, yt, grid)):
+            pred = mu + xv @ fit.coefficients
             errors[i] += float(np.sum((yv - pred) ** 2))
     best_lam, best_err = None, np.inf
     for lam, err in zip(grid, errors):

@@ -230,12 +230,16 @@ def _silverman_bandwidth(scores: np.ndarray) -> float:
 def _density(scores: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
     # one (grid x scores) array, updated in place; squaring before halving
     # rounds as halving first would, since scaling by a power of two is exact
-    # except where exp of the result is 1 or 0 either way
+    # except where exp of the result is 1 or 0 either way. exp is slow where
+    # it underflows; exp(-750) is 0, so zero those arguments and results
     z = grid[:, None] - scores[None, :]
     z /= bandwidth
     z *= z
     z *= -0.5
+    underflow = z < -750.0
+    np.putmask(z, underflow, 0.0)
     np.exp(z, out=z)
+    np.putmask(z, underflow, 0.0)
     return z.sum(axis=1) / (len(scores) * bandwidth * math.sqrt(2 * math.pi))
 
 

@@ -25,7 +25,9 @@ both estimators sum to f(x_new) minus the mean score over the table, scored
 row by row (efficiency). A feature a scorer never reads must get a
 contribution within 1e-12 of zero (the Shapley dummy axiom), and a copy of
 a feature the same exact Shapley value as the feature itself (symmetry).
-Sampled Shapley and `live` give the same bits for the same seed, and
+Sampled Shapley averages the marginals along the permutations its
+generator draws, one fresh draw per permutation. Sampled Shapley and
+`live` give the same bits for the same seed, and
 `load_csv` reads back every table `csv.writer` writes. On small numeric
 tables the greedy breakdown through the external `linear_scorer.py`
 fixture, with a lookahead budget that fits the whole lattice of pinned
@@ -343,6 +345,33 @@ def test_sampled_shapley_is_seed_deterministic(case, seed):
             for r in runs
         )
         assert a == b, name
+
+
+@HARNESS
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_sampled_shapley_averages_the_permutations_its_generator_draws(case, seed):
+    """Permutation t is the generator's t-th `permutation(p)` draw: the
+    estimate and its standard errors are the mean and the spread of the
+    oracle's marginals along the permutations a twin generator draws."""
+    ds, x_new, _, _ = case
+    p = ds.n_features
+    for name, f, size in scorers(ds, x_new)[2:]:
+        got = shapley_sampled(f, ds, x_new, 6, np.random.Generator(np.random.PCG64(seed)))
+        twin = np.random.Generator(np.random.PCG64(seed))
+        value = {}
+        marginals = np.zeros((6, p))
+        for t in range(6):
+            mask = 0
+            for j in twin.permutation(p):
+                for m in (mask, mask | 1 << int(j)):
+                    if m not in value:
+                        value[m] = oracle(f, ds, x_new, m, None)
+                marginals[t, j] = value[mask | 1 << int(j)] - value[mask]
+                mask |= 1 << int(j)
+        spread = marginals.std(axis=0, ddof=1) / np.sqrt(6)
+        for j in range(p):
+            assert_close(got.unadjusted[j], marginals[:, j].mean(), size, (name, j))
+            assert_close(got.std_errors[j], spread[j], size, (name, j))
 
 
 def live_result(ds, x_new, seed, white_box):

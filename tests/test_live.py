@@ -18,6 +18,7 @@ from explainkit import (
     lasso_coordinate_descent,
     sample_locally,
 )
+from explainkit.live import OBJECTIVE_BLOCK, _append_objectives, _lambda_grid, _lasso_path
 from explainkit.predict import Encoder, LinearModel
 
 from conftest import make_regression
@@ -518,3 +519,83 @@ class TestLassoWarmStart:
         x, y, _ = self.design(130)
         with pytest.raises(ModelError, match="start"):
             lasso_coordinate_descent(x, y, 0.1, start=np.zeros(4))
+
+
+def training_folds(z, y):
+    """The centred training parts `_cross_validate_lambda` fits, with its grid."""
+    n = len(y)
+    lambda_max = float(np.max(np.abs(z.T @ (y - y.mean())), initial=0.0)) / n
+    fold_of = np.arange(n) % 5
+    folds = []
+    for f in range(5):
+        train = fold_of != f
+        if train.all() or not train.any():
+            continue
+        folds.append((z[train], y[train] - y[train].mean()))
+    return _lambda_grid(lambda_max), folds
+
+
+class TestLassoPathEquivalence:
+    @pytest.mark.parametrize("p, size, seed", PATH_CASES + SMALL_CASES + UNDERDETERMINED_CASES)
+    def test_path_equals_a_chain_of_warm_started_fits(self, p, size, seed):
+        z, y, _, _ = standardized(kernel_ridge_local(p, size, seed))
+        grid, folds = training_folds(z, y)
+        assert folds
+        for xt, yt in folds:
+            path = list(_lasso_path(xt, yt, grid))
+            assert len(path) == len(grid)
+            start = None
+            for lam, fit in zip(grid, path):
+                chained = lasso_coordinate_descent(xt, yt, float(lam), start=start)
+                assert np.array_equal(fit.coefficients, chained.coefficients)
+                assert fit.n_sweeps == chained.n_sweeps
+                start = chained.coefficients
+
+    def test_negative_lambda_anywhere_on_the_path_rejected(self):
+        x = orthonormal_design(20, 2, seed=106)
+        with pytest.raises(ModelError, match="nonnegative"):
+            next(_lasso_path(x, np.zeros(20), [0.5, 0.1, -0.1]))
+
+
+class TestObjectiveBlocks:
+    @staticmethod
+    def least_squares(seed):
+        x = orthonormal_design(40, 3, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = x @ np.array([1.5, -0.5, 2.0]) + rng.normal(0.0, 0.1, 40)
+        return x, y - y.mean(), x.T @ (y - y.mean()) / 40
+
+    def test_increase_in_the_middle_of_a_block_names_its_sweep(self):
+        # with lambda 0 the objective falls along t * solution up to t = 1
+        x, y, solution = self.least_squares(140)
+        steps = [0.1, 0.2, 0.3, 0.4, 3.0, 0.5, 0.6, 0.7]
+        history = [list(t * solution) for t in steps]
+        objectives = [float(y @ y) / 80]
+        with pytest.raises(ModelError, match=r"increased in sweep 65: "):
+            _append_objectives(np.ascontiguousarray(x.T), y, 0.0, history, objectives, 68)
+        assert len(objectives) == 5
+
+    def test_a_falling_block_is_appended_whole(self):
+        x, y, solution = self.least_squares(141)
+        history = [list(t * solution) for t in np.linspace(0.0, 1.0, 64)]
+        objectives = []
+        _append_objectives(np.ascontiguousarray(x.T), y, 0.0, history, objectives, 63)
+        assert len(objectives) == 64
+        for obj, t in zip(objectives, np.linspace(0.0, 1.0, 64)):
+            r = y - x @ (t * solution)
+            assert obj == pytest.approx(float(r @ r) / 80, rel=1e-12, abs=1e-15)
+        assert np.all(np.diff(objectives) < 0)
+
+    def test_fit_over_many_blocks_keeps_one_objective_per_sweep(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        a = rng.normal(size=50)
+        x = np.column_stack(
+            [a, 0.99 * a + math.sqrt(1 - 0.99**2) * rng.normal(size=50), rng.normal(size=50)]
+        )
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = x @ np.array([1.0, -1.0, 0.5]) + rng.normal(0.0, 0.1, 50)
+        fit = lasso_coordinate_descent(x, y - y.mean(), 1e-3)
+        assert fit.n_sweeps > 4 * OBJECTIVE_BLOCK
+        assert len(fit.objectives) == fit.n_sweeps + 1
+        for prev, obj in zip(fit.objectives, fit.objectives[1:]):
+            assert obj <= prev + 1e-12 * max(1.0, abs(prev))

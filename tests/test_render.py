@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -18,6 +19,7 @@ from explainkit import (
 )
 from explainkit.breakdown import Attribution, AttributionEntry, _fmt, _fmt_array
 from explainkit.cli import export_json
+from explainkit.render import _density, _silverman_bandwidth, _x_scale
 from explainkit.live import SurrogateFit
 from explainkit.predict import ConstantPredictor, Encoder, LinearModel
 from explainkit.relax import RelaxationTrace, TraceStep
@@ -41,6 +43,16 @@ def attribution_for(baseline, contributions, final=None, names=None):
         entries=entries,
         final_prediction=final,
     )
+
+
+def unmasked_density(scores, grid, bandwidth):
+    """`render._density` without the zeroing of underflowing exponents."""
+    z = grid[:, None] - scores[None, :]
+    z /= bandwidth
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    return z.sum(axis=1) / (len(scores) * bandwidth * math.sqrt(2 * math.pi))
 
 
 def rect_extents(svg):
@@ -232,6 +244,33 @@ class TestTrace:
         assert len(polygons) == 11
         for points in polygons:
             assert len({xy.split(",")[1] for xy in points.split()}) > 1
+
+    def test_density_equals_the_unmasked_formula_on_wine_steps(self, wine, wine_ols):
+        # row 4 Up: up to 69% of a step's exponents lie below -746
+        trace = relaxation_trace(wine_ols, wine, wine.observation(4), range(11), "up")
+        scores = np.concatenate([s.scores for s in trace.steps])
+        _, lo, hi = _x_scale(float(scores.min()), float(scores.max()))
+        grid = np.linspace(lo, hi, 81)
+        for step in trace.steps:
+            bw = _silverman_bandwidth(step.scores)
+            if bw > 0:
+                assert np.array_equal(
+                    _density(step.scores, grid, bw), unmasked_density(step.scores, grid, bw)
+                )
+
+    def test_density_equals_the_unmasked_formula_down_to_minus_a_million(self):
+        # exponents -(grid - score)^2 * 1e6; grid point 0.5 is 0.027 above the
+        # largest score, so its density is a sum of denormals
+        rng = np.random.Generator(np.random.PCG64(5))
+        scores = np.append(rng.uniform(0.0, 0.473, 2000), 0.473)
+        grid = np.linspace(0.0, 1.0, 81)
+        bw = 1.0 / math.sqrt(2e6)
+        exponents = -0.5 * ((grid[:, None] - scores[None, :]) / bw) ** 2
+        for low, high in ((-1e6, -1e5), (-800.0, -750.0), (-750.0, -708.0), (-708.0, 0.0)):
+            assert np.any((exponents >= low) & (exponents < high))
+        expected = unmasked_density(scores, grid, bw)
+        assert 0.0 < expected[40] < np.finfo(float).tiny
+        assert np.array_equal(_density(scores, grid, bw), expected)
 
     def test_polyline_per_observation(self):
         ds = make_regression(2, 9, seed=31, noise=0.3)
