@@ -15,15 +15,17 @@ import csv
 import io
 import math
 import numbers
-import subprocess
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ModelError, SchemaError, ScorerError
 from .tabular import NUMERIC, Cell, Dataset, FeatureSchema
+
+if TYPE_CHECKING:  # imported where a process starts or is waited for
+    import subprocess
 
 
 class Predictor:
@@ -531,6 +533,8 @@ class ExternalPredictor(Predictor):
 
     def _spawn(self) -> subprocess.Popen:
         """A new process of the command; if none starts, every started one is reaped."""
+        import subprocess
+
         pipe = subprocess.PIPE
         try:
             return subprocess.Popen(list(self.command), stdin=pipe, stdout=pipe, stderr=pipe)
@@ -539,6 +543,8 @@ class ExternalPredictor(Predictor):
             raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        import subprocess
+
         n, started, proc = len(columns[0]), self._started, None
         try:
             proc = started.pop(0) if started else self._spawn()

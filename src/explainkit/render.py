@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -34,6 +32,14 @@ NEUTRAL_STROKE = "#333333"
 GRID_STROKE = "#cccccc"
 MEAN_FILL = "#d62728"
 LINE_STROKE = "#999999"
+
+# the standard normal's 97.5% quantile, `statistics.NormalDist().inv_cdf(0.975)`
+Z_975 = 1.9599639845400536
+
+
+def _escape(text: str) -> str:
+    """`text` with `&`, `>` and `<` escaped as `xml.sax.saxutils.escape` does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ def render_waterfall(attribution: Attribution) -> PlotDocument:
         fill = POSITIVE_FILL if e.contribution >= 0 else NEGATIVE_FILL
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 20)}" '
-            f'text-anchor="end">{escape(e.label)}</text>\n'
+            f'text-anchor="end">{_escape(e.label)}</text>\n'
         )
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y + 8)}" '
@@ -170,16 +176,14 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
         raise ModelError(
             "surrogate carries no standard errors; refit the selected features with OLS"
         )
-    z = NormalDist().inv_cdf(0.975)
-
     names = ["(intercept)", *model.encoder.encoded_names]
     estimates = [model.intercept, *model.coefficients.tolist()]
     errors = [model.intercept_std_error, *model.std_errors.tolist()]
 
     rows = len(names)
     height = ROW_HEIGHT * rows + 80
-    lows = [e - z * s for e, s in zip(estimates, errors)]
-    highs = [e + z * s for e, s in zip(estimates, errors)]
+    lows = [e - Z_975 * s for e, s in zip(estimates, errors)]
+    highs = [e + Z_975 * s for e, s in zip(estimates, errors)]
     to_x, lo, hi = _x_scale(min(lows + [0.0]), max(highs + [0.0]))
 
     parts = [_svg_header(WIDTH, height)]
@@ -191,7 +195,7 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
         y = MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{escape(name)}</text>\n'
+            f'text-anchor="end">{_escape(name)}</text>\n'
         )
         parts.append(
             f'<line x1="{_fmt(to_x(low))}" y1="{_fmt(y)}" '
@@ -290,7 +294,7 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
         y = centers[k]
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{escape(labels[k])}</text>\n'
+            f'text-anchor="end">{_escape(labels[k])}</text>\n'
         )
         bw = _silverman_bandwidth(step.scores)
         dens = _density(step.scores, grid, bw) if bw > 0 else np.zeros_like(grid)

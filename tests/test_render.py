@@ -2,6 +2,8 @@ import hashlib
 import math
 import re
 import xml.etree.ElementTree as ET
+from statistics import NormalDist
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from explainkit import (
 )
 from explainkit.breakdown import Attribution, AttributionEntry, _fmt, _fmt_array
 from explainkit.cli import export_json
-from explainkit.render import _density, _silverman_bandwidth, _x_scale
+from explainkit.render import Z_975, _density, _escape, _silverman_bandwidth, _x_scale
 from explainkit.live import SurrogateFit
 from explainkit.predict import ConstantPredictor, Encoder, LinearModel
 from explainkit.relax import RelaxationTrace, TraceStep
@@ -66,6 +68,12 @@ def rect_extents(svg):
 
 def line_x(svg):
     return [float(m.group(1)) for m in re.finditer(r'<line x1="([0-9.\-]+)"', svg)]
+
+
+# markup characters, quotes, entities already escaped, non-ASCII text
+MARKUP = st.sampled_from(
+    ("&", "<", ">", '"', "'", "&amp;", "&lt;", "&#38;", "é", "≤", "\U0001d465")
+)
 
 
 class TestWaterfall:
@@ -133,6 +141,11 @@ class TestWaterfall:
         ET.fromstring(doc.svg_text)
         assert "a&lt;b&amp;c" in doc.svg_text
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(MARKUP | st.text()).map("".join))
+    def test_escape_is_saxutils_escape(self, text):
+        assert _escape(text) == saxutils.escape(text)
+
 
 def make_surrogate(stderr_scale=0.1):
     schema = FeatureSchema(("u", "v"), ("numeric", "numeric"), (None, None))
@@ -177,6 +190,9 @@ class TestForest:
                 _, est, low, high = line.split()
                 half = (float(high) - float(low)) / 2
                 assert half == pytest.approx(1.959964, abs=1e-6)
+
+    def test_quantile_constant_is_normal_quantile(self):
+        assert Z_975 == NormalDist().inv_cdf(0.975)
 
     def test_exact_fit_zero_width_intervals(self):
         ds = make_regression(2, 50, seed=7)  # noiseless linear response
