@@ -191,7 +191,7 @@ def ag_break(
     feature index, so results are deterministic.
     """
     _check_modes(baseline_mode, direction, up_distance)
-    values = RelaxedValues(predictor, dataset, x_new)
+    values = RelaxedValues(predictor, dataset, x_new, walk=True)
     x_new, p, names = values.x_new, values.p, values.schema.names
     down = direction == DOWN
     fixed = values.full if down else 0
@@ -208,12 +208,14 @@ def ag_break(
     # step scores all of its candidates together, with later steps' sets.
     pick = min if down else max
     entries: list[AttributionEntry] = []
+    path = [fixed]
     for _ in range(p):
         candidates = [j for j in range(p) if (fixed >> j & 1) == down]
         steps = (fixed ^ 1 << j for j in candidates)
         moved = dict(zip(candidates, values.means(steps, _layers(fixed, candidates))))
         j = pick(candidates, key=lambda j: abs(moved[j] - reference))
         fixed ^= 1 << j
+        path.append(fixed)
         value = moved[j]
         contribution = current - value if down else value - current
         entries.append(AttributionEntry(names[j], x_new[j], contribution))
@@ -221,6 +223,7 @@ def ag_break(
     if down:
         entries.reverse()  # most important (released last) first
     mean_score = values.means([0])[0]
+    values.keep_path(path)
 
     method = AG_BREAK_DOWN if down else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)

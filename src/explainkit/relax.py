@@ -16,6 +16,11 @@ columns once, scores hybrid rows through the checked `Predictor.scores_of`
 predictions by pinned-set bitmask (bit j set means feature j is pinned).
 The background is the whole dataset unless explicit rows are passed.
 
+Scored sets outlive one call in one slot (`_Row`), that of the last row
+explained with a view-less predictor over the whole dataset: the Shapley
+estimators, the trace and `relaxed_prediction` start from it and add to it;
+`ag_break` only adds to it, so its calls depend on the row alone.
+
 A predictor with an additive view (score = intercept + coef . encoded row)
 has relaxed predictions in closed form (`additive_terms`): the mean of its
 hybrid-row scores is its value at the background's encoded column means
@@ -25,8 +30,10 @@ feature. Only the full set, f(x_new), is still scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +46,35 @@ IndexSet = frozenset[int]
 
 DOWN = "down"
 UP = "up"
+
+
+@dataclass(eq=False)
+class _Row:
+    """What is scored of one row: relaxed means, and read-only score arrays
+    of walks' paths but the full set, by mask. Both only gain values that
+    are deterministic given the key, so concurrent calls may share them."""
+
+    predictor: weakref.ref  # the key: the predictor, held weakly,
+    background: list[np.ndarray]  # the columns, by identity,
+    x: tuple[str, ...]  # and the reprs of x_new, so 0.0 and -0.0 differ
+    means: dict[int, float] = field(default_factory=dict)
+    arrays: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+_slot: list[_Row] = []  # the last row explained with a view-less predictor, if any
+
+
+def _row_of(predictor: Predictor, background: list[np.ndarray], x_new: tuple) -> _Row:
+    """The slot's row if it is this one, else a new row that takes the slot
+    until its predictor is collected (emptying the slot only forgets)."""
+    x = tuple(map(repr, x_new))
+    for row in _slot[:]:
+        same = row.predictor() is predictor and all(map(is_, row.background, background))
+        if same and row.x == x:
+            return row
+    row = _Row(weakref.ref(predictor, lambda _: _slot.clear()), background, x)
+    _slot[:] = [row]
+    return row
 
 
 def additive_terms(
@@ -59,7 +95,8 @@ class RelaxedValues:
 
     `background_rows` selects the dataset rows the hybrid rows are built
     from (all rows by default). Every column handed to the scorer is
-    shared by many masks, so all of them are read-only.
+    shared by many masks, so all of them are read-only. A `walk` reads
+    nothing of the row's slot and keeps its score arrays for `keep_path`.
     """
 
     def __init__(
@@ -68,6 +105,7 @@ class RelaxedValues:
         dataset: Dataset,
         x_new: Sequence[Cell],
         background_rows: np.ndarray | None = None,
+        walk: bool = False,
     ):
         schema = dataset.schema()
         if schema != predictor.schema:
@@ -88,8 +126,13 @@ class RelaxedValues:
         for col in (*self._background, *self._x, *self._pinned):
             col.flags.writeable = False
         self.full = (1 << self.p) - 1
-        self._means: dict[int, float] = {}
         self._view = predictor.additive_view()
+        # values of a row selection, or of the closed form (whose bits depend
+        # on its batch), stay in this engine
+        shared = self._view is None and background_rows is None
+        self._row = _row_of(predictor, self._background, self.x_new) if shared else None
+        self._means: dict[int, float] = self._row.means if shared and not walk else {}
+        self._walked: dict[int, np.ndarray] | None = {} if walk else None
 
     def mask(self, fixed: Iterable[int]) -> int:
         """Bitmask of a set of feature indices."""
@@ -107,9 +150,24 @@ class RelaxedValues:
         """Background rows with the features of `mask` pinned to x_new."""
         return [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
 
-    def scores_of(self, masks: Iterable[int]) -> Iterator[np.ndarray]:
-        """Scores of all hybrid rows of each mask, in order."""
-        return self.predictor.scores_of(self._hybrid(mask) for mask in masks)
+    def arrays(self, masks: Sequence[int]) -> list[np.ndarray]:
+        """Read-only scores of all hybrid rows of each mask (the full set's as
+        n rows too), scoring together those the row's slot lacks."""
+        kept = self._row.arrays if self._row else {}
+        todo = [m for m in masks if m not in kept]
+        scored = dict(zip(todo, self.predictor.scores_of(map(self._hybrid, todo))))
+        for m, scores in scored.items():
+            scores.flags.writeable = False
+            if m != self.full:
+                self._means.setdefault(m, float(np.mean(scores)))
+        return [scored[m] if m in scored else kept[m] for m in masks]
+
+    def keep_path(self, path: Iterable[int]) -> None:
+        """Add a walk's means, and its arrays of `path` but the full set's, to
+        the row's slot."""
+        if self._row:
+            self._row.means.update(self._means)
+            self._row.arrays.update((m, self._walked[m]) for m in set(path) - {self.full})
 
     def means(self, masks: Iterable[int], ahead: Iterable[Iterable[int]] = ()) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
@@ -137,6 +195,9 @@ class RelaxedValues:
 
             for i, scores in enumerate(self.predictor.scores_of(handed(todo), map(handed, ahead))):
                 self._means[offered[i]] = float(np.mean(scores))
+                if self._walked is not None:
+                    scores.flags.writeable = False
+                    self._walked[offered[i]] = scores
         return [self._means[m] for m in masks]
 
     @cached_property
@@ -237,8 +298,8 @@ def relaxation_trace(
     for j in order:
         fixed = fixed - {j} if direction == DOWN else fixed | {j}
         pinned_sets.append(fixed)
-    # all p + 1 sets go to the scorer together
-    scores = values.scores_of(values.mask(s) for s in pinned_sets)
+    # the sets a walk did not leave in the row's slot go to the scorer together
+    scores = values.arrays([values.mask(s) for s in pinned_sets])
     relaxed = [None, *(int(j) for j in order)]
     return RelaxationTrace(
         direction=direction,

@@ -31,8 +31,9 @@ class Column:
 
     Numeric columns hold finite float64 values; categorical columns hold
     `str` labels (other values are converted with `str`) plus the explicit
-    level set covering them. `values` is read-only, so a scorer handed the
-    column cannot change the table.
+    level set covering them. `values` is a read-only copy of the input, so
+    neither a scorer handed the column nor the caller's array can change
+    the table.
     """
 
     name: str
@@ -44,7 +45,7 @@ class Column:
         if not self.name:
             raise DataError("column names must be non-empty")
         if self.kind == NUMERIC:
-            arr = np.asarray(self.values, dtype=float)
+            arr = np.array(self.values, dtype=float)
             if arr.size and not np.all(np.isfinite(arr)):
                 raise DataError(f"column {self.name!r} contains non-finite numeric cells")
             object.__setattr__(self, "levels", None)
@@ -62,7 +63,6 @@ class Column:
             object.__setattr__(self, "levels", tuple(levels))
         else:
             raise DataError(f"unknown column kind {self.kind!r}")
-        arr = arr.view()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -347,6 +347,18 @@ class TestRunTrace:
         assert steps[-1]["fixed"] == []
         assert svg.read_text().startswith("<svg")
 
+    def test_external_trace_sends_only_its_full_step(self, tmp_path):
+        # the greedy walk leaves its path's score arrays for the trace, whose
+        # full step is n rows of x_new (the walk scored x_new as one row): the
+        # trace's payload holds n rows, not (p + 1) n, in one process as before
+        payload, pids = tmp_path / "payload.csv", tmp_path / "pids"
+        scorer = fixture_command("recording_scorer.py", str(payload), str(pids))
+        code = run(["trace", *wine_args("--row", "5", "--model", "external"), "--", *scorer])
+        assert code == 0
+        header, *rows = payload.read_text().splitlines()  # the last payload's
+        assert len(rows) == 1599
+        assert len(pids.read_text().split()) == 10  # 9 for the walk, as before
+
 
 class TestExitCodes:
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):

@@ -1,5 +1,9 @@
+import gc
 import itertools
 import json
+import sys
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,7 @@ from explainkit import (
     shapley_exact,
     shapley_sampled,
 )
-from explainkit import predict
+from explainkit import predict, relax
 from explainkit.predict import Encoder, LinearModel, Predictor
 from explainkit.relax import RelaxedValues
 from explainkit.tabular import Column, Dataset, FeatureSchema
@@ -711,3 +715,222 @@ def test_scorer_failure_in_joined_payload(name, scorer, message):
     with pytest.raises(ScorerError, match=message.format(rows - 1, rows)):
         EXPLANATIONS[name](f)
     assert f.payloads == [rows]
+
+
+# ---------------------------------------------------------------------------
+# the row's slot: scored sets shared across calls for one explained row
+
+
+def _wine_sample(wine, rows=400, features=None, seed=1):
+    """A seeded sample of wine rows with the response and the named features."""
+    picked = np.sort(np.random.Generator(np.random.PCG64(seed)).choice(wine.n_rows, rows, False))
+    names = [*(features or wine.feature_names), "quality"]
+    columns = tuple(Column(c.name, c.kind, c.values[picked]) for c in wine.columns
+                    if c.name in names)
+    return Dataset(columns=columns, response_index=len(columns) - 1)
+
+
+def _copy(dataset):
+    """An equal dataset with columns of its own."""
+    columns = tuple(Column(c.name, c.kind, c.values, c.levels) for c in dataset.columns)
+    return Dataset(columns=columns, response_index=dataset.response_index)
+
+
+@pytest.fixture(scope="module")
+def krr_sample(wine):
+    """(make a fresh predictor, dataset, x): kernel ridge on 400 wine rows;
+    x has citric_acid 0.0."""
+    ds = _wine_sample(wine)
+    model = fit_kernel_ridge(ds, ds.response_index, gamma=1.0, ridge=0.1)
+    return (lambda: CountingPredictor(model)), ds, ds.observation(26)
+
+
+@pytest.fixture(scope="module")
+def external_sample(wine):
+    """(make a fresh predictor, dataset, x): the linear scorer on 400 wine rows
+    of three features."""
+    ds = _wine_sample(wine, features=("volatile_acidity", "sulphates", "alcohol"))
+    python, *script = fixture_command("linear_scorer.py", "2.5", "-1.2", "0.9", "0.3")
+
+    def make():
+        return CountingExternal(schema=ds.schema(), command=(python, "-I", "-S", *script))
+
+    return make, ds, ds.observation(3)
+
+
+def _down_order(attribution, dataset):
+    """The features in the order a Down walk released them."""
+    index_of = {name: j for j, name in enumerate(dataset.feature_names)}
+    return [index_of[e.feature] for e in attribution.feature_entries()][::-1]
+
+
+def _methods(order):
+    """Every explanation of one row, as (f, ds, x) -> its result as text."""
+    return {
+        "ag-break-up": lambda f, ds, x: _dump(ag_break(f, ds, x, direction="up")),
+        "ag-break-down": lambda f, ds, x: _dump(ag_break(f, ds, x, direction="down")),
+        "trace-down": lambda f, ds, x: _dump(relaxation_trace(f, ds, x, order, "down")),
+        "trace-up": lambda f, ds, x: _dump(relaxation_trace(f, ds, x, order, "up")),
+        "shapley-sampled": lambda f, ds, x: _dump(shapley_sampled(
+            f, ds, x, n_permutations=10, rng=np.random.Generator(np.random.PCG64(5))
+        )),
+        "shapley-exact": lambda f, ds, x: _dump(shapley_exact(f, ds, x)),
+        "relaxed": lambda f, ds, x: repr(relaxed_prediction(f, ds, x, order[:2])),
+    }
+
+
+@pytest.mark.parametrize("setup", ["krr_sample", "external_sample"])
+def test_results_do_not_depend_on_what_ran_before(request, setup):
+    # each method alone on a fresh predictor object, then all of them in turn
+    # on one object, both ways round: every result is the same, bit for bit
+    make, ds, x = request.getfixturevalue(setup)
+    order = _down_order(ag_break(make(), ds, x, direction="down"), ds)
+    methods = _methods(order)
+    alone = {name: explain(make(), ds, x) for name, explain in methods.items()}
+    for names in (list(methods), list(methods)[::-1]):
+        f = make()
+        for name in names:
+            assert methods[name](f, ds, x) == alone[name], name
+
+
+@pytest.mark.parametrize("setup", ["krr_sample", "external_sample"])
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_walks_make_the_same_calls_after_the_row_was_scored(request, setup, direction):
+    # a walk scores every set of its own, so its calls, payloads and
+    # lookahead do not depend on what the row's slot holds
+    make, ds, x = request.getfixturevalue(setup)
+    fresh, f = make(), make()
+    ag_break(fresh, ds, x, direction=direction)
+    shapley_exact(f, ds, x)  # leaves every pinned set's mean in the slot
+    ag_break(f, ds, x, direction="up" if direction == "down" else "down")
+    sent = f.rows if hasattr(f, "rows") else f.payloads
+    before = len(sent)
+    ag_break(f, ds, x, direction=direction)
+    assert sent[before:] == (fresh.rows if hasattr(f, "rows") else fresh.payloads)
+
+
+@pytest.mark.parametrize("setup", ["krr_sample", "external_sample"])
+def test_trace_along_the_down_path_scores_only_the_full_set(request, setup):
+    # the walk leaves its path's score arrays in the slot; the trace's full
+    # step is n rows of x_new, where the walk scored x_new as one row
+    make, ds, x = request.getfixturevalue(setup)
+    f = make()
+    order = _down_order(ag_break(f, ds, x, direction="down"), ds)
+    before = len(f.rows) if hasattr(f, "rows") else len(f.payloads)
+    relaxation_trace(f, ds, x, order, "down")
+    sent = f.rows if hasattr(f, "rows") else f.payloads
+    assert sent[before:] == [ds.n_rows]
+
+
+def _trace_calls_after_down_walk(walked, traced):
+    """Scorer calls of a trace along the Down path, made after a Down walk;
+    each is (predictor, dataset, x) and `traced` may share `walked`'s f."""
+    f, ds, x = walked
+    order = _down_order(ag_break(f, ds, x, direction="down"), ds)
+    g, ds, x = traced
+    before = g.calls
+    relaxation_trace(g, ds, x, order, "down")
+    return g.calls - before
+
+
+def test_the_slot_is_keyed_by_predictor_object_columns_and_x_bits(krr_sample):
+    make, ds, x = krr_sample
+    p = ds.n_features
+    f = make()
+    assert _trace_calls_after_down_walk((f, ds, x), (f, ds, x)) == 1
+    # another predictor object, even of the same model
+    assert _trace_calls_after_down_walk((f, ds, x), (make(), ds, x)) == p + 1
+    # an equal dataset with columns of its own
+    assert _trace_calls_after_down_walk((f, ds, x), (f, _copy(ds), x)) == p + 1
+    # x differing only in the sign of a zero
+    assert x[2] == 0.0
+    negative = (*x[:2], -0.0, *x[3:])
+    assert _trace_calls_after_down_walk((f, ds, x), (f, ds, negative)) == p + 1
+
+
+def test_explicit_background_rows_neither_read_nor_take_the_slot(krr_sample):
+    make, ds, x = krr_sample
+    f = make()
+    order = _down_order(ag_break(f, ds, x, direction="down"), ds)  # scored the empty set
+    before = f.calls
+    RelaxedValues(f, ds, x, np.arange(ds.n_rows)).means([0])
+    assert f.calls == before + 1
+    # and the slot still holds the walk's row
+    before = f.calls
+    relaxation_trace(f, ds, x, order, "down")
+    assert f.calls == before + 1
+
+
+def test_an_additive_predictor_shares_nothing(wine, wine_ols, monkeypatch):
+    # its closed-form values take other last bits in other batches, so even
+    # the trace after its own Down walk scores every step
+    rows = []
+    score_columns = LinearModel.score_columns
+
+    def recording(self, columns):
+        rows.append(len(columns[0]))
+        return score_columns(self, columns)
+
+    monkeypatch.setattr(LinearModel, "score_columns", recording)
+    x = wine.observation(4)
+    order = _down_order(ag_break(wine_ols, wine, x, direction="down"), wine)
+    shapley_sampled(wine_ols, wine, x, 4, np.random.Generator(np.random.PCG64(1)))
+    rows.clear()
+    relaxation_trace(wine_ols, wine, x, order, "down")
+    assert rows == [wine.n_rows] * (wine.n_features + 1)
+    assert all(row.predictor() is not wine_ols for row in relax._slot)
+
+
+@pytest.mark.parametrize("setup", ["krr_sample", "external_sample"])
+def test_the_slot_does_not_keep_a_dropped_predictor(request, setup):
+    make, ds, x = request.getfixturevalue(setup)
+    f = make()
+    ag_break(f, ds, x, direction="down")
+    assert [row.predictor() for row in relax._slot] == [f]
+    dropped = weakref.ref(f)
+    del f
+    gc.collect()
+    assert dropped() is None
+    assert relax._slot == []
+
+
+def test_concurrent_explanations_match_serial_ones():
+    # threads explaining different rows with one predictor take the slot from
+    # each other mid-explanation; every result still equals the serial one
+    ds = make_regression(4, 30, seed=41, noise=0.3)
+    model = fit_kernel_ridge(ds, 4, gamma=0.5, ridge=0.1)
+
+    def explain(f, i):
+        x = ds.observation(i)
+        order = _down_order(ag_break(f, ds, x, direction="down"), ds)
+        return [
+            _dump(ag_break(f, ds, x, direction="up")),
+            _dump(relaxation_trace(f, ds, x, order, "down")),
+            _dump(shapley_exact(f, ds, x)),
+            repr(relaxed_prediction(f, ds, x, order[:2])),
+        ]
+
+    rows = list(range(6))
+    serial = {i: explain(CountingPredictor(model), i) for i in rows}
+    f, wrong = CountingPredictor(model), []
+
+    def worker(k):
+        try:
+            for i in (rows[k:] + rows[:k]) * 4:
+                if explain(f, i) != serial[i]:
+                    wrong.append(i)
+        except Exception as exc:  # reported below, not lost in the thread
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -60,13 +60,22 @@ class TestLoadCsv:
         assert [c.name for c in ds.columns] == ["a", "b"]
         assert ds.response_values().tolist() == [1.0, 3.0, 5.0]
 
-    def test_column_values_are_read_only_views(self):
+    def test_column_values_are_read_only_copies(self):
         source = np.array([1.0, 2.0])
         col = Column("a", NUMERIC, source)
         with pytest.raises(ValueError, match="read-only"):
             col.values[0] = 5.0
         source[1] = 3.0  # the caller's own array stays writable
-        assert list(col.values) == [1.0, 3.0]
+        assert list(col.values) == [1.0, 2.0]  # and writing it leaves the column alone
+
+    def test_dataset_does_not_change_with_its_callers_arrays(self):
+        # a Dataset is immutable, and the relaxed-value slot keys a table by
+        # the identity of its column arrays, so no caller array may alias one
+        a = np.array([1.0, 2.0, 3.0])
+        ds = Dataset((Column("a", NUMERIC, a), Column("y", NUMERIC, a * 2)), 1)
+        a[0] = 99.0
+        assert ds.columns[0].values.tolist() == [1.0, 2.0, 3.0]
+        assert ds.observation(0) == (1.0,)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

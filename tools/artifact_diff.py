@@ -26,7 +26,11 @@ wine fixture (row 5), for breakdown down and trace up and down only (about
 batch to a multiple of 4 rows, so at either size a row gets the same bits
 whatever batch it is scored in (unpadded, most batch sizes gave other last
 bits at both); this setup scores kernel blocks of 20 rows, where the
-200-row one has blocks of 160. That makes 39 runs.
+200-row one has blocks of 160. The `kernel-ridge` and `external` setups
+add one library-level run each: one process makes Up, Down, the trace
+along Down's path and sampled Shapley in turn, so the later calls meet
+what the earlier ones left in the relaxed-value slot of `explainkit.relax`
+(one CLI run per process meets it only in `trace`). That makes 41 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
@@ -87,6 +91,32 @@ JSON_ONLY = {"live-lasso"}
 KRR_WINE_CASES = ("breakdown-down", "trace-up", "trace-down")
 
 ARTIFACTS = ("exit", "json", "svg", "text", "stdout", "stderr")
+
+# the library-level run: the setups that have one, and its script, which
+# takes the JSON output path and then `explain trace` arguments
+LIBRARY_CASE = "library-sequence"
+LIBRARY_SETUPS = ("kernel-ridge", "external")
+LIBRARY_RUN = """\
+import json, sys
+import numpy as np
+from explainkit import ag_break, load_csv, relaxation_trace, shapley_sampled
+from explainkit.cli import _build_predictor, _resolve_observation, parse_args
+
+out, *argv = sys.argv[1:]
+config = parse_args(argv)
+dataset = load_csv(config.data, response_name=config.response)
+x = _resolve_observation(config, dataset)
+predictor = _build_predictor(config, dataset)
+up = ag_break(predictor, dataset, x, direction="up")
+down = ag_break(predictor, dataset, x, direction="down", baseline_mode="intercept")
+index_of = {name: j for j, name in enumerate(dataset.feature_names)}
+order = [index_of[e.feature] for e in down.feature_entries()][::-1]
+trace = relaxation_trace(predictor, dataset, x, order, "down")
+sampled = shapley_sampled(predictor, dataset, x, 200, np.random.Generator(np.random.PCG64(3)))
+results = {"up": up, "down": down, "trace": trace, "shapley-sampled": sampled}
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump({k: v.to_json_dict() for k, v in results.items()}, fh, sort_keys=True, indent=2)
+"""
 
 
 def _git(*args: str) -> bytes:
@@ -153,6 +183,8 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
         for case, args in EXPLANATIONS:
             if case in cases:
                 runs.append((f"{setup}/{case}", [*args, *common, "--model", model], tail))
+        if setup in LIBRARY_SETUPS:
+            runs.append((f"{setup}/{LIBRARY_CASE}", ["trace", *common, "--model", model], tail))
     return runs
 
 
@@ -164,13 +196,17 @@ def run_all(tree: Path, out_root: Path, work: Path, runs) -> dict[str, dict[str,
     for name, args, tail in runs:
         out = out_root / name
         out.mkdir(parents=True)
+        case = name.split("/")[1]
         files = {"json": out / "result.json"}
-        if name.split("/")[1] not in JSON_ONLY:
-            files.update(svg=out / "figure.svg", text=out / "figure.txt")
-        outputs = [arg for kind, path in files.items() for arg in (f"--{kind}", str(path))]
+        if case == LIBRARY_CASE:
+            command = ["-c", LIBRARY_RUN, str(files["json"]), *args]
+        else:
+            if case not in JSON_ONLY:
+                files.update(svg=out / "figure.svg", text=out / "figure.txt")
+            outputs = [arg for kind, path in files.items() for arg in (f"--{kind}", str(path))]
+            command = ["-m", "explainkit.cli", *args, *outputs]
         proc = subprocess.run(
-            [sys.executable, "-m", "explainkit.cli", *args, *outputs, *tail],
-            cwd=work, env=env, capture_output=True, text=True,
+            [sys.executable, *command, *tail], cwd=work, env=env, capture_output=True, text=True
         )
         texts = {"exit": str(proc.returncode), "stdout": proc.stdout, "stderr": proc.stderr}
         for kind in ("json", "svg", "text"):
