@@ -11,12 +11,12 @@ an L1-penalized fit when sparsity is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, ModelError, SchemaError
-from .predict import Encoder, LinearModel, Predictor, _fit_least_squares
+from .predict import Encoder, LinearModel, Predictor, _fit_least_squares, _standardize
 from .tabular import CATEGORICAL, Cell, Dataset, FeatureSchema, empirical_draw
 
 
@@ -112,101 +112,112 @@ def add_predictions(local: LocalDataset, predictor: Predictor) -> LocalDataset:
 
 @dataclass(frozen=True, eq=False)
 class LassoResult:
-    """One lasso fit; `objectives` holds the start's and each sweep's objective."""
+    """One lasso fit; `n_sweeps` counts the steps its path took to reach its
+    lambda, one per knot below lambda_max."""
 
     coefficients: np.ndarray
     n_sweeps: int
-    objectives: tuple[float, ...]
 
 
-LASSO_TOL = 1e-9
-LASSO_MAX_SWEEPS = 10_000
-OBJECTIVE_BLOCK = 64
 CV_FOLDS = 5
 LAMBDA_GRID_POINTS = 50
+# A path on k columns may take KNOT_CAP_PER_COLUMN * (k + 1) steps; the knot
+# count is finite but exponential in the worst case (Mairal & Yu 2012).
+KNOT_CAP_PER_COLUMN = 8
 
 
-def _append_objectives(
-    xt: np.ndarray, y: np.ndarray, lam: float, history: list, objectives: list, sweep: int
-) -> None:
-    """Append the objective of each vector in `history` (the last after `sweep`),
-    raising ModelError at the first that increased; `xt` is X', so
-    `history @ xt - y` are the residuals, negated, of the whole block."""
-    b = np.array(history)
-    r = b @ xt - y
-    values = np.einsum("ij,ij->i", r, r) / (2.0 * len(y)) + lam * np.abs(b).sum(axis=1)
-    for i, obj in enumerate(values.tolist(), sweep - len(history) + 1):
-        prev = objectives[-1] if objectives else np.inf
-        if obj > prev + 1e-12 * max(1.0, abs(prev)):
-            raise ModelError(f"penalized objective increased in sweep {i}: {prev!r} -> {obj!r}")
-        objectives.append(obj)
+def _roundoff(scale, k: int):
+    """The roundoff bound for k columns: 2^10 (k + 1) machine epsilons of `scale`."""
+    return 1024.0 * (k + 1) * np.finfo(float).eps * scale
 
 
-def _lasso_path(
-    x: np.ndarray, y: np.ndarray, lambdas: Sequence[float], start: np.ndarray | None = None
-) -> Iterator[LassoResult]:
-    """`lasso_coordinate_descent` down `lambdas`, each fit warm-started from the
-    previous one (the first from `start`); G = X'X/n and X'y/n are formed once."""
-    lambdas = [float(lam) for lam in lambdas]
-    if any(lam < 0 for lam in lambdas):
-        raise ModelError("lambda must be nonnegative")
-    n, k = x.shape
-    beta = np.zeros(k) if start is None else np.array(start, dtype=float)
-    if beta.shape != (k,):
-        raise ModelError(f"start has shape {beta.shape}, wanted ({k},)")
-    gram = x.T @ x / n
-    corr = x.T @ y / n
-    xt = np.ascontiguousarray(x.T)
-    coords = [(j, row, row[j]) for j, row in enumerate(gram.tolist()) if row[j] != 0.0]
-    for lam in lambdas:
-        grad = (corr - gram @ beta).tolist()
-        b = beta.tolist()
-        objectives, history = [], [b[:]]
-        for sweep in range(1, LASSO_MAX_SWEEPS + 1):
-            max_delta = 0.0
-            for j, row, col_sq in coords:
-                old = b[j]
-                z = grad[j] + col_sq * old  # new = soft_threshold(z, lam) / col_sq
-                new = (z - lam) / col_sq if z > lam else (z + lam) / col_sq if z < -lam else 0.0
-                if new != old:
-                    step = new - old
-                    grad = [g - gij * step for g, gij in zip(grad, row)]
-                    b[j] = new
-                    if step > max_delta or -step > max_delta:
-                        max_delta = abs(step)
-            history.append(b[:])
-            done = max_delta < LASSO_TOL
-            if done or len(history) == OBJECTIVE_BLOCK or sweep == LASSO_MAX_SWEEPS:
-                _append_objectives(xt, y, lam, history, objectives, sweep)
-                history = []
-            if done:
-                break
-        else:
-            raise ConvergenceError(f"coordinate descent did not converge in {sweep} sweeps")
-        beta = np.array(b)
-        yield LassoResult(beta, sweep, tuple(objectives))
+def _lasso_knots(x: np.ndarray, y: np.ndarray, lambda_min: float) -> tuple[np.ndarray, ...]:
+    """Knots of the path of min (1/2n)||y - X b||^2 + lam ||b||_1, linear in
+    lam between them: lambdas falling from lambda_max = max |X'y|/n to
+    `lambda_min`, and coefficients. The homotopy of Osborne, Presnell &
+    Turlach 2000 (LARS with its lasso modification, Efron et al. 2004).
 
-
-def lasso_coordinate_descent(
-    x: np.ndarray, y: np.ndarray, lambda_: float, *, start: np.ndarray | None = None
-) -> LassoResult:
-    """Cyclic coordinate descent for min (1/2n)||y - X b||^2 + lambda ||b||_1.
-
-    Expects standardized columns (mean 0, variance 1); the intercept is
-    handled by the caller through centering. Uses covariance updates
-    (Friedman, Hastie & Tibshirani 2010) as the one-lambda `_lasso_path`:
-    G = X'X/n is formed once per path and the gradient X'y/n - G b is kept
-    in plain floats, updated per changed coordinate, so a sweep's updates
-    cost O(k^2) whatever n is. `start` warm-starts from the given
-    coefficients (left unchanged) instead of zero. Stops when the largest
-    coefficient change in a sweep falls below `LASSO_TOL`; raises
-    ConvergenceError after `LASSO_MAX_SWEEPS` sweeps. The penalized
-    objective must not increase in any sweep; it is evaluated from the
-    residuals per block of at most `OBJECTIVE_BLOCK` sweeps and at the last,
-    so an increase raises ModelError at most one block late (its Gram form
-    y'y/2n - c'b + b'Gb/2 would lose a close fit's residual to cancellation).
+    With G = X'X/n, c = X'y/n and active set A with signs s, b_A = G_AA^-1
+    (c_A - lam s_A). The next knot is where an active coefficient reaches 0
+    (it leaves) or an inactive correlation c_j - G_jA b_A reaches +-lam (it
+    joins), the lower column first on a tie. A column within `_roundoff` of
+    the active columns' span never joins, since its correlation follows
+    theirs (Tibshirani 2013): of columns equal up to sign, or beyond the
+    rank of X, the path keeps the first. Every knot is checked by
+    `_certify`, correlation j to `_roundoff` of the terms it is made of,
+    |c_j| + sum_i |G_ji| (|u_i| + lam |d_i|) where b_A = u - lam d. More
+    than `KNOT_CAP_PER_COLUMN` (k + 1) steps is ConvergenceError.
     """
-    return next(_lasso_path(x, y, [lambda_], start))
+    n, k = x.shape
+    gram, corr = x.T @ x / n, x.T @ y / n
+    diag = np.diag(gram)
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    beta, signs = np.zeros(k), np.zeros(k)
+    lams, betas, cap = [lam], [beta], KNOT_CAP_PER_COLUMN * (k + 1)
+    for _ in range(cap):
+        if lam <= lambda_min:
+            break
+        a = np.flatnonzero(signs)
+        ga = gram[:, a]
+        sol = np.linalg.solve(gram[np.ix_(a, a)], np.column_stack([corr[a], signs[a], ga.T]))
+        u, d = sol[:, 0], sol[:, 1]  # b_A = u - lam d
+        p, q = corr - ga @ u, ga @ d  # correlations c - G b = p + lam q
+        free = (signs == 0) & (diag - np.einsum("ji,ij->j", ga, sol[:, 2:]) > _roundoff(diag, k))
+        den = np.where(free & (p != 0.0), 1.0 - np.sign(p) * q, 0.0)
+        events = np.where(den > 0.0, np.abs(p) / np.where(den > 0.0, den, 1.0), -1.0)
+        leaving = signs[a] * d < 0.0
+        events[a[leaving]] = u[leaving] / d[leaving]
+        j = int(np.argmax(events))
+        step = min(lam, max(float(events[j]), lambda_min))
+        if step < lam:
+            lam, beta = step, np.zeros(k)
+            beta[a] = u - lam * d
+            if lam > lambda_min and signs[j]:
+                beta[j] = 0.0
+            terms = np.abs(corr) + np.abs(ga) @ (np.abs(u) + lam * np.abs(d))
+            _certify(gram, corr, beta, signs, lam, _roundoff(terms, k))
+            lams.append(lam)
+            betas.append(beta)
+        if lam > lambda_min:
+            signs[j] = 0.0 if signs[j] else np.sign(p[j])
+    if lam > lambda_min:
+        raise ConvergenceError(f"lasso path did not reach lambda {lambda_min!r} in {cap} steps")
+    return np.array(lams), np.array(betas)
+
+
+def _certify(gram, corr, beta, signs, lam, tol) -> None:
+    """KKT conditions at a knot, or ModelError: each active correlation is lam
+    times its sign s, each active coefficient has sign s or is 0, and no
+    inactive correlation exceeds lam, with `tol` for the correlations."""
+    r = corr - gram @ beta
+    active_bad = (np.abs(r - lam * signs) > tol) | (signs * beta < 0)
+    bad = np.where(signs != 0, active_bad, np.abs(r) > lam + tol)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ModelError(f"lasso knot fails its optimality check at lambda {lam!r}: "
+                         f"column {j} has correlation {r[j]!r} and coefficient {beta[j]!r}")
+
+
+def _read_path(lams: np.ndarray, betas: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Coefficients at each `query` lambda, interpolated linearly between knots."""
+    if len(lams) == 1:
+        return np.zeros((len(query), betas.shape[1]))
+    up, b = lams[::-1], betas[::-1]
+    i = np.clip(np.searchsorted(up, query), 1, len(up) - 1)
+    w = np.clip((query - up[i - 1]) / (up[i] - up[i - 1]), 0.0, 1.0)[:, None]
+    return (1.0 - w) * b[i - 1] + w * b[i]
+
+
+def lasso_coordinate_descent(x: np.ndarray, y: np.ndarray, lambda_: float) -> LassoResult:
+    """The lasso solution at `lambda_`, read off the exact path of
+    `_lasso_knots` (the name is that of the coordinate descent it replaced).
+    Expects standardized columns and centred y; `n_sweeps` counts the path's
+    steps down to `lambda_`."""
+    lambda_ = float(lambda_)
+    if not lambda_ >= 0.0:
+        raise ModelError("lambda must be nonnegative")
+    lams, betas = _lasso_knots(x, y, lambda_)
+    return LassoResult(_read_path(lams, betas, np.array([lambda_]))[0], len(lams) - 1)
 
 
 def _lambda_grid(lambda_max: float) -> np.ndarray:
@@ -216,37 +227,29 @@ def _lambda_grid(lambda_max: float) -> np.ndarray:
 def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
     """Pick lambda by `CV_FOLDS`-fold CV on a `LAMBDA_GRID_POINTS` log grid down from lambda_max.
 
-    Fold assignment is row index modulo `CV_FOLDS` (deterministic); a fold
-    whose training or validation part is empty is skipped. Each fold walks
-    the grid from high to low lambda as one `_lasso_path`, warm-starting
-    every fit from the previous lambda's coefficients, and adds its
-    validation error to that lambda's total. Ties in total error prefer the
-    larger lambda.
+    Fold assignment is row index modulo `CV_FOLDS`; a fold whose training or
+    validation part is empty is skipped. Each fold's path goes down to the
+    grid's smallest lambda once, and every grid lambda is read off it. The
+    pick is the largest lambda whose total error is within `_roundoff` of
+    the least, relative to the total at lambda_max: errors that differ by
+    roundoff alone tie, and the larger lambda wins.
     """
-    n = len(y)
+    n, k = x.shape
     # with no varying column x has no columns, and lambda_max is 0
     lambda_max = float(np.max(np.abs(x.T @ (y - y.mean())), initial=0.0)) / n
     if lambda_max == 0.0:
         return 0.0
     grid = _lambda_grid(lambda_max)
     fold_of = np.arange(n) % CV_FOLDS
-    errors = [0.0] * len(grid)
+    errors = np.zeros(len(grid))
     for f in range(CV_FOLDS):
         train = fold_of != f
-        val = ~train
-        if not val.any() or not train.any():
+        if train.all() or not train.any():
             continue
-        xt, yt, xv, yv = x[train], y[train], x[val], y[val]
-        mu = yt.mean()
-        yt = yt - mu
-        for i, fit in enumerate(_lasso_path(xt, yt, grid)):
-            pred = mu + xv @ fit.coefficients
-            errors[i] += float(np.sum((yv - pred) ** 2))
-    best_lam, best_err = None, np.inf
-    for lam, err in zip(grid, errors):
-        if err < best_err - 1e-12:
-            best_err, best_lam = err, float(lam)
-    return best_lam if best_lam is not None else 0.0
+        mu = y[train].mean()
+        coefficients = _read_path(*_lasso_knots(x[train], y[train] - mu, grid[-1]), grid)
+        errors += np.sum((y[~train] - mu - coefficients @ x[~train].T) ** 2, axis=1)
+    return float(grid[np.argmax(errors <= errors.min() + _roundoff(errors[0], k))])
 
 
 def fit_explanation(
@@ -262,8 +265,8 @@ def fit_explanation(
     L1-penalized problem on the same encoding, standardized, with an
     unpenalized intercept, reporting coefficients on the original scale.
     When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
-    Raises ModelError when the rows are too few for the white box; for "ols"
-    the message adds "increase size".
+    Raises ModelError when the rows are too few for the white box (for "ols"
+    the message adds "increase size") or a column's spread overflows.
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -283,43 +286,24 @@ def fit_explanation(
             raise ModelError(
                 f"{exc} (local dataset may be degenerate; increase size)"
             ) from exc
-        r2 = _r_squared(model, local)
-        selected = _nonzero_features(model)
-        return SurrogateFit(model=model, lambda_=0.0, selected_features=selected, r2=r2)
-
-    if white_box != "lasso":
+        lambda_ = 0.0
+    elif white_box != "lasso":
         raise ModelError(f"unknown white box {white_box!r}")
-    if lambda_ is not None and not 0.0 <= lambda_ < np.inf:
-        raise ModelError("lambda must be finite and nonnegative")
-    if len(y) < 2:
-        raise ModelError("need at least 2 rows to fit a lasso surrogate")
-    means = encoded.mean(axis=0)
-    scales = encoded.std(axis=0)
-    usable = scales > 0
-    z = np.zeros_like(encoded)
-    z[:, usable] = (encoded[:, usable] - means[usable]) / scales[usable]
-    y_mean = float(y.mean())
-    if lambda_ is None:
-        lambda_ = _cross_validate_lambda(z[:, usable], y)
-    fit = lasso_coordinate_descent(z[:, usable], y - y_mean, float(lambda_))
-    beta = np.zeros(encoder.n_encoded)
-    beta[usable] = fit.coefficients / scales[usable]
-    intercept = y_mean - float(means @ beta)
-    model = LinearModel(
-        schema=local.schema,
-        encoder=encoder,
-        intercept=intercept,
-        coefficients=beta,
-        feature_means=means,
-        std_errors=None,
-        intercept_std_error=None,
-        residual_variance=None,
-    )
-    r2 = _r_squared(model, local)
-    selected = _nonzero_features(model)
-    return SurrogateFit(
-        model=model, lambda_=float(lambda_), selected_features=selected, r2=r2
-    )
+    else:
+        if lambda_ is not None and not 0.0 <= lambda_ < np.inf:
+            raise ModelError("lambda must be finite and nonnegative")
+        if len(y) < 2:
+            raise ModelError("need at least 2 rows to fit a lasso surrogate")
+        means, scales, z = _standardize(encoded, encoder.encoded_names)
+        usable = scales > 0
+        y_mean = float(y.mean())
+        if lambda_ is None:
+            lambda_ = _cross_validate_lambda(z[:, usable], y)
+        beta = np.zeros(encoder.n_encoded)
+        beta[usable] = lasso_coordinate_descent(z[:, usable], y - y_mean, lambda_).coefficients
+        beta[usable] /= scales[usable]
+        model = LinearModel(local.schema, encoder, y_mean - float(means @ beta), beta, means)
+    return SurrogateFit(model, float(lambda_), _nonzero_features(model), _r_squared(model, local))
 
 
 def _r_squared(model: LinearModel, local: LocalDataset) -> float:

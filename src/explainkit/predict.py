@@ -253,6 +253,21 @@ def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> 
     )
 
 
+def _standardize(x: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """Column means, standard deviations, and x centred and divided by them
+    (by 1 where a column is constant). Raises ModelError naming the first
+    column whose deviation or standardized values are not finite, as where
+    values near the float limits overflow its spread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=0)
+        spreads = x.std(axis=0)
+        z = (x - means) / np.where(spreads == 0.0, 1.0, spreads)
+    finite = np.isfinite(spreads) & np.isfinite(z).all(axis=0)
+    if not finite.all():
+        raise ModelError(f"the spread of {names[int(np.argmin(finite))]!r} overflows; rescale it")
+    return means, spreads, z
+
+
 def fit_ols(dataset: Dataset, response: int | str) -> LinearModel:
     """Least-squares linear model of the response on all feature columns.
 
@@ -348,7 +363,8 @@ def fit_kernel_ridge(
 ) -> KernelRidgePredictor:
     """Fit dual weights (K + ridge I)^-1 (y - mean y) with an RBF kernel.
 
-    `response` is a column index or name (see `Dataset.with_response`).
+    `response` is a column index or name (see `Dataset.with_response`). A
+    feature whose spread overflows is a ModelError (see `_standardize`).
     """
     if gamma <= 0 or ridge <= 0:
         raise ModelError("gamma and ridge must be positive")
@@ -359,10 +375,8 @@ def fit_kernel_ridge(
         if col.kind != NUMERIC:
             raise ModelError(f"kernel ridge requires numeric features, {col.name!r} is categorical")
     x = np.column_stack([col.values for col in feature_cols])
-    means = x.mean(axis=0)
-    scales = x.std(axis=0)
+    means, scales, z = _standardize(x, [col.name for col in feature_cols])
     scales = np.where(scales == 0.0, 1.0, scales)
-    z = (x - means) / scales
     kmat = _rbf(_lift_batch(z), _lift_train(z, gamma))
     y_mean = float(y.mean())
     try:

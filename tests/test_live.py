@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from explainkit import (
     ConstantPredictor,
+    ConvergenceError,
     DataError,
     ModelError,
     add_predictions,
@@ -18,7 +19,8 @@ from explainkit import (
     lasso_coordinate_descent,
     sample_locally,
 )
-from explainkit.live import OBJECTIVE_BLOCK, _append_objectives, _lambda_grid, _lasso_path
+import explainkit.live as live
+from explainkit.live import _certify, _lambda_grid, _lasso_knots, _read_path
 from explainkit.predict import Encoder, LinearModel
 
 from conftest import make_regression
@@ -335,15 +337,6 @@ class TestLassoCoordinateDescent:
         fit = lasso_coordinate_descent(x, np.zeros(30), 0.3)
         assert np.all(fit.coefficients == 0.0)
 
-    def test_objective_monotone_nonincreasing(self):
-        ds = make_regression(5, 80, seed=105, noise=1.0)
-        x = np.column_stack([c.values for c in ds.feature_columns()])
-        x = (x - x.mean(axis=0)) / x.std(axis=0)
-        y = ds.response_values() - ds.response_values().mean()
-        fit = lasso_coordinate_descent(x, y, 0.05)
-        diffs = np.diff(fit.objectives)
-        assert np.all(diffs <= 1e-12)
-
     def test_negative_lambda_rejected(self):
         x = orthonormal_design(20, 2, seed=106)
         with pytest.raises(ModelError):
@@ -363,11 +356,38 @@ def standardized(local):
     return z[:, usable], local.response, usable, scales
 
 
+def coordinate_descent(x, y, lam, start=None):
+    """Oracle of the lasso path: cyclic coordinate descent for
+    min (1/2n)||y - X b||^2 + lam ||b||_1 with covariance updates (Friedman,
+    Hastie & Tibshirani 2010), from zero or from `start`, until no
+    coefficient moves by 1e-9 in a sweep. Returns the coefficients and the
+    number of sweeps."""
+    n, k = x.shape
+    gram = (x.T @ x / n).tolist()
+    b = [0.0] * k if start is None else [float(v) for v in start]
+    grad = (x.T @ y / n - np.array(gram) @ np.array(b)).tolist()
+    for sweep in range(1, 100_001):
+        max_delta = 0.0
+        for j, row in enumerate(gram):
+            if row[j] == 0.0:
+                continue
+            z = grad[j] + row[j] * b[j]
+            new = (z - lam) / row[j] if z > lam else (z + lam) / row[j] if z < -lam else 0.0
+            step = new - b[j]
+            if step:
+                grad = [g - gij * step for g, gij in zip(grad, row)]
+                b[j] = new
+                max_delta = max(max_delta, abs(step))
+        if max_delta < 1e-9:
+            return np.array(b), sweep
+    raise AssertionError("the coordinate-descent oracle did not converge")
+
+
 def cold_start_cv_errors(z, y, folds=5, points=50):
     """Brute-force oracle of the lasso CV: (lambda, total validation error)
-    over the log grid from lambda_max down, every (lambda, fold) fit started
-    from zero. Folds are row index modulo `folds`; a fold with an empty
-    training or validation part is skipped."""
+    over the log grid from lambda_max down, every (lambda, fold) fit a
+    coordinate descent started from zero. Folds are row index modulo
+    `folds`; a fold with an empty training or validation part is skipped."""
     n = len(y)
     lambda_max = float(np.max(np.abs(z.T @ (y - y.mean())), initial=0.0)) / n
     if lambda_max == 0.0:
@@ -381,8 +401,8 @@ def cold_start_cv_errors(z, y, folds=5, points=50):
             if not val.any() or not train.any():
                 continue
             mu = y[train].mean()
-            fit = lasso_coordinate_descent(z[train], y[train] - mu, float(lam))
-            pred = mu + z[val] @ fit.coefficients
+            coefficients, _ = coordinate_descent(z[train], y[train] - mu, float(lam))
+            pred = mu + z[val] @ coefficients
             err += float(np.sum((y[val] - pred) ** 2))
         errors.append((float(lam), err))
     return errors
@@ -411,7 +431,7 @@ def assert_cv_picks_the_cold_start_lambda(local):
     lam = cold_start_cv(z, y)
     fit = fit_explanation(local, white_box="lasso")
     assert fit.lambda_ == lam
-    cold = lasso_coordinate_descent(z, y - y.mean(), lam).coefficients
+    cold, _ = coordinate_descent(z, y - y.mean(), lam)
     names = [n for n, u in zip(local.schema.names, usable) if u]
     assert fit.selected_features == tuple(n for n, b in zip(names, cold) if b != 0.0)
 
@@ -422,8 +442,8 @@ PATH_CASES = [(2 + s % 5, 60 + 20 * (s % 4), 300 + s) for s in range(20)]
 # validation row; every training part still has more rows than columns
 SMALL_CASES = [(1, 2, 401), (3, 2, 402), (1, 3, 403), (1, 4, 404), (2, 4, 405)]
 # training parts with no more rows than varying columns: the lasso solution
-# is not unique and the validation error is flat to the solvers' stopping
-# tolerance, so which lambda wins is set by that tolerance, cold or warm
+# is not unique and the validation error is flat to the oracle's stopping
+# tolerance, so which lambda the oracle picks is set by that tolerance
 UNDERDETERMINED_CASES = [(3, 3, 400), (3, 3, 412), (4, 3, 403), (4, 4, 402)]
 
 
@@ -448,12 +468,15 @@ class TestLassoPath:
 
     @pytest.mark.parametrize("p, size, seed", UNDERDETERMINED_CASES)
     def test_cv_pick_on_underdetermined_folds_is_within_stopping_noise(self, p, size, seed):
+        """The validation error is flat there; the path's errors differ by
+        roundoff, and the tie rule picks the largest lambda on the flat part."""
         local = kernel_ridge_local(p, size, seed)
         z, y, _, _ = standardized(local)
         errors = dict(cold_start_cv_errors(z, y))
         best = min(errors.values())
         fit = fit_explanation(local, white_box="lasso")
         assert errors[fit.lambda_] <= best + 1e-7 * max(1.0, best)
+        assert fit.lambda_ == max(lam for lam, err in errors.items() if err <= best + 1e-7 * max(1.0, best))
 
     @pytest.mark.parametrize("p, size, seed", PATH_CASES[:8])
     def test_surrogate_satisfies_kkt_at_its_lambda(self, p, size, seed):
@@ -476,8 +499,7 @@ class TestLassoPath:
     @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
     def test_cv_on_an_exactly_linear_black_box_at_scale(self, scale):
         """The residual sum of squares of a near-exact fit is tiny next to
-        y'y/2n, so an objective formed as y'y/2n - c'b + b'Gb/2 loses it to
-        cancellation and trips the monotone check."""
+        y'y/2n; the fit must still be found at every scale."""
         ds = make_regression(6, 80, seed=3, coefficients=np.linspace(-3.0, 3.0, 6) * scale)
         local = sample_locally(ds, ds.observation(1), "y", size=300, seed=3)
         fit = fit_explanation(add_predictions(local, fit_ols(ds, 6)), white_box="lasso")
@@ -485,6 +507,9 @@ class TestLassoPath:
 
 
 class TestLassoWarmStart:
+    """Coordinate descent (the oracle) started anywhere lands on the path's
+    solution, and started at it moves nothing."""
+
     @staticmethod
     def design(seed):
         ds = make_regression(5, 80, seed=seed, noise=1.0)
@@ -498,27 +523,18 @@ class TestLassoWarmStart:
         x, y, lam_max = self.design(110 + seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         for lam in (0.0, 0.01 * lam_max, 0.3 * lam_max, 1.2 * lam_max):
-            cold = lasso_coordinate_descent(x, y, lam)
-            start = rng.normal(0.0, 3.0, size=x.shape[1])
-            kept = start.copy()
-            warm = lasso_coordinate_descent(x, y, lam, start=start)
-            assert warm.coefficients == pytest.approx(cold.coefficients, abs=1e-8)
-            assert np.all(np.diff(warm.objectives) <= 1e-12)
-            assert np.array_equal(start, kept)
+            path = lasso_coordinate_descent(x, y, lam)
+            warm, _ = coordinate_descent(x, y, lam, start=rng.normal(0.0, 3.0, size=x.shape[1]))
+            assert warm == pytest.approx(path.coefficients, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_start_at_the_solution_stops_in_one_sweep(self, seed):
         x, y, lam_max = self.design(120 + seed)
         for lam in (0.0, 0.01 * lam_max, 0.3 * lam_max, 1.2 * lam_max):
             fit = lasso_coordinate_descent(x, y, lam)
-            again = lasso_coordinate_descent(x, y, lam, start=fit.coefficients)
-            assert again.n_sweeps == 1
-            assert again.coefficients == pytest.approx(fit.coefficients, abs=1e-9)
-
-    def test_start_of_the_wrong_shape_rejected(self):
-        x, y, _ = self.design(130)
-        with pytest.raises(ModelError, match="start"):
-            lasso_coordinate_descent(x, y, 0.1, start=np.zeros(4))
+            again, sweeps = coordinate_descent(x, y, lam, start=fit.coefficients)
+            assert sweeps == 1
+            assert again == pytest.approx(fit.coefficients, abs=1e-9)
 
 
 def training_folds(z, y):
@@ -538,55 +554,52 @@ def training_folds(z, y):
 class TestLassoPathEquivalence:
     @pytest.mark.parametrize("p, size, seed", PATH_CASES + SMALL_CASES + UNDERDETERMINED_CASES)
     def test_path_equals_a_chain_of_warm_started_fits(self, p, size, seed):
+        """Each fold's path, read at every grid lambda, against coordinate
+        descent down the grid, each fit started from the previous one. The
+        fitted values X b and the norm ||b||_1 are the same for every lasso
+        solution (Tibshirani 2013, Lemma 1), so they are compared also where
+        the solution is not unique."""
         z, y, _, _ = standardized(kernel_ridge_local(p, size, seed))
         grid, folds = training_folds(z, y)
         assert folds
         for xt, yt in folds:
-            path = list(_lasso_path(xt, yt, grid))
-            assert len(path) == len(grid)
+            path = _read_path(*_lasso_knots(xt, yt, grid[-1]), grid)
             start = None
-            for lam, fit in zip(grid, path):
-                chained = lasso_coordinate_descent(xt, yt, float(lam), start=start)
-                assert np.array_equal(fit.coefficients, chained.coefficients)
-                assert fit.n_sweeps == chained.n_sweeps
-                start = chained.coefficients
-
-    def test_negative_lambda_anywhere_on_the_path_rejected(self):
-        x = orthonormal_design(20, 2, seed=106)
-        with pytest.raises(ModelError, match="nonnegative"):
-            next(_lasso_path(x, np.zeros(20), [0.5, 0.1, -0.1]))
+            for lam, b in zip(grid, path):
+                start, _ = coordinate_descent(xt, yt, float(lam), start=start)
+                assert xt @ b == pytest.approx(xt @ start, abs=1e-8)
+                assert np.abs(b).sum() == pytest.approx(np.abs(start).sum(), abs=1e-8)
 
 
-class TestObjectiveBlocks:
-    @staticmethod
-    def least_squares(seed):
-        x = orthonormal_design(40, 3, seed=seed)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        y = x @ np.array([1.5, -0.5, 2.0]) + rng.normal(0.0, 0.1, 40)
-        return x, y - y.mean(), x.T @ (y - y.mean()) / 40
+def assert_kkt(x, y, lam, beta, tol):
+    """Subgradient conditions of min (1/2n)||y - X b||^2 + lam ||b||_1 at beta."""
+    g = x.T @ (y - x @ beta) / len(y)
+    for gj, bj in zip(g, beta):
+        if bj != 0.0:
+            assert abs(gj - lam * math.copysign(1.0, bj)) <= tol
+        else:
+            assert abs(gj) <= lam + tol
 
-    def test_increase_in_the_middle_of_a_block_names_its_sweep(self):
-        # with lambda 0 the objective falls along t * solution up to t = 1
-        x, y, solution = self.least_squares(140)
-        steps = [0.1, 0.2, 0.3, 0.4, 3.0, 0.5, 0.6, 0.7]
-        history = [list(t * solution) for t in steps]
-        objectives = [float(y @ y) / 80]
-        with pytest.raises(ModelError, match=r"increased in sweep 65: "):
-            _append_objectives(np.ascontiguousarray(x.T), y, 0.0, history, objectives, 68)
-        assert len(objectives) == 5
 
-    def test_a_falling_block_is_appended_whole(self):
-        x, y, solution = self.least_squares(141)
-        history = [list(t * solution) for t in np.linspace(0.0, 1.0, 64)]
-        objectives = []
-        _append_objectives(np.ascontiguousarray(x.T), y, 0.0, history, objectives, 63)
-        assert len(objectives) == 64
-        for obj, t in zip(objectives, np.linspace(0.0, 1.0, 64)):
-            r = y - x @ (t * solution)
-            assert obj == pytest.approx(float(r @ r) / 80, rel=1e-12, abs=1e-15)
-        assert np.all(np.diff(objectives) < 0)
+class TestLassoKnots:
+    @pytest.mark.parametrize("p, size, seed", PATH_CASES)
+    def test_kkt_at_every_knot(self, p, size, seed):
+        """Every knot of the full table's path and of each fold's path is a
+        lasso solution at its lambda, to 1e-12; the knots fall from
+        lambda_max, where the coefficients are 0, to the smallest grid lambda."""
+        z, y, _, _ = standardized(kernel_ridge_local(p, size, seed))
+        grid, folds = training_folds(z, y)
+        for xt, yt in [(z, y - y.mean()), *folds]:
+            lams, betas = _lasso_knots(xt, yt, grid[-1])
+            assert lams[0] == pytest.approx(np.max(np.abs(xt.T @ yt)) / len(yt), rel=1e-15)
+            assert np.all(betas[0] == 0.0) and lams[-1] == grid[-1]
+            assert np.all(np.diff(lams) < 0.0)
+            for lam, beta in zip(lams, betas):
+                assert_kkt(xt, yt, lam, beta, 1e-12)
 
-    def test_fit_over_many_blocks_keeps_one_objective_per_sweep(self):
+    def test_kkt_at_every_knot_on_correlated_columns(self):
+        """Two columns correlated at 0.99, on which coordinate descent needs
+        hundreds of sweeps and stops about 5e-8 short of the solution."""
         rng = np.random.Generator(np.random.PCG64(7))
         a = rng.normal(size=50)
         x = np.column_stack(
@@ -594,8 +607,109 @@ class TestObjectiveBlocks:
         )
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = x @ np.array([1.0, -1.0, 0.5]) + rng.normal(0.0, 0.1, 50)
-        fit = lasso_coordinate_descent(x, y - y.mean(), 1e-3)
-        assert fit.n_sweeps > 4 * OBJECTIVE_BLOCK
-        assert len(fit.objectives) == fit.n_sweeps + 1
-        for prev, obj in zip(fit.objectives, fit.objectives[1:]):
-            assert obj <= prev + 1e-12 * max(1.0, abs(prev))
+        y = y - y.mean()
+        lams, betas = _lasso_knots(x, y, 0.0)
+        assert lams[-1] == 0.0
+        for lam, beta in zip(lams, betas):
+            assert_kkt(x, y, lam, beta, 1e-12)
+        assert_kkt(x, y, 1e-3, lasso_coordinate_descent(x, y, 1e-3).coefficients, 1e-12)
+
+    def test_the_path_is_linear_between_knots(self):
+        z, y, _, _ = standardized(kernel_ridge_local(4, 100, 302))
+        y = y - y.mean()
+        lams, betas = _lasso_knots(z, y, 0.0)
+        for hi, lo, b_hi, b_lo in zip(lams, lams[1:], betas, betas[1:]):
+            mid = 0.5 * (hi + lo)
+            assert_kkt(z, y, mid, 0.5 * (b_hi + b_lo), 1e-12)
+            assert lasso_coordinate_descent(z, y, mid).coefficients == pytest.approx(
+                0.5 * (b_hi + b_lo), abs=1e-15
+            )
+
+    def test_a_wrong_knot_fails_the_certificate(self):
+        x = orthonormal_design(40, 3, seed=150)
+        y = x @ np.array([1.5, -0.5, 2.0])
+        gram, corr = x.T @ x / 40, x.T @ y / 40
+        lam = 0.25
+        beta = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0)
+        signs = np.sign(beta)
+        _certify(gram, corr, beta, signs, lam, 1e-12)
+        for wrong in (beta * (1 + 1e-9), -beta, np.zeros(3)):
+            with pytest.raises(ModelError, match="optimality"):
+                _certify(gram, corr, wrong, signs, lam, 1e-12)
+
+    def test_reaching_the_knot_cap_is_a_convergence_error(self, monkeypatch):
+        x = orthonormal_design(40, 3, seed=151)
+        y = x @ np.array([1.5, -0.5, 2.0])
+        assert lasso_coordinate_descent(x, y, 0.0).n_sweeps == 3
+        monkeypatch.setattr(live, "KNOT_CAP_PER_COLUMN", 0)
+        with pytest.raises(ConvergenceError, match="steps"):
+            lasso_coordinate_descent(x, y, 0.0)
+
+    def test_duplicate_columns_keep_the_first(self):
+        """Columns equal up to sign tie at every lambda, and the lasso
+        solution is not unique; the path keeps the lowest-index one of them.
+        Its fitted values and l1 norm are those of coordinate descent."""
+        rng = np.random.Generator(np.random.PCG64(152))
+        a, b = rng.normal(size=30), rng.normal(size=30)
+        x = np.column_stack([a, b, -a, a])
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = x @ np.array([2.0, 1.0, 0.0, 0.0]) + rng.normal(0.0, 0.1, 30)
+        y = y - y.mean()
+        for lam in (0.01, 0.1, 0.5):
+            fit = lasso_coordinate_descent(x, y, lam)
+            cd, _ = coordinate_descent(x, y, lam)
+            assert fit.coefficients[2:].tolist() == [0.0, 0.0]
+            assert x @ fit.coefficients == pytest.approx(x @ cd, abs=1e-8)
+            assert np.abs(fit.coefficients).sum() == pytest.approx(np.abs(cd).sum(), abs=1e-8)
+            assert_kkt(x, y, lam, fit.coefficients, 1e-12)
+
+
+def sweep_local(p, size, seed):
+    """A local dataset of the seeded kernel-ridge sweep: 40 regression rows,
+    row 3 explained, the sample seed equal to the table's."""
+    ds = make_regression(p, 40, seed, noise=0.3)
+    black_box = fit_kernel_ridge(ds, p, gamma=0.5, ridge=0.1)
+    return add_predictions(sample_locally(ds, ds.observation(3), "y", size=size, seed=seed), black_box)
+
+
+class TestTinyLocalSamples:
+    """Local samples of 3-5 rows: the first five ran coordinate descent out of
+    sweeps; in the last two, folds of 3 rows tie columns equal up to sign at
+    lambda_max, and the path fails unless such columns never join."""
+
+    @pytest.mark.parametrize(
+        "local, p, size, seed",
+        [(sweep_local, 4, 3, 416), (kernel_ridge_local, 2, 3, 419), (kernel_ridge_local, 2, 4, 406),
+         (kernel_ridge_local, 3, 4, 414), (kernel_ridge_local, 3, 5, 414),
+         (sweep_local, 4, 4, 412), (kernel_ridge_local, 4, 4, 405)],
+    )
+    def test_lasso_surrogate_is_fitted(self, local, p, size, seed):
+        local = local(p, size, seed)
+        fit = fit_explanation(local, white_box="lasso")
+        z, y, usable, scales = standardized(local)
+        beta = np.asarray(fit.model.coefficients)[usable] * scales[usable]
+        assert_kkt(z, y - y.mean(), fit.lambda_, beta, 1e-9)
+
+
+def overflowing_table():
+    """`a` near the float limit, whose spread overflows; y = 3 sign(a) + b."""
+    a = [1e300, -1e300, 5e299, -1e300, 1e300, 5e299, -1e300, 1e300]
+    b = [0.5, 1.0, -1.5, 2.0, 0.0, -0.5, 1.5, -2.0]
+    rows = [(ai, bi, 3.0 * math.copysign(1.0, ai) + bi) for ai, bi in zip(a, b)]
+    return dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, rows, "y")
+
+
+class TestOverflowingSpread:
+    def test_lasso_surrogate_names_the_column(self, recwarn):
+        ds = overflowing_table()
+        local = sample_locally(ds, ds.observation(0), "y", size=40, seed=3)
+        a, b = local.feature_values
+        local = replace(local, response=3.0 * np.sign(a) + b)
+        with pytest.raises(ModelError, match="'a'"):
+            fit_explanation(local, white_box="lasso")
+        assert not recwarn.list
+
+    def test_kernel_ridge_names_the_column(self, recwarn):
+        with pytest.raises(ModelError, match="'a'"):
+            fit_kernel_ridge(overflowing_table(), "y", gamma=0.5, ridge=0.1)
+        assert not recwarn.list
