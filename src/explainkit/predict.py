@@ -229,8 +229,9 @@ def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> 
         raise ModelError(f"need more than {k + 1} rows to fit {k} encoded features, got {n}")
     design = np.hstack([np.ones((n, 1)), encoded])
     q, r = np.linalg.qr(design, mode="reduced")
-    diag = np.abs(np.diag(r))
-    deficient = np.nonzero(diag <= n * np.finfo(float).eps * diag.max())[0]
+    # each diagonal against its column's largest entry, which cannot overflow as a norm can
+    scale = np.abs(design).max(axis=0)
+    deficient = np.nonzero(np.abs(np.diag(r)) <= n * np.finfo(float).eps * scale)[0]
     if deficient.size:
         names = ["(intercept)", *encoder.encoded_names]
         raise ModelError(
@@ -472,8 +473,8 @@ class ExternalPredictor(Predictor):
     the start and full sets joining the first, each taking whole layers of
     later steps' sets `ahead` within `LOOKAHEAD_ROWS` rows: 1 whenever all 2^p
     sets fit, 2 for Up and Down at p = 5 over 400 rows. `relaxation_trace`
-    1; the Shapley estimators one per payload of as many whole pinned sets
-    as fit in `PAYLOAD_ROWS` rows (at least one).
+    none along a walk's path, else 1; the Shapley estimators one per payload
+    of as many whole pinned sets as fit in `PAYLOAD_ROWS` rows (at least one).
 
     Before a payload known to be followed by another (a later payload of the
     same `scores_of` call, or the last one of a call that left a layer out),

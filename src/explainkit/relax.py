@@ -4,7 +4,7 @@ The relaxed prediction of an observation, given a set of pinned features,
 is the mean model score over "hybrid" rows: every background row with the
 pinned coordinates overwritten by the explained observation's values.
 Pinning everything gives the model prediction f(x_new) exactly: every hybrid
-row is x_new itself, so the engine scores that set as the one row x_new.
+row is x_new itself, so the engine holds that set as the one row x_new.
 Pinning nothing gives the mean score over the background.
 
 `RelaxedValues` is the one engine behind every relaxed quantity: the greedy
@@ -19,7 +19,8 @@ The background is the whole dataset unless explicit rows are passed.
 Scored sets outlive one call in one slot (`_Row`), that of the last row
 explained with a view-less predictor over the whole dataset: the Shapley
 estimators, the trace and `relaxed_prediction` start from it and add to it;
-`ag_break` only adds to it, so its calls depend on the row alone.
+`ag_break` only adds to it, so its calls depend on the row alone. A trace
+along a walk's path finds every step there and scores nothing.
 
 A predictor with an additive view (score = intercept + coef . encoded row)
 has relaxed predictions in closed form (`additive_terms`): the mean of its
@@ -33,7 +34,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import is_
+from itertools import accumulate
+from operator import is_, xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,8 +44,6 @@ from .errors import ModelError, SchemaError
 from .predict import Encoder, Predictor
 from .tabular import Cell, Dataset
 
-IndexSet = frozenset[int]
-
 DOWN = "down"
 UP = "up"
 
@@ -51,8 +51,8 @@ UP = "up"
 @dataclass(eq=False)
 class _Row:
     """What is scored of one row: relaxed means, and read-only score arrays
-    of walks' paths but the full set, by mask. Both only gain values that
-    are deterministic given the key, so concurrent calls may share them."""
+    of walks' paths (the full set's of one row), by mask. Both only gain
+    values deterministic given the key, so concurrent calls may share them."""
 
     predictor: weakref.ref  # the key: the predictor, held weakly,
     background: list[np.ndarray]  # the columns, by identity,
@@ -134,48 +134,37 @@ class RelaxedValues:
         self._means: dict[int, float] = self._row.means if shared and not walk else {}
         self._walked: dict[int, np.ndarray] | None = {} if walk else None
 
-    def mask(self, fixed: Iterable[int]) -> int:
-        """Bitmask of a set of feature indices."""
-        mask = 0
-        for j in fixed:
-            j = int(j)
-            if not (0 <= j < self.p):
-                raise SchemaError(
-                    f"feature index {j} out of range for {self.p} features"
-                )
-            mask |= 1 << j
-        return mask
-
     def _hybrid(self, mask: int) -> list[np.ndarray]:
-        """Background rows with the features of `mask` pinned to x_new."""
+        """Background rows with the features of `mask` pinned to x_new; every
+        row of the full set is x_new, so that set is the one row x_new."""
+        if mask == self.full:
+            return self._x
         return [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
 
     def arrays(self, masks: Sequence[int]) -> list[np.ndarray]:
-        """Read-only scores of all hybrid rows of each mask (the full set's as
-        n rows too), scoring together those the row's slot lacks."""
+        """Read-only scores of the hybrid rows of each mask, scoring together
+        those the row's slot lacks."""
         kept = self._row.arrays if self._row else {}
         todo = [m for m in masks if m not in kept]
         scored = dict(zip(todo, self.predictor.scores_of(map(self._hybrid, todo))))
         for m, scores in scored.items():
             scores.flags.writeable = False
-            if m != self.full:
-                self._means.setdefault(m, float(np.mean(scores)))
+            self._means.setdefault(m, float(np.mean(scores)))
         return [scored[m] if m in scored else kept[m] for m in masks]
 
     def keep_path(self, path: Iterable[int]) -> None:
-        """Add a walk's means, and its arrays of `path` but the full set's, to
-        the row's slot."""
+        """Add a walk's means, and its arrays of `path`, to the row's slot."""
         if self._row:
             self._row.means.update(self._means)
-            self._row.arrays.update((m, self._walked[m]) for m in set(path) - {self.full})
+            self._row.arrays.update((m, self._walked[m]) for m in path)
 
     def means(self, masks: Iterable[int], ahead: Iterable[Iterable[int]] = ()) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
         the uncached ones go to the scorer together, or into one closed-form
-        product when the predictor has an additive view. The full set is the
-        one row x_new, so its value is f(x_new). A scorer call is also offered
-        the uncached sets of the layers `ahead`, which later calls may need,
-        lazily (`Predictor.scores_of`); the ones it scores are cached too."""
+        product when the predictor has an additive view, but for the full set,
+        whose value is f(x_new). A scorer call is also offered the uncached
+        sets of the layers `ahead`, which later calls may need, lazily
+        (`Predictor.scores_of`); the ones it scores are cached too."""
         masks = list(masks)
         todo = [m for m in dict.fromkeys(masks) if m not in self._means]
         if self._view is not None:
@@ -191,7 +180,7 @@ class RelaxedValues:
                     if m not in seen and m not in self._means:
                         seen.add(m)
                         offered.append(m)
-                        yield self._x if m == self.full else self._hybrid(m)
+                        yield self._hybrid(m)
 
             for i, scores in enumerate(self.predictor.scores_of(handed(todo), map(handed, ahead))):
                 self._means[offered[i]] = float(np.mean(scores))
@@ -232,8 +221,12 @@ def relaxed_prediction(
     `fixed` holds the pinned feature indices; its complement follows the
     empirical distribution of the whole dataset, row by row.
     """
-    values = RelaxedValues(predictor, dataset, x_new)
-    return values.means([values.mask(fixed)])[0]
+    p, mask = dataset.n_features, 0
+    for j in map(int, fixed):
+        if not 0 <= j < p:
+            raise SchemaError(f"feature index {j} out of range for {p} features")
+        mask |= 1 << j
+    return RelaxedValues(predictor, dataset, x_new).means([mask])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +234,7 @@ class TraceStep:
     """One relaxation step: the pinned set, the feature changed to reach it,
     and the full conditional score distribution over hybrid rows."""
 
-    fixed: IndexSet
+    fixed: frozenset[int]
     relaxed_feature: int | None
     scores: np.ndarray
 
@@ -293,16 +286,16 @@ def relaxation_trace(
         raise SchemaError(f"unknown direction {direction!r}")
 
     values = RelaxedValues(predictor, dataset, x_new)
-    fixed = frozenset(range(p)) if direction == DOWN else frozenset()
-    pinned_sets = [fixed]
-    for j in order:
-        fixed = fixed - {j} if direction == DOWN else fixed | {j}
-        pinned_sets.append(fixed)
-    # the sets a walk did not leave in the row's slot go to the scorer together
-    scores = values.arrays([values.mask(s) for s in pinned_sets])
+    start = values.full if direction == DOWN else 0
+    masks = list(accumulate((1 << int(j) for j in order), xor, initial=start))
+    # the sets a walk did not leave in the row's slot go to the scorer together;
+    # the full set's one row x_new is the score of each of its n hybrid rows
+    scores = values.arrays(masks)
+    scores = [np.repeat(s, values.n) if m == values.full else s for m, s in zip(masks, scores)]
+    fixed = [frozenset(j for j in range(p) if m >> j & 1) for m in masks]
     relaxed = [None, *(int(j) for j in order)]
     return RelaxationTrace(
         direction=direction,
         feature_names=dataset.feature_names,
-        steps=tuple(map(TraceStep, pinned_sets, relaxed, scores)),
+        steps=tuple(map(TraceStep, fixed, relaxed, scores)),
     )

@@ -121,14 +121,11 @@ def shapley_sampled(
     x_new, p, names = values.x_new, values.p, values.schema.names
     # Draw all permutations before scoring (the rng yields the same ones,
     # one per row of `marginals`), then score every prefix set together.
-    orders = [rng.permutation(p) for _ in range(n_permutations)]
-    walks = [
-        list(accumulate((1 << int(j) for j in order), or_, initial=0)) for order in orders
-    ]
-    values.means(chain.from_iterable(walks))
-    marginals = np.zeros((n_permutations, p))
-    for t, (order, walk) in enumerate(zip(orders, walks)):
-        marginals[t, order] = np.diff(values.means(walk))
+    orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+    walks = (accumulate((1 << int(j) for j in order), or_, initial=0) for order in orders)
+    v = np.array(values.means(chain.from_iterable(walks))).reshape(n_permutations, p + 1)
+    marginals = np.empty((n_permutations, p))
+    np.put_along_axis(marginals, orders, np.diff(v), axis=1)
     phis = marginals.mean(axis=0)
     std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     mean_score, final = values.means([0, values.full])

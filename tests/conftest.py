@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,6 +54,14 @@ def make_regression(
     names = [f"x{i + 1}" for i in range(p)] + ["y"]
     rows = [tuple(x[i]) + (y[i],) for i in range(n)]
     return dataset_from_rows(names, ["numeric"] * (p + 1), rows, response_name="y")
+
+
+def overflowing_table() -> Dataset:
+    """`a` near the float limit, whose spread overflows; y = 3 sign(a) + b."""
+    a = [1e300, -1e300, 5e299, -1e300, 1e300, 5e299, -1e300, 1e300]
+    b = [0.5, 1.0, -1.5, 2.0, 0.0, -0.5, 1.5, -2.0]
+    rows = [(ai, bi, 3.0 * math.copysign(1.0, ai) + bi) for ai, bi in zip(a, b)]
+    return dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, rows, "y")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from explainkit.cli import SUBCOMMANDS, _canonical_json, export_json, parse_args, run
 from explainkit.errors import UsageError
 
-from conftest import WINE_CSV, fixture_command
+from conftest import WINE_CSV, fixture_command, overflowing_table
 
 
 def wine_args(*extra):
@@ -347,17 +347,15 @@ class TestRunTrace:
         assert steps[-1]["fixed"] == []
         assert svg.read_text().startswith("<svg")
 
-    def test_external_trace_sends_only_its_full_step(self, tmp_path):
-        # the greedy walk leaves its path's score arrays for the trace, whose
-        # full step is n rows of x_new (the walk scored x_new as one row): the
-        # trace's payload holds n rows, not (p + 1) n, in one process as before
-        payload, pids = tmp_path / "payload.csv", tmp_path / "pids"
-        scorer = fixture_command("recording_scorer.py", str(payload), str(pids))
+    def test_external_trace_after_its_walk_sends_nothing(self, tmp_path):
+        # the greedy walk leaves its path's score arrays for the trace, the
+        # full set's one row x_new among them, so the trace finds every step
+        # there: the 9 processes are the walk's, and the trace starts none
+        pids = tmp_path / "pids"
+        scorer = fixture_command("recording_scorer.py", str(tmp_path / "payload.csv"), str(pids))
         code = run(["trace", *wine_args("--row", "5", "--model", "external"), "--", *scorer])
         assert code == 0
-        header, *rows = payload.read_text().splitlines()  # the last payload's
-        assert len(rows) == 1599
-        assert len(pids.read_text().split()) == 10  # 9 for the walk, as before
+        assert len(pids.read_text().split()) == 9
 
 
 class TestExitCodes:
@@ -614,3 +612,45 @@ def test_cli_exit_code_contract(data, subcommand, flags, scorer):
     if code:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error: ", "usage error: "))
+
+
+# argv after "<subcommand> --data small.csv --response y", and the exit code
+LIVE = ["live", "--row", "2", "--size", "30"]
+LASSO = [*LIVE, "--white-box", "lasso"]
+BRANCHES = {
+    "kernel-ridge": (["breakdown", "--row", "2", "--model", "kernel-ridge"], 0),
+    "live-forest": ([*LIVE, "--svg", "f.svg", "--text", "f.txt"], 0),
+    "lasso-svg": ([*LASSO, "--svg", "f"], 1),
+    "lasso-text": ([*LASSO, "--text", "f"], 1),
+    "nothing-after-dashes": (["breakdown", "--row", "2", "--model", "external", "--"], 1),
+    "one-permutation": (["shapley", "--row", "2", "--method", "sample", "--permutations", "1"], 1),
+    "bad-observation": (["breakdown", "--observation", "1,x"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_cli_branch(tmp_path, monkeypatch, capsys, name):
+    (tmp_path / "small.csv").write_bytes(SMALL_CSV)
+    monkeypatch.chdir(tmp_path)
+    (subcommand, *flags), code = BRANCHES[name]
+    assert run([subcommand, "--data", "small.csv", "--response", "y", *flags]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f").exists()
+    elif name == "kernel-ridge":
+        assert json.loads(out)["config"]["model"] == "kernel-ridge" and err == ""
+    else:
+        assert out == err == ""
+        assert (tmp_path / "f.svg").read_text().startswith("<svg")
+        assert (tmp_path / "f.txt").read_text()
+
+
+def test_a_column_near_the_float_limit_is_named(tmp_path, capsys):
+    # the black-box OLS fit must not blame '(intercept)' for `a`'s magnitude
+    ds, data = overflowing_table(), tmp_path / "big.csv"
+    rows = zip(*(c.values.tolist() for c in ds.columns))
+    data.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{y!r}\n" for a, b, y in rows))
+    argv = ["live", "--data", str(data), "--response", "y", "--row", "1", "--model", "ols"]
+    assert run([*argv, "--white-box", "lasso", "--size", "40"]) == 2
+    assert capsys.readouterr() == ("", "error: the spread of 'a' overflows; rescale it\n")

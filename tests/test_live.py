@@ -11,6 +11,7 @@ from explainkit import (
     ConvergenceError,
     DataError,
     ModelError,
+    SchemaError,
     add_predictions,
     dataset_from_rows,
     fit_explanation,
@@ -23,7 +24,7 @@ import explainkit.live as live
 from explainkit.live import _certify, _lambda_grid, _lasso_knots, _read_path
 from explainkit.predict import Encoder, LinearModel
 
-from conftest import make_regression
+from conftest import make_regression, overflowing_table
 
 
 def differing_coordinates(local, i):
@@ -161,6 +162,39 @@ class TestAddPredictions:
         )
         local = add_predictions(local, scorer)
         assert np.array_equal(local.response, local.feature_values[0].astype(float))
+
+
+class TestErrorPaths:
+    def test_negative_size(self, wine):
+        with pytest.raises(DataError, match="^size must be nonnegative$"):
+            sample_locally(wine, wine.observation(0), "quality", size=-1, seed=1)
+
+    def test_predictor_of_another_schema(self, wine):
+        local = sample_locally(wine, wine.observation(0), "quality", size=3, seed=1)
+        other = make_regression(2, 10, seed=3)
+        c = ConstantPredictor(schema=other.schema(), value=1.0)
+        message = "^predictor schema does not match the local dataset$"
+        with pytest.raises(SchemaError, match=message):
+            add_predictions(local, c)
+
+    def test_predictions_not_attached(self, wine):
+        local = sample_locally(wine, wine.observation(0), "quality", size=3, seed=1)
+        message = "^attach predictions before fitting an explanation$"
+        with pytest.raises(DataError, match=message):
+            fit_explanation(local)
+
+    def test_unknown_white_box(self, wine, wine_ols):
+        local = sample_locally(wine, wine.observation(0), "quality", size=30, seed=1)
+        local = add_predictions(local, wine_ols)
+        with pytest.raises(ModelError, match="^unknown white box 'ridge'$"):
+            fit_explanation(local, white_box="ridge")
+
+    def test_lasso_on_one_row(self, wine, wine_ols):
+        local = sample_locally(wine, wine.observation(0), "quality", size=1, seed=1)
+        local = add_predictions(local, wine_ols)
+        message = "^need at least 2 rows to fit a lasso surrogate$"
+        with pytest.raises(ModelError, match=message):
+            fit_explanation(local, white_box="lasso")
 
 
 class TestFitExplanation:
@@ -689,14 +723,6 @@ class TestTinyLocalSamples:
         z, y, usable, scales = standardized(local)
         beta = np.asarray(fit.model.coefficients)[usable] * scales[usable]
         assert_kkt(z, y - y.mean(), fit.lambda_, beta, 1e-9)
-
-
-def overflowing_table():
-    """`a` near the float limit, whose spread overflows; y = 3 sign(a) + b."""
-    a = [1e300, -1e300, 5e299, -1e300, 1e300, 5e299, -1e300, 1e300]
-    b = [0.5, 1.0, -1.5, 2.0, 0.0, -0.5, 1.5, -2.0]
-    rows = [(ai, bi, 3.0 * math.copysign(1.0, ai) + bi) for ai, bi in zip(a, b)]
-    return dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, rows, "y")
 
 
 class TestOverflowingSpread:

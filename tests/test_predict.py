@@ -39,7 +39,7 @@ from explainkit.predict import (
 )
 from explainkit.tabular import NUMERIC, Column, Dataset, FeatureSchema
 
-from conftest import fixture_command, make_regression
+from conftest import fixture_command, make_regression, overflowing_table
 
 
 def _schema(p):
@@ -84,6 +84,12 @@ class TestFitOls:
         m = fit_ols(ds, 2)
         assert m.intercept == pytest.approx(0.5, abs=1e-10)
         assert m.coefficients == pytest.approx([3.0, -1.0], abs=1e-10)
+
+    def test_a_column_near_the_float_limit_fits(self):
+        # `a`'s norm overflows; its R diagonal is measured against its largest
+        # entry, so the intercept's is not measured against an overflowed one
+        m = fit_ols(overflowing_table(), "y")
+        assert np.all(np.isfinite(m.coefficients)) and np.isfinite(m.intercept)
 
     def test_rank_deficiency_names_column(self):
         rows = [(x, 2 * x, x + 1.0) for x in range(6)]
@@ -468,6 +474,22 @@ class TestExternalScorer:
         p = external_scorer(fixture_command("short_output_scorer.py"), _schema(1))
         with pytest.raises(ScorerError, match="2 scores for 3 rows"):
             p.score_rows([(1.0,), (2.0,), (3.0,)])
+
+    def test_unparsable_score_line_is_quoted(self, monkeypatch):
+        started, popen = [], subprocess.Popen
+
+        def spawn(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        script = "import sys; sys.stdin.read(); print('abc')"
+        p = external_scorer([sys.executable, "-c", script], _schema(1))
+        with pytest.raises(ScorerError, match="^unparsable score line 'abc'( |$)") as err:
+            p.score_rows([(1.0,)])
+        assert err.value.exit_status == 0
+        assert len(started) == 1 and started[0].returncode is not None
+        assert p._started == []
 
     def test_unspawnable_command(self):
         p = external_scorer(["/nonexistent/binary-xyz"], _schema(1))

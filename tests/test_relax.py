@@ -238,6 +238,16 @@ def test_non_finite_hybrid_scores_are_model_errors(entry):
         ENTRY_POINTS[entry](f, ds, ds.observation(0))
 
 
+def test_non_finite_closed_form_is_a_model_error():
+    # the base, 1e308 times the column means, overflows in the closed form,
+    # which raises before the full set is scored
+    ds = make_regression(2, 10, seed=4)
+    schema = ds.schema()
+    model = LinearModel(schema, Encoder.for_schema(schema), 0.0, np.full(2, 1e308), np.zeros(2))
+    with pytest.raises(ModelError, match="^predictor produced non-finite scores$"):
+        ag_break(model, ds, np.full(2, 2.0))
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("spoiler", ["one-short", "scalar", "column"])
 def test_wrong_shape_scores_are_model_errors(spoiler, entry):
@@ -257,6 +267,7 @@ BAD_MODES = {
     "shapley-sampled-baseline": lambda f, ds, x: shapley_sampled(
         f, ds, x, 4, np.random.Generator(np.random.PCG64(1)), baseline_mode="mean"
     ),
+    "trace-direction": lambda f, ds, x: relaxation_trace(f, ds, x, [0, 1, 2], "sideways"),
 }
 
 
@@ -264,7 +275,8 @@ BAD_MODES = {
 def test_unknown_modes_rejected_before_scoring(case):
     ds = make_regression(3, 20, seed=23)
     f = CountingPredictor(fit_ols(ds, 3))
-    with pytest.raises(SchemaError, match="unknown"):
+    message = "^unknown (direction 'sideways'|baseline mode 'mean'|up_distance 'far')$"
+    with pytest.raises(SchemaError, match=message):
         BAD_MODES[case](f, ds, ds.observation(0))
     assert f.calls == 0
 
@@ -457,6 +469,15 @@ class TestRelaxationTrace:
         f_new = wine_ols.score_one(x)
         assert np.all(np.abs(trace.steps[0].scores - f_new) < 1e-12)
 
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_full_step_is_f_new_bit_for_bit(self, wine, wine_ols, direction):
+        # OLS scores n copies of row 410 with a last bit off in the last copy;
+        # the full step repeats the one-row score instead
+        x = wine.observation(410)
+        trace = relaxation_trace(wine_ols, wine, x, list(range(wine.n_features)), direction)
+        full = trace.steps[0 if direction == "down" else -1]
+        assert np.array_equal(full.scores, np.full(wine.n_rows, wine_ols.score_one(x)))
+
     def test_step_means_telescope_with_added_contribution(self):
         ds = make_regression(5, 40, seed=27, noise=0.4)
         m = fit_kernel_ridge(ds, 5, gamma=0.4, ridge=1e-2)
@@ -581,8 +602,8 @@ EXPLANATIONS = {
 # Joined: the greedy walk's first payload takes the start and full sets and
 # the first step's candidates, and looks ahead: all 2^p sets are 373 rows
 # (31 of 12 rows and the one-row full set), within `LOOKAHEAD_ROWS`, so one
-# payload holds them all. One payload holds the whole trace, one all 2^p
-# subsets.
+# payload holds them all. One payload holds the whole trace (5 sets of 12
+# rows and the one-row full set), one all 2^p subsets.
 SPAWNS = {
     "ag-break-up": (16, 1),
     "ag-break-down": (16, 1),
@@ -595,7 +616,7 @@ SPAWNS = {
 ROWS = {
     "ag-break-up": (181, 373),
     "ag-break-down": (181, 373),
-    "trace": (72, 72),
+    "trace": (61, 61),
     "shapley-exact": (373, 373),
 }
 
@@ -635,9 +656,9 @@ def test_joined_payloads_give_identical_results(per_mask_results, name):
 @pytest.mark.parametrize(
     "cap, payloads",
     [
-        (30, [24, 24, 24]),  # two 12-row sets fit under the cap, three do not
-        (40, [36, 36]),
-        (5, [12] * 6),  # a set larger than the cap goes alone
+        (30, [25, 24, 12]),  # the one-row full set and two 12-row sets fit
+        (40, [37, 24]),
+        (5, [1] + [12] * 5),  # a set larger than the cap goes alone
     ],
 )
 def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
@@ -695,8 +716,8 @@ def test_lookahead_budget_cuts_whole_layers(
 
 # The first payload of the greedy walk joins the start set, five candidates
 # of 12 rows each and the one-row full set, and looks ahead to the other 26
-# sets; the trace's joins its six sets of 12 rows.
-FIRST_PAYLOAD = {"ag-break-up": 373, "trace": 72}
+# sets; the trace's joins its one-row full set and five sets of 12 rows.
+FIRST_PAYLOAD = {"ag-break-up": 373, "trace": 61}
 
 
 @pytest.mark.parametrize(
@@ -810,16 +831,16 @@ def test_walks_make_the_same_calls_after_the_row_was_scored(request, setup, dire
 
 
 @pytest.mark.parametrize("setup", ["krr_sample", "external_sample"])
-def test_trace_along_the_down_path_scores_only_the_full_set(request, setup):
-    # the walk leaves its path's score arrays in the slot; the trace's full
-    # step is n rows of x_new, where the walk scored x_new as one row
+def test_trace_along_the_down_path_scores_nothing(request, setup):
+    # the walk leaves its path's score arrays in the slot, the full set's one
+    # row x_new among them, and the trace repeats that score for its full step
     make, ds, x = request.getfixturevalue(setup)
     f = make()
     order = _down_order(ag_break(f, ds, x, direction="down"), ds)
     before = len(f.rows) if hasattr(f, "rows") else len(f.payloads)
     relaxation_trace(f, ds, x, order, "down")
     sent = f.rows if hasattr(f, "rows") else f.payloads
-    assert sent[before:] == [ds.n_rows]
+    assert sent[before:] == []
 
 
 def _trace_calls_after_down_walk(walked, traced):
@@ -837,7 +858,7 @@ def test_the_slot_is_keyed_by_predictor_object_columns_and_x_bits(krr_sample):
     make, ds, x = krr_sample
     p = ds.n_features
     f = make()
-    assert _trace_calls_after_down_walk((f, ds, x), (f, ds, x)) == 1
+    assert _trace_calls_after_down_walk((f, ds, x), (f, ds, x)) == 0
     # another predictor object, even of the same model
     assert _trace_calls_after_down_walk((f, ds, x), (make(), ds, x)) == p + 1
     # an equal dataset with columns of its own
@@ -858,12 +879,13 @@ def test_explicit_background_rows_neither_read_nor_take_the_slot(krr_sample):
     # and the slot still holds the walk's row
     before = f.calls
     relaxation_trace(f, ds, x, order, "down")
-    assert f.calls == before + 1
+    assert f.calls == before
 
 
 def test_an_additive_predictor_shares_nothing(wine, wine_ols, monkeypatch):
     # its closed-form values take other last bits in other batches, so even
-    # the trace after its own Down walk scores every step
+    # the trace after its own Down walk scores every step: the full set as
+    # the one row x_new, then n rows for each of the others
     rows = []
     score_columns = LinearModel.score_columns
 
@@ -877,7 +899,7 @@ def test_an_additive_predictor_shares_nothing(wine, wine_ols, monkeypatch):
     shapley_sampled(wine_ols, wine, x, 4, np.random.Generator(np.random.PCG64(1)))
     rows.clear()
     relaxation_trace(wine_ols, wine, x, order, "down")
-    assert rows == [wine.n_rows] * (wine.n_features + 1)
+    assert rows == [1] + [wine.n_rows] * wine.n_features
     assert all(row.predictor() is not wine_ols for row in relax._slot)
 
 
