@@ -9,11 +9,12 @@ telescopes: baseline plus the contributions equals the model prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import SchemaError
+from .errors import ModelError, SchemaError
 from .predict import LinearModel, Predictor, _format_cell
 from .relax import DOWN, UP, RelaxedValues, additive_terms
 from .tabular import Cell, Dataset
@@ -54,7 +55,8 @@ class Attribution:
 
     baseline + sum(contributions) equals final_prediction (up to float
     noise). With the zero baseline, the mean-score mass is carried by an
-    explicit "(intercept)" entry rather than the baseline itself.
+    explicit "(intercept)" entry rather than the baseline itself. Every
+    number is finite: one that overflowed is a ModelError naming it.
     """
 
     method: str
@@ -67,6 +69,11 @@ class Attribution:
         names = [e.feature for e in self.entries]
         if len(set(names)) != len(names):
             raise SchemaError("attribution entries repeat a feature")
+        numbers = [("baseline", self.baseline), ("final prediction", self.final_prediction)]
+        numbers += [(f"contribution of {e.feature!r}", e.contribution) for e in self.entries]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ModelError(f"the {name} is {value!r}; the scores overflow, rescale them")
 
     def contribution_of(self, feature: str) -> float:
         for e in self.entries:

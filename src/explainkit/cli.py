@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .breakdown import ag_break, attribution_text
+from .breakdown import ag_break
 from .errors import ExplainError, UsageError
 from .live import add_predictions, fit_explanation, sample_locally
 from .predict import external_scorer, fit_kernel_ridge, fit_ols
@@ -244,7 +244,9 @@ def _feature_order_from_entries(attribution, schema) -> list[int]:
 
 
 def _execute(config: argparse.Namespace):
-    """Returns (result payload dict, svg text or None, text fallback or None)."""
+    """Returns (result payload dict, plot): `plot` renders the run's one
+    PlotDocument when called, or is None for a lasso `live`, whose
+    surrogate has no standard errors to plot."""
     dataset = load_csv(config.data, response_name=config.response)
     x_new = _resolve_observation(config, dataset)
     predictor = _build_predictor(config, dataset)
@@ -258,8 +260,7 @@ def _execute(config: argparse.Namespace):
             baseline_mode=config.baseline,
             up_distance=config.up_distance,
         )
-        doc = render_waterfall(attribution) if config.svg_path else None
-        return attribution.to_json_dict(), doc, attribution_text(attribution)
+        return attribution.to_json_dict(), lambda: render_waterfall(attribution)
 
     if config.subcommand == "shapley":
         if config.method == "exact":
@@ -276,8 +277,7 @@ def _execute(config: argparse.Namespace):
                 rng=rng,
                 baseline_mode=config.baseline,
             )
-        doc = render_waterfall(estimate.attribution) if config.svg_path else None
-        return estimate.to_json_dict(), doc, attribution_text(estimate.attribution)
+        return estimate.to_json_dict(), lambda: render_waterfall(estimate.attribution)
 
     if config.subcommand == "live":
         local = sample_locally(
@@ -285,13 +285,8 @@ def _execute(config: argparse.Namespace):
         )
         local = add_predictions(local, predictor)
         fit = fit_explanation(local, white_box=config.white_box, lambda_=config.lambda_)
-        doc = None
-        text = None
-        if config.svg_path or config.text_path:
-            rendered = render_forest(fit) if fit.model.std_errors is not None else None
-            doc = rendered if config.svg_path else None
-            text = rendered.text_fallback if rendered else None
-        return _surrogate_json(fit, config.white_box), doc, text
+        plot = (lambda: render_forest(fit)) if fit.model.std_errors is not None else None
+        return _surrogate_json(fit, config.white_box), plot
 
     # trace: walk the greedy order of the matching ag-break direction
     attribution = ag_break(
@@ -306,24 +301,23 @@ def _execute(config: argparse.Namespace):
     if config.direction == "down":
         order = list(reversed(order))  # release least important first
     trace = relaxation_trace(predictor, dataset, x_new, order, config.direction)
-    doc = render_trace(trace)
-    return trace.to_json_dict(), doc, doc.text_fallback
+    return trace.to_json_dict(), lambda: render_trace(trace)
 
 
-def _write_outputs(
-    config: argparse.Namespace, envelope: dict, doc, text: str | None
-) -> None:
-    """Write the requested artifacts, or print the envelope when none is asked for."""
+def _write_outputs(config: argparse.Namespace, envelope: dict, plot) -> None:
+    """Write the requested artifacts, rendering the plot once if `--svg` or
+    `--text` asks for it, or print the envelope when none is asked for."""
     if config.json_path:
         export_json(envelope, config.json_path)
-    if config.svg_path:
-        if doc is None:
-            raise UsageError("no SVG output defined for this configuration")
-        _write_text(config.svg_path, doc.svg_text)
-    if config.text_path:
-        if text is None:
-            raise UsageError("no text output defined for this configuration")
-        _write_text(config.text_path, text)
+    if config.svg_path or config.text_path:
+        if plot is None:
+            kind = "SVG" if config.svg_path else "text"
+            raise UsageError(f"no {kind} output defined for this configuration")
+        doc = plot()
+        if config.svg_path:
+            _write_text(config.svg_path, doc.svg_text)
+        if config.text_path:
+            _write_text(config.text_path, doc.text_fallback)
     if not (config.json_path or config.svg_path or config.text_path):
         print(_canonical_json(envelope))
 
@@ -331,14 +325,14 @@ def _write_outputs(
 def run(argv: list[str]) -> int:
     try:
         config = parse_args(argv)
-        result, doc, text = _execute(config)
+        result, plot = _execute(config)
         envelope = {
             "version": __version__,
             "seed": config.seed,
             "config": _echo(config),
             "result": result,
         }
-        _write_outputs(config, envelope, doc, text)
+        _write_outputs(config, envelope, plot)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

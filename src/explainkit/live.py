@@ -10,13 +10,14 @@ an L1-penalized fit when sparsity is wanted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, ModelError, SchemaError
-from .predict import Encoder, LinearModel, Predictor, _fit_least_squares, _standardize
+from .predict import Encoder, LinearModel, Predictor, _finite_mean, _fit_least_squares, _standardize
 from .tabular import CATEGORICAL, Cell, Dataset, FeatureSchema, empirical_draw
 
 
@@ -248,7 +249,8 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
             continue
         mu = y[train].mean()
         coefficients = _read_path(*_lasso_knots(x[train], y[train] - mu, grid[-1]), grid)
-        errors += np.sum((y[~train] - mu - coefficients @ x[~train].T) ** 2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors += np.sum((y[~train] - mu - coefficients @ x[~train].T) ** 2, axis=1)
     return float(grid[np.argmax(errors <= errors.min() + _roundoff(errors[0], k))])
 
 
@@ -266,7 +268,8 @@ def fit_explanation(
     unpenalized intercept, reporting coefficients on the original scale.
     When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
     Raises ModelError when the rows are too few for the white box (for "ols"
-    the message adds "increase size") or a column's spread overflows.
+    the message adds "increase size"), or the predictions' mean or a
+    column's spread overflows.
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -278,6 +281,7 @@ def fit_explanation(
     encoder = Encoder.for_schema(local.schema, reference)
     encoded = encoder.encode_columns(list(local.feature_values))
     y = local.response
+    y_mean = _finite_mean(y, "the local predictions") if len(y) else 0.0
 
     if white_box == "ols":
         try:
@@ -286,6 +290,8 @@ def fit_explanation(
             raise ModelError(
                 f"{exc} (local dataset may be degenerate; increase size)"
             ) from exc
+        if not np.isfinite([model.intercept_std_error, *model.std_errors]).all():
+            raise ModelError("the surrogate's standard errors overflow; rescale the data")
         lambda_ = 0.0
     elif white_box != "lasso":
         raise ModelError(f"unknown white box {white_box!r}")
@@ -296,7 +302,6 @@ def fit_explanation(
             raise ModelError("need at least 2 rows to fit a lasso surrogate")
         means, scales, z = _standardize(encoded, encoder.encoded_names)
         usable = scales > 0
-        y_mean = float(y.mean())
         if lambda_ is None:
             lambda_ = _cross_validate_lambda(z[:, usable], y)
         beta = np.zeros(encoder.n_encoded)
@@ -309,8 +314,11 @@ def fit_explanation(
 def _r_squared(model: LinearModel, local: LocalDataset) -> float:
     y = local.response
     pred = model.scores(list(local.feature_values))
-    rss = float(np.sum((y - pred) ** 2))
-    tss = float(np.sum((y - y.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rss = float(np.sum((y - pred) ** 2))
+        tss = float(np.sum((y - y.mean()) ** 2))
+    if not math.isfinite(rss + tss):
+        raise ModelError("the surrogate's squared errors overflow; rescale the response")
     if tss == 0.0:
         return 1.0 if rss <= 1e-24 else 0.0
     return max(0.0, min(1.0, 1.0 - rss / tss))

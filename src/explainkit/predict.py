@@ -209,10 +209,20 @@ class LinearModel(Predictor):
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         design = self.encoder.encode_columns(columns)
-        return self.intercept + design @ self.coefficients
+        with np.errstate(over="ignore", invalid="ignore"):  # `scores` refuses what overflows
+            return self.intercept + design @ self.coefficients
 
     def additive_view(self) -> tuple[float, Encoder, np.ndarray]:
         return self.intercept, self.encoder, self.coefficients
+
+
+def _finite_mean(values: np.ndarray, what: str) -> float:
+    """The mean of `values`, or ModelError naming `what` where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise ModelError(f"the mean of {what} overflows; rescale the response")
+    return mean
 
 
 def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> LinearModel:
@@ -237,17 +247,21 @@ def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> 
         raise ModelError(
             f"design matrix is rank deficient at column {names[deficient[0]]!r}"
         )
-    beta = np.linalg.solve(r, q.T @ y)
-    residuals = y - design @ beta
-    sigma2 = float(residuals @ residuals) / (n - k - 1)
-    rinv = np.linalg.solve(r, np.eye(k + 1))
-    stderr = np.sqrt(np.maximum(np.diag(sigma2 * (rinv @ rinv.T)), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.linalg.solve(r, q.T @ y)
+        residuals = y - design @ beta
+        sigma2 = float(residuals @ residuals) / (n - k - 1)
+        rinv = np.linalg.solve(r, np.eye(k + 1))
+        stderr = np.sqrt(np.maximum(np.diag(sigma2 * (rinv @ rinv.T)), 0.0))
+        feature_means = encoded.mean(axis=0)
+    if not np.isfinite(beta).all():
+        raise ModelError("least-squares coefficients overflow; rescale the response")
     return LinearModel(
         schema=encoder.schema,
         encoder=encoder,
         intercept=float(beta[0]),
         coefficients=beta[1:],
-        feature_means=encoded.mean(axis=0),
+        feature_means=feature_means,
         std_errors=stderr[1:],
         intercept_std_error=float(stderr[0]),
         residual_variance=sigma2,
@@ -353,9 +367,10 @@ class KernelRidgePredictor(Predictor):
         rows = max(4, KERNEL_BLOCK_ENTRIES // len(self.dual_weights) // 4 * 4)
         block = _aligned_empty(min(rows, len(z)), len(self.dual_weights))
         fitted = np.empty(len(z))
-        for i in range(0, len(z), rows):
-            k = _rbf(z[i : i + rows], self.lifted_train, block[: len(z) - i])
-            fitted[i : i + rows] = k @ self.dual_weights
+        with np.errstate(over="ignore", invalid="ignore"):  # `scores` refuses what overflows
+            for i in range(0, len(z), rows):
+                k = _rbf(z[i : i + rows], self.lifted_train, block[: len(z) - i])
+                fitted[i : i + rows] = k @ self.dual_weights
         return self.response_mean + fitted[: len(x)]
 
 
@@ -379,7 +394,7 @@ def fit_kernel_ridge(
     means, scales, z = _standardize(x, [col.name for col in feature_cols])
     scales = np.where(scales == 0.0, 1.0, scales)
     kmat = _rbf(_lift_batch(z), _lift_train(z, gamma))
-    y_mean = float(y.mean())
+    y_mean = _finite_mean(y, "the response")
     try:
         alpha = np.linalg.solve(kmat + ridge * np.eye(len(y)), y - y_mean)
     except np.linalg.LinAlgError as exc:

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ModelError, SchemaError
-from .predict import Encoder, Predictor
+from .predict import Encoder, Predictor, _finite_mean
 from .tabular import Cell, Dataset
 
 DOWN = "down"
@@ -85,9 +85,9 @@ def additive_terms(
     terms[j] = coef . (encode(x_new) - means) over feature j's encoded
     columns. Pinning a set S adds the terms of S to the base."""
     intercept, encoder, coefficients = view
-    base = intercept + float(means @ coefficients)
-    per_encoded = (encoder.encode_observation(x_new) - means) * coefficients
-    return base, encoder.fold(per_encoded)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks what overflows
+        base = intercept + float(means @ coefficients)
+        return base, encoder.fold((encoder.encode_observation(x_new) - means) * coefficients)
 
 
 class RelaxedValues:
@@ -149,7 +149,7 @@ class RelaxedValues:
         scored = dict(zip(todo, self.predictor.scores_of(map(self._hybrid, todo))))
         for m, scores in scored.items():
             scores.flags.writeable = False
-            self._means.setdefault(m, float(np.mean(scores)))
+            self._means.setdefault(m, _finite_mean(scores, "a pinned set's scores"))
         return [scored[m] if m in scored else kept[m] for m in masks]
 
     def keep_path(self, path: Iterable[int]) -> None:
@@ -183,7 +183,7 @@ class RelaxedValues:
                         yield self._hybrid(m)
 
             for i, scores in enumerate(self.predictor.scores_of(handed(todo), map(handed, ahead))):
-                self._means[offered[i]] = float(np.mean(scores))
+                self._means[offered[i]] = _finite_mean(scores, "a pinned set's scores")
                 if self._walked is not None:
                     scores.flags.writeable = False
                     self._walked[offered[i]] = scores
@@ -192,7 +192,8 @@ class RelaxedValues:
     @cached_property
     def _additive_terms(self) -> tuple[float, np.ndarray]:
         """`additive_terms` of the view over this engine's own background."""
-        means = self._view[1].encode_columns(self._background).mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # `_closed_form` checks
+            means = self._view[1].encode_columns(self._background).mean(axis=0)
         return additive_terms(self._view, self.x_new, means)
 
     def _closed_form(self, masks: list[int]) -> list[float]:
@@ -204,7 +205,8 @@ class RelaxedValues:
         packed = b"".join(m.to_bytes(size, "little") for m in masks)
         bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), size)
         pinned = np.unpackbits(bits, axis=1, count=self.p, bitorder="little")
-        values = base + pinned @ terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = base + pinned @ terms
         if not np.all(np.isfinite(values)):
             raise ModelError("predictor produced non-finite scores")
         return values.tolist()
@@ -240,7 +242,10 @@ class TraceStep:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.scores))
+        """The mean score; that of equal scores (the full step's n copies of
+        f(x_new)) is their score, which `np.mean` may miss in the last bits."""
+        scores = self.scores
+        return float(scores[0] if scores.min() == scores.max() else np.mean(scores))
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,14 +51,6 @@ class PlotDocument:
     height: int
 
 
-def _svg_header(width: int, height: int) -> str:
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">\n'
-    )
-
-
 def _x_scale(lo: float, hi: float):
     if hi <= lo:
         pad = 0.5 if lo == 0 else abs(lo) * 0.05 + 1e-9
@@ -84,14 +76,40 @@ def _rule(x: float, height: int, stroke: str) -> str:
     )
 
 
-def _axis(parts: list[str], to_x, lo: float, hi: float, height: int) -> None:
-    y1 = height - MARGIN_BOTTOM + 8
+def _open(kind: str, rows: int, lo: float, hi: float):
+    """The opening parts of a `kind` plot of `rows` rows (at least one) over
+    [lo, hi]: header, title, and the axis at the padded range's ends.
+    Returns (parts, to_x, lo, hi, height), with the padded lo and hi."""
+    height = ROW_HEIGHT * max(rows, 1) + 80
+    to_x, lo, hi = _x_scale(lo, hi)
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}" font-family="monospace" font-size="12">\n'
+        f"<title>{kind}</title>\n"
+    ]
     for v in (lo, hi):
         x = to_x(v)
         parts.append(_rule(x, height, f'stroke="{GRID_STROKE}" stroke-width="1"'))
         parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y1 + 14)}" text-anchor="middle">{_fmt(v)}</text>\n'
+            f'<text x="{_fmt(x)}" y="{_fmt(height - MARGIN_BOTTOM + 22)}" '
+            f'text-anchor="middle">{_fmt(v)}</text>\n'
         )
+    return parts, to_x, lo, hi, height
+
+
+def _row_label(y: float, label: str) -> str:
+    """A row's label, right-aligned left of the plot, with its baseline at y."""
+    return (
+        f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y)}" '
+        f'text-anchor="end">{_escape(label)}</text>\n'
+    )
+
+
+def _close(kind: str, parts: list[str], height: int, text_fallback: str) -> PlotDocument:
+    """The plot of `parts`, closed."""
+    parts.append("</svg>\n")
+    return PlotDocument(kind, "".join(parts), text_fallback, WIDTH, height)
 
 
 def _text_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -119,26 +137,15 @@ def render_waterfall(attribution: Attribution) -> PlotDocument:
     cumulative = [attribution.baseline]
     for e in entries:
         cumulative.append(cumulative[-1] + e.contribution)
-
-    rows = len(entries)
-    height = ROW_HEIGHT * max(rows, 1) + 80
-    lo = min(cumulative + [attribution.final_prediction])
-    hi = max(cumulative + [attribution.final_prediction])
-    to_x, lo, hi = _x_scale(lo, hi)
-
-    parts = [_svg_header(WIDTH, height)]
-    parts.append('<title>waterfall</title>\n')
-    _axis(parts, to_x, lo, hi, height)
+    ends = cumulative + [attribution.final_prediction]
+    parts, to_x, _, _, height = _open("waterfall", len(entries), min(ends), max(ends))
 
     for i, e in enumerate(entries):
         start, end = cumulative[i], cumulative[i + 1]
         x0, x1 = to_x(min(start, end)), to_x(max(start, end))
         y = MARGIN_TOP + i * ROW_HEIGHT
         fill = POSITIVE_FILL if e.contribution >= 0 else NEGATIVE_FILL
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 20)}" '
-            f'text-anchor="end">{_escape(e.label)}</text>\n'
-        )
+        parts.append(_row_label(y + 20, e.label))
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y + 8)}" '
             f'width="{_fmt(max(x1 - x0, 0.5))}" height="24" fill="{fill}"/>\n'
@@ -158,15 +165,7 @@ def render_waterfall(attribution: Attribution) -> PlotDocument:
         f'<text x="{_fmt(xf)}" y="{_fmt(MARGIN_TOP - 16)}" text-anchor="middle">'
         f'final {_fmt(attribution.final_prediction)}</text>\n'
     )
-    parts.append("</svg>\n")
-
-    return PlotDocument(
-        kind="waterfall",
-        svg_text="".join(parts),
-        text_fallback=attribution_text(attribution),
-        width=WIDTH,
-        height=height,
-    )
+    return _close("waterfall", parts, height, attribution_text(attribution))
 
 
 def render_forest(fit: SurrogateFit) -> PlotDocument:
@@ -180,23 +179,14 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
     estimates = [model.intercept, *model.coefficients.tolist()]
     errors = [model.intercept_std_error, *model.std_errors.tolist()]
 
-    rows = len(names)
-    height = ROW_HEIGHT * rows + 80
     lows = [e - Z_975 * s for e, s in zip(estimates, errors)]
     highs = [e + Z_975 * s for e, s in zip(estimates, errors)]
-    to_x, lo, hi = _x_scale(min(lows + [0.0]), max(highs + [0.0]))
-
-    parts = [_svg_header(WIDTH, height)]
-    parts.append('<title>forest</title>\n')
-    _axis(parts, to_x, lo, hi, height)
+    parts, to_x, _, _, height = _open("forest", len(names), min(lows + [0.0]), max(highs + [0.0]))
     parts.append(_rule(to_x(0.0), height, f'stroke="{NEUTRAL_STROKE}" stroke-width="1"'))
 
     for i, (name, est, low, high) in enumerate(zip(names, estimates, lows, highs)):
         y = MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{_escape(name)}</text>\n'
-        )
+        parts.append(_row_label(y + 4, name))
         parts.append(
             f'<line x1="{_fmt(to_x(low))}" y1="{_fmt(y)}" '
             f'x2="{_fmt(to_x(high))}" y2="{_fmt(y)}" '
@@ -206,18 +196,10 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
             f'<circle cx="{_fmt(to_x(est))}" cy="{_fmt(y)}" r="4" fill="{POSITIVE_FILL}"/>\n'
         )
 
-    parts.append("</svg>\n")
-
-    return PlotDocument(
-        kind="forest",
-        svg_text="".join(parts),
-        text_fallback=_text_table(
-            ("coefficient", "estimate", "low", "high"),
-            list(zip(names, estimates, lows, highs)),
-        ),
-        width=WIDTH,
-        height=height,
+    table = _text_table(
+        ("coefficient", "estimate", "low", "high"), list(zip(names, estimates, lows, highs))
     )
+    return _close("forest", parts, height, table)
 
 
 def _silverman_bandwidth(scores: np.ndarray) -> float:
@@ -254,25 +236,17 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
     if not trace.steps:
         raise ModelError("trace has no steps")
     steps = trace.steps
-    rows = len(steps)
-    height = ROW_HEIGHT * rows + 80
-
     all_scores = np.concatenate([s.scores for s in steps])
-    to_x, lo, hi = _x_scale(float(all_scores.min()), float(all_scores.max()))
-
-    parts = [_svg_header(WIDTH, height)]
-    parts.append('<title>trace</title>\n')
-    _axis(parts, to_x, lo, hi, height)
+    parts, to_x, lo, hi, height = _open(
+        "trace", len(steps), float(all_scores.min()), float(all_scores.max())
+    )
 
     sign = "-" if trace.direction == DOWN else "+"
-    labels = []
-    for step in steps:
-        if step.relaxed_feature is None:
-            labels.append("start")
-        else:
-            labels.append(f"{sign}{trace.feature_names[step.relaxed_feature]}")
-
-    centers = [MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2 for i in range(rows)]
+    labels = [
+        "start" if j is None else f"{sign}{trace.feature_names[j]}"
+        for j in (step.relaxed_feature for step in steps)
+    ]
+    centers = [MARGIN_TOP + i * ROW_HEIGHT + ROW_HEIGHT / 2 for i in range(len(steps))]
 
     # per-observation gray polylines between consecutive steps: each step's
     # points are formatted as one array, and each polyline joins one row of them
@@ -290,12 +264,8 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
     half = ROW_HEIGHT * 0.4
     grid = np.linspace(lo, hi, 81)
     grid_x = _fmt_array(to_x(grid))
-    for k, step in enumerate(steps):
-        y = centers[k]
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{_escape(labels[k])}</text>\n'
-        )
+    for label, step, y in zip(labels, steps, centers):
+        parts.append(_row_label(y + 4, label))
         bw = _silverman_bandwidth(step.scores)
         dens = _density(step.scores, grid, bw) if bw > 0 else np.zeros_like(grid)
         peak = dens.max()
@@ -320,16 +290,8 @@ def render_trace(trace: RelaxationTrace) -> PlotDocument:
             f'fill="{MEAN_FILL}"/>\n'
         )
 
-    parts.append("</svg>\n")
-
     text_rows = [
         (label, step.mean, float(step.scores.min()), float(step.scores.max()))
         for label, step in zip(labels, steps)
     ]
-    return PlotDocument(
-        kind="trace",
-        svg_text="".join(parts),
-        text_fallback=_text_table(("step", "mean", "min", "max"), text_rows),
-        width=WIDTH,
-        height=height,
-    )
+    return _close("trace", parts, height, _text_table(("step", "mean", "min", "max"), text_rows))

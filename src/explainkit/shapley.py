@@ -82,12 +82,13 @@ def shapley_exact(
     masks = np.arange(1 << p)
     sizes = np.array([m.bit_count() for m in range(1 << p)])
     phis = np.zeros(p)
-    for j in range(p):
-        free = masks[(masks >> j & 1) == 0]
-        terms = weight_by_size[sizes[free]] * (v[free | 1 << j] - v[free])
-        # summed in ascending mask order, one term at a time; adding to 0.0
-        # gives the sign of zero a running sum started at 0.0 would have
-        phis[j] = 0.0 + np.add.accumulate(terms)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # `Attribution` refuses what overflows
+        for j in range(p):
+            free = masks[(masks >> j & 1) == 0]
+            terms = weight_by_size[sizes[free]] * (v[free | 1 << j] - v[free])
+            # summed in ascending mask order, one term at a time; adding to 0.0
+            # gives the sign of zero a running sum started at 0.0 would have
+            phis[j] = 0.0 + np.add.accumulate(terms)[-1]
     mean_score, final = values.means([0, values.full])
     attribution = _ranked_attribution(
         names, x_new, phis, baseline_mode, mean_score, final, SHAPLEY_EXACT
@@ -124,18 +125,22 @@ def shapley_sampled(
     orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
     walks = (accumulate((1 << int(j) for j in order), or_, initial=0) for order in orders)
     v = np.array(values.means(chain.from_iterable(walks))).reshape(n_permutations, p + 1)
-    marginals = np.empty((n_permutations, p))
-    np.put_along_axis(marginals, orders, np.diff(v), axis=1)
-    phis = marginals.mean(axis=0)
-    std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     mean_score, final = values.means([0, values.full])
-    residual = (final - mean_score) - float(phis.sum())
-    adjusted = phis.copy()
-    total_abs = float(np.abs(phis).sum())
-    if total_abs > 0.0:
-        adjusted += residual * np.abs(phis) / total_abs
-    elif p:
-        adjusted += residual / p
+    marginals = np.empty((n_permutations, p))
+    # what overflows is refused below, or by `Attribution`, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.put_along_axis(marginals, orders, np.diff(v), axis=1)
+        phis = marginals.mean(axis=0)
+        std_errors = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+        residual = (final - mean_score) - float(phis.sum())
+        adjusted = phis.copy()
+        total_abs = float(np.abs(phis).sum())
+        if total_abs > 0.0:
+            adjusted += residual * np.abs(phis) / total_abs
+        elif p:
+            adjusted += residual / p
+    if not np.isfinite(std_errors).all():
+        raise ModelError("a sampled Shapley standard error overflows; rescale the response")
     attribution = _ranked_attribution(
         names, x_new, adjusted, baseline_mode, mean_score, final, SHAPLEY_SAMPLED
     )

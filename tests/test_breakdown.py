@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from explainkit import (
     ConstantPredictor,
+    ModelError,
     SchemaError,
     ag_break,
     attribution_text,
@@ -285,3 +286,12 @@ class TestSerialization:
         object.__setattr__(a.entries[1], "feature", "x" * 40)
         lines = attribution_text(a).splitlines()
         assert len({len(l) for l in lines}) == 1  # fully aligned block
+
+
+def test_a_contribution_that_overflows_is_a_model_error():
+    # f(x_new) = 1.5e308 - 1.5e308 is finite; each term, 2.5e308 in size, is not
+    schema = make_regression(2, 10, seed=4).schema()
+    coefficients, means = np.array([1e308, -1e308]), np.full(2, -1.0)
+    model = LinearModel(schema, Encoder.for_schema(schema), 0.0, coefficients, means)
+    with pytest.raises(ModelError, match="^the contribution of 'x1' is inf"):
+        lm_break(model, (1.5, 1.5))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from explainkit import cli
 from explainkit.cli import SUBCOMMANDS, _canonical_json, export_json, parse_args, run
 from explainkit.errors import UsageError
 
@@ -654,3 +655,71 @@ def test_a_column_near_the_float_limit_is_named(tmp_path, capsys):
     argv = ["live", "--data", str(data), "--response", "y", "--row", "1", "--model", "ols"]
     assert run([*argv, "--white-box", "lasso", "--size", "40"]) == 2
     assert capsys.readouterr() == ("", "error: the spread of 'a' overflows; rescale it\n")
+
+
+@pytest.mark.parametrize(
+    "subcommand, renderer", [("trace", "render_trace"), ("breakdown", "render_waterfall")]
+)
+def test_the_plot_is_rendered_only_for_svg_or_text(tmp_path, monkeypatch, subcommand, renderer):
+    (tmp_path / "small.csv").write_bytes(SMALL_CSV)
+    monkeypatch.chdir(tmp_path)
+    render, docs = getattr(cli, renderer), []
+    monkeypatch.setattr(cli, renderer, lambda result: docs.append(render(result)) or docs[-1])
+    argv = [subcommand, "--data", "small.csv", "--response", "y", "--row", "2"]
+    assert run([*argv, "--json", "out.json"]) == 0
+    assert docs == []
+    assert run([*argv, "--svg", "out.svg", "--text", "out.txt"]) == 0
+    assert len(docs) == 1
+    assert (tmp_path / "out.svg").read_text() == docs[0].svg_text
+    assert (tmp_path / "out.txt").read_text() == docs[0].text_fallback
+
+
+# relaxed means, fits and local predictions near the float limit overflow
+OVERFLOW_CSV = b"a,b,y\n1,2,1e308\n2,1,-1e308\n3,5,1e308\n4,4,1\n5,3,6\n6,6,2\n"
+OVERFLOW_RUNS = [
+    ["breakdown", "--direction", "up"],
+    ["breakdown", "--direction", "down"],
+    ["shapley", "--method", "exact"],
+    ["shapley", "--method", "sample"],
+    ["trace"],
+    ["live"],
+    ["live", "--white-box", "lasso"],
+]
+
+
+def test_scores_near_the_float_limit_end_in_one_error_line(tmp_path, capsys):
+    # tier-1 makes warnings errors, so a numpy warning would raise out of `run`
+    data = tmp_path / "big.csv"
+    data.write_bytes(OVERFLOW_CSV)
+    for model in ("ols", "kernel-ridge"):
+        for subcommand, *flags in OVERFLOW_RUNS:
+            argv = [subcommand, "--data", str(data), "--response", "y", "--row", "2"]
+            assert run([*argv, "--model", model, *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "overflow" in err
+
+
+# tables of a scratch fuzz whose runs raised or printed numpy warnings
+FUZZED_OVERFLOW_CSVS = [
+    b"a,b,y\n7,5,3\n6,9,4\n2,1e+200,1e+308\n2,6,4\n",
+    b"a,b,y\n2,9,1.7e+308\n3,9,-1e+300\n8,0,1e+300\n",
+    b"a,b,y\n9,1e+154,-1e+308\n9,1e-300,-1.7e+308\n8,1,3\n",
+    b"a,b,y\n9,4,3\n2,8,1e+300\n1,3,0\n",
+]
+
+
+@pytest.mark.parametrize("data", FUZZED_OVERFLOW_CSVS)
+def test_overflowing_tables_keep_the_exit_code_contract(tmp_path, capsys, data):
+    (tmp_path / "t.csv").write_bytes(data)
+    for model in ("ols", "kernel-ridge"):
+        for subcommand, *flags in OVERFLOW_RUNS:
+            argv = [subcommand, "--data", str(tmp_path / "t.csv"), "--response", "y", "--row", "1"]
+            code = run([*argv, "--model", model, *flags])
+            out, err = capsys.readouterr()
+            assert code in (0, 2)
+            if code:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert err == ""

@@ -739,3 +739,17 @@ class TestOverflowingSpread:
         with pytest.raises(ModelError, match="'a'"):
             fit_kernel_ridge(overflowing_table(), "y", gamma=0.5, ridge=0.1)
         assert not recwarn.list
+
+
+def test_surrogate_numbers_that_overflow_are_model_errors():
+    rows = [(k * 1e-200, float(k % 3)) for k in range(1, 9)]
+    ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, rows, "y")
+    model = fit_kernel_ridge(ds, "y", 1.0, 0.1)
+    local = add_predictions(sample_locally(ds, ds.observation(0), "y", 40, 1), model)
+    # a feature of scale 1e-200: the inverse of R, so the standard errors, overflow
+    with pytest.raises(ModelError, match="^the surrogate's standard errors overflow"):
+        fit_explanation(local, "ols")
+    # responses of +-1e200 have a finite mean, but their squares overflow
+    spread = replace(local, response=np.where(np.arange(40) % 2, 1e200, -1e200))
+    with pytest.raises(ModelError, match="^the surrogate's squared errors overflow"):
+        fit_explanation(spread, "lasso", 0.1)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -844,3 +845,54 @@ def test_payload_bytes_equal_csv_writer_on_generated_batches(data):
     assert payload == _csv_writer_payload(names, columns, "\r\n")
     if not any("\r" in str(v) for col in columns for v in col):
         assert payload == _csv_writer_payload(names, columns)
+
+
+PAIR = FeatureSchema(("a", "b"), (NUMERIC, NUMERIC), (None, None))
+LEVELS = FeatureSchema(("c",), ("categorical",), (("x", "y"),))
+
+
+def linear_model(**changes):
+    fields = dict(
+        schema=PAIR, encoder=Encoder.for_schema(PAIR), intercept=0.0,
+        coefficients=np.ones(2), feature_means=np.zeros(2),
+    )
+    return LinearModel(**{**fields, **changes})
+
+
+ERROR_PATHS = {
+    "batch-columns": (
+        lambda: ConstantPredictor(PAIR, 1.0).scores([np.zeros(3)]),
+        SchemaError, "batch has 1 columns, schema expects 2",
+    ),
+    "batch-lengths": (
+        lambda: ConstantPredictor(PAIR, 1.0).scores([np.zeros(3), np.zeros(2)]),
+        SchemaError, "batch columns have differing lengths: [2, 3]",
+    ),
+    "reference-level": (
+        lambda: Encoder.for_schema(LEVELS, {"c": "z"}),
+        SchemaError, "reference level 'z' not among levels of 'c'",
+    ),
+    "mean-length": (
+        lambda: linear_model(feature_means=np.zeros(3)),
+        ModelError, "coefficient and mean vectors differ in length",
+    ),
+    "std-error-length": (
+        lambda: linear_model(std_errors=np.ones(1)),
+        ModelError, "coefficient and standard-error vectors differ in length",
+    ),
+    "negative-std-error": (
+        lambda: linear_model(std_errors=np.array([1.0, -1.0])),
+        ModelError, "standard errors must be nonnegative",
+    ),
+    "linear-score-overflow": (
+        lambda: linear_model(coefficients=np.full(2, 1e308)).score_one((1.5, 1.5)),
+        ModelError, "predictor produced non-finite scores",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_path(case):
+    call, error, message = ERROR_PATHS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

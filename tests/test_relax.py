@@ -478,6 +478,15 @@ class TestRelaxationTrace:
         full = trace.steps[0 if direction == "down" else -1]
         assert np.array_equal(full.scores, np.full(wine.n_rows, wine_ols.score_one(x)))
 
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_full_step_mean_is_f_new_bit_for_bit(self, wine, wine_ols, direction):
+        # np.mean of row 41's 1,599 equal scores is 5.730295687132682, one
+        # bit above f(x_new) = 5.730295687132681
+        x = wine.observation(41)
+        trace = relaxation_trace(wine_ols, wine, x, list(range(wine.n_features)), direction)
+        full = trace.steps[0 if direction == "down" else -1]
+        assert full.mean == wine_ols.score_one(x)
+
     def test_step_means_telescope_with_added_contribution(self):
         ds = make_regression(5, 40, seed=27, noise=0.4)
         m = fit_kernel_ridge(ds, 5, gamma=0.4, ridge=1e-2)
@@ -956,3 +965,23 @@ def test_concurrent_explanations_match_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+ONE_FEATURE = FeatureSchema(("a",), ("numeric",), (None,))
+
+
+@pytest.mark.parametrize("explain", [ag_break, lambda *args: relaxation_trace(*args, [0])])
+def test_a_mean_score_that_overflows_is_a_model_error(explain):
+    # each score is finite, but the mean of two 1.5e308 overflows
+    ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, [(1.0, 0.0), (2.0, 0.0)], "y")
+    with pytest.raises(ModelError, match="^the mean of a pinned set's scores overflows"):
+        explain(ConstantPredictor(ONE_FEATURE, 1.5e308), ds, (1.0,))
+
+
+def test_background_means_that_overflow_are_a_model_error():
+    # the closed form's column mean of two 1.5e308 overflows
+    ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, [(1.5e308, 0.0), (1.5e308, 1.0)], "y")
+    encoder = Encoder.for_schema(ONE_FEATURE)
+    model = LinearModel(ONE_FEATURE, encoder, 0.0, np.array([1e-300]), np.zeros(1))
+    with pytest.raises(ModelError, match="^predictor produced non-finite scores$"):
+        ag_break(model, ds, (1.0,))

@@ -351,3 +351,8 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_well_formed_xml(self, name):
         ET.fromstring(CASES[name]().svg_text)
+
+
+def test_a_trace_without_steps_is_a_model_error():
+    with pytest.raises(ModelError, match="^trace has no steps$"):
+        render_trace(RelaxationTrace("down", ("a",), ()))

@@ -261,3 +261,30 @@ class TestSampled:
         rng = np.random.Generator(np.random.PCG64(4))
         est = shapley_sampled(m, ds, ds.observation(0), n_permutations=30, rng=rng)
         assert np.all(est.std_errors >= 0)
+
+
+class RowFunctionPredictor(Predictor):
+    """Scores `function(*columns)`; no additive view."""
+
+    def __init__(self, schema, function):
+        self.schema, self.function = schema, function
+
+    def score_columns(self, columns):
+        return self.function(*columns).astype(float)
+
+
+def test_a_shapley_value_that_overflows_is_a_model_error():
+    # v(empty) = -1e308 and v(full) = 1e308 are finite; their difference is not
+    ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, [(0.0, 0.0)], "y")
+    step = RowFunctionPredictor(ds.schema(), lambda a: np.where(a == 1.0, 1e308, -1e308))
+    with pytest.raises(ModelError, match="^the contribution of 'a' is inf"):
+        shapley_exact(step, ds, (1.0,))
+
+
+def test_a_standard_error_that_overflows_is_a_model_error():
+    # the marginals are +-1e306, whose mean is finite but whose squares overflow
+    ds = dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, [(0.0, 0.0, 0.0)], "y")
+    xor = RowFunctionPredictor(ds.schema(), lambda a, b: 1e306 * (a != b))
+    rng = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(ModelError, match="^a sampled Shapley standard error overflows"):
+        shapley_sampled(xor, ds, (1.0, 1.0), n_permutations=20, rng=rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -350,3 +352,37 @@ class TestFeatureSchemaColumns:
         assert g.dtype == object and g.tolist() == ["v"] * n
         a[:] = 0.0  # each call returns fresh, writable arrays
         assert self.SCHEMA.repeat(("1.5", "v"), n)[0].tolist() == [1.5] * n
+
+
+def numbers(name, *values):
+    return Column(name, NUMERIC, np.array(values, dtype=float))
+
+
+ERROR_PATHS = {
+    "empty-name": (lambda: numbers("", 1.0), "column names must be non-empty"),
+    "outside-levels": (
+        lambda: Column("c", CATEGORICAL, np.array(["x", "z"], dtype=object), ("x", "y")),
+        "column 'c' has labels outside its level set: ['z']",
+    ),
+    "no-columns": (lambda: Dataset(()), "dataset needs at least one column"),
+    "no-rows": (lambda: Dataset((numbers("a"),)), "dataset needs at least one row"),
+    "duplicate-names": (
+        lambda: Dataset((numbers("a", 1.0), numbers("b", 2.0), numbers("a", 3.0))),
+        "duplicate column names: ['a']",
+    ),
+    "observation-range": (
+        lambda: Dataset((numbers("a", 1.0, 2.0),)).observation(2),
+        "row 2 out of range for 2 rows",
+    ),
+    "no-response": (
+        lambda: Dataset((numbers("a", 1.0),)).response_values(),
+        "dataset has no response column",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_path(case):
+    call, message = ERROR_PATHS[case]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()
