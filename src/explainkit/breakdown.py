@@ -215,14 +215,12 @@ def ag_break(
     # step scores all of its candidates together, with later steps' sets.
     pick = min if down else max
     entries: list[AttributionEntry] = []
-    path = [fixed]
     for _ in range(p):
         candidates = [j for j in range(p) if (fixed >> j & 1) == down]
         steps = (fixed ^ 1 << j for j in candidates)
         moved = dict(zip(candidates, values.means(steps, _layers(fixed, candidates))))
         j = pick(candidates, key=lambda j: abs(moved[j] - reference))
         fixed ^= 1 << j
-        path.append(fixed)
         value = moved[j]
         contribution = current - value if down else value - current
         entries.append(AttributionEntry(names[j], x_new[j], contribution))
@@ -230,7 +228,6 @@ def ag_break(
     if down:
         entries.reverse()  # most important (released last) first
     mean_score = values.means([0])[0]
-    values.keep_path(path)
 
     method = AG_BREAK_DOWN if down else AG_BREAK_UP
     return _finalize_entries(entries, baseline_mode, mean_score, f_new, method)

@@ -29,6 +29,9 @@ from .shapley import shapley_exact, shapley_sampled
 from .tabular import load_csv
 
 SUBCOMMANDS = ("breakdown", "shapley", "live", "trace")
+# Sampled Shapley holds about 0.6 KB per permutation and a lasso `live` about
+# 0.53 KB per local row on wine (p = 11), so either bound is about 0.6 GB there.
+MAX_PERMUTATIONS = MAX_SIZE = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,14 +94,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         raise UsageError("--scorer-timeout must be a positive number of seconds")
     if (ns.row is None) == (ns.observation is None):
         raise UsageError("exactly one of --row or --observation is required")
-    if ns.size < 0:
-        raise UsageError("--size must be nonnegative")
+    if not 0 <= ns.size <= MAX_SIZE:
+        raise UsageError(f"--size must be between 0 and {MAX_SIZE}")
     if ns.seed < 0:
         raise UsageError("--seed must be nonnegative")
     if not all(math.isfinite(v) for v in (ns.gamma, ns.ridge, ns.lambda_ or 0.0)):
         raise UsageError("--gamma, --ridge and --lambda must be finite")
-    if ns.permutations < 2 and ns.subcommand == "shapley" and ns.method == "sample":
-        raise UsageError("--permutations must be at least 2")
+    sampled = ns.subcommand == "shapley" and ns.method == "sample"
+    if sampled and not 2 <= ns.permutations <= MAX_PERMUTATIONS:
+        raise UsageError(f"--permutations must be between 2 and {MAX_PERMUTATIONS}")
 
     ns.external_command = external_command
     return ns

@@ -268,8 +268,8 @@ def fit_explanation(
     unpenalized intercept, reporting coefficients on the original scale.
     When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
     Raises ModelError when the rows are too few for the white box (for "ols"
-    the message adds "increase size"), or the predictions' mean or a
-    column's spread overflows.
+    the message adds "increase size"), or the predictions' mean, a column's
+    spread or the least-squares fit overflows.
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -284,14 +284,8 @@ def fit_explanation(
     y_mean = _finite_mean(y, "the local predictions") if len(y) else 0.0
 
     if white_box == "ols":
-        try:
-            model = _fit_least_squares(encoder, encoded, y)
-        except ModelError as exc:
-            raise ModelError(
-                f"{exc} (local dataset may be degenerate; increase size)"
-            ) from exc
-        if not np.isfinite([model.intercept_std_error, *model.std_errors]).all():
-            raise ModelError("the surrogate's standard errors overflow; rescale the data")
+        advice = " (local dataset may be degenerate; increase size)"
+        model = _fit_least_squares(encoder, encoded, y, advice)
         lambda_ = 0.0
     elif white_box != "lasso":
         raise ModelError(f"unknown white box {white_box!r}")

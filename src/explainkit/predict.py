@@ -225,18 +225,23 @@ def _finite_mean(values: np.ndarray, what: str) -> float:
     return mean
 
 
-def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> LinearModel:
+def _fit_least_squares(
+    encoder: Encoder, encoded: np.ndarray, y: np.ndarray, advice: str = ""
+) -> LinearModel:
     """Least-squares linear model of y on [1, encoded] by Householder QR.
 
     `encoded` is the design `encoder` made of the rows. Normal equations are
     never formed; the covariance uses the triangular factor directly, and
     standard errors use the unbiased residual variance. Raises ModelError
     when rows are too few or the design is rank deficient (the offending
-    column is named).
+    column is named; both messages end in `advice`), or the coefficients or
+    standard errors overflow.
     """
     n, k = encoded.shape
     if n <= k + 1:
-        raise ModelError(f"need more than {k + 1} rows to fit {k} encoded features, got {n}")
+        raise ModelError(
+            f"need more than {k + 1} rows to fit {k} encoded features, got {n}{advice}"
+        )
     design = np.hstack([np.ones((n, 1)), encoded])
     q, r = np.linalg.qr(design, mode="reduced")
     # each diagonal against its column's largest entry, which cannot overflow as a norm can
@@ -245,7 +250,7 @@ def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> 
     if deficient.size:
         names = ["(intercept)", *encoder.encoded_names]
         raise ModelError(
-            f"design matrix is rank deficient at column {names[deficient[0]]!r}"
+            f"design matrix is rank deficient at column {names[deficient[0]]!r}{advice}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         beta = np.linalg.solve(r, q.T @ y)
@@ -256,6 +261,8 @@ def _fit_least_squares(encoder: Encoder, encoded: np.ndarray, y: np.ndarray) -> 
         feature_means = encoded.mean(axis=0)
     if not np.isfinite(beta).all():
         raise ModelError("least-squares coefficients overflow; rescale the response")
+    if not np.isfinite(stderr).all():
+        raise ModelError("least-squares standard errors overflow; rescale the data")
     return LinearModel(
         schema=encoder.schema,
         encoder=encoder,
@@ -488,7 +495,7 @@ class ExternalPredictor(Predictor):
     the start and full sets joining the first, each taking whole layers of
     later steps' sets `ahead` within `LOOKAHEAD_ROWS` rows: 1 whenever all 2^p
     sets fit, 2 for Up and Down at p = 5 over 400 rows. `relaxation_trace`
-    none along a walk's path, else 1; the Shapley estimators one per payload
+    none along sets walks scored, else 1; the Shapley estimators one per payload
     of as many whole pinned sets as fit in `PAYLOAD_ROWS` rows (at least one).
 
     Before a payload known to be followed by another (a later payload of the

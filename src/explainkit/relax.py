@@ -20,7 +20,7 @@ Scored sets outlive one call in one slot (`_Row`), that of the last row
 explained with a view-less predictor over the whole dataset: the Shapley
 estimators, the trace and `relaxed_prediction` start from it and add to it;
 `ag_break` only adds to it, so its calls depend on the row alone. A trace
-along a walk's path finds every step there and scores nothing.
+along sets a walk scored, path or not, finds them there and scores nothing.
 
 A predictor with an additive view (score = intercept + coef . encoded row)
 has relaxed predictions in closed form (`additive_terms`): the mean of its
@@ -51,12 +51,13 @@ UP = "up"
 @dataclass(eq=False)
 class _Row:
     """What is scored of one row: relaxed means, and read-only score arrays
-    of walks' paths (the full set's of one row), by mask. Both only gain
-    values deterministic given the key, so concurrent calls may share them."""
+    of the sets walks scored (the full set's of one row), by mask. Both only
+    gain values deterministic given the key, so concurrent calls may share
+    them. An engine's private row has no key."""
 
-    predictor: weakref.ref  # the key: the predictor, held weakly,
-    background: list[np.ndarray]  # the columns, by identity,
-    x: tuple[str, ...]  # and the reprs of x_new, so 0.0 and -0.0 differ
+    predictor: weakref.ref | None = None  # the key: the predictor, held weakly,
+    background: list[np.ndarray] = field(default_factory=list)  # the columns, by identity,
+    x: tuple[str, ...] = ()  # and the reprs of x_new, so 0.0 and -0.0 differ
     means: dict[int, float] = field(default_factory=dict)
     arrays: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -95,8 +96,8 @@ class RelaxedValues:
 
     `background_rows` selects the dataset rows the hybrid rows are built
     from (all rows by default). Every column handed to the scorer is
-    shared by many masks, so all of them are read-only. A `walk` reads
-    nothing of the row's slot and keeps its score arrays for `keep_path`.
+    shared by many masks, so all of them are read-only. A `walk` reads none
+    of the row's means, and keeps there every score array it scores.
     """
 
     def __init__(
@@ -109,9 +110,7 @@ class RelaxedValues:
     ):
         schema = dataset.schema()
         if schema != predictor.schema:
-            raise SchemaError(
-                "predictor schema does not match the dataset's feature columns"
-            )
+            raise SchemaError("predictor schema does not match the dataset's feature columns")
         self.predictor = predictor
         self.schema = schema
         self.x_new = schema.validate_observation(x_new)
@@ -128,11 +127,11 @@ class RelaxedValues:
         self.full = (1 << self.p) - 1
         self._view = predictor.additive_view()
         # values of a row selection, or of the closed form (whose bits depend
-        # on its batch), stay in this engine
+        # on its batch), stay in a row of this engine's own
         shared = self._view is None and background_rows is None
-        self._row = _row_of(predictor, self._background, self.x_new) if shared else None
-        self._means: dict[int, float] = self._row.means if shared and not walk else {}
-        self._walked: dict[int, np.ndarray] | None = {} if walk else None
+        self._row = _row_of(predictor, self._background, self.x_new) if shared else _Row()
+        self._means: dict[int, float] = {} if walk else self._row.means
+        self._walk = walk
 
     def _hybrid(self, mask: int) -> list[np.ndarray]:
         """Background rows with the features of `mask` pinned to x_new; every
@@ -141,22 +140,35 @@ class RelaxedValues:
             return self._x
         return [self._pinned[j] if mask >> j & 1 else self._background[j] for j in range(self.p)]
 
+    def _scored(self, masks: Iterable[int], ahead: Iterable = ()) -> Iterator[tuple]:
+        """(mask, read-only scores) of each set one `scores_of` call scores: the
+        sets `masks`, then those of the layers `ahead` this engine has no mean
+        for. Means are cached here and in the row; a walk keeps arrays there."""
+        offered: list[int] = []  # as handed over, the order of the scores
+        seen: set[int] = set()
+        def handed(sets: Iterable[int], cached=()) -> Iterator[list[np.ndarray]]:
+            for m in sets:
+                if m not in seen and m not in cached:
+                    seen.add(m)
+                    offered.append(m)
+                    yield self._hybrid(m)
+
+        layers = (handed(layer, self._means) for layer in ahead)
+        for i, scores in enumerate(self.predictor.scores_of(handed(masks), layers)):
+            m = offered[i]  # by position: a scorer may pull `ahead` after yielding
+            scores.flags.writeable = False
+            mean = self._means.setdefault(m, _finite_mean(scores, "a pinned set's scores"))
+            self._row.means.setdefault(m, mean)
+            if self._walk:
+                self._row.arrays[m] = scores
+            yield m, scores
+
     def arrays(self, masks: Sequence[int]) -> list[np.ndarray]:
         """Read-only scores of the hybrid rows of each mask, scoring together
-        those the row's slot lacks."""
-        kept = self._row.arrays if self._row else {}
-        todo = [m for m in masks if m not in kept]
-        scored = dict(zip(todo, self.predictor.scores_of(map(self._hybrid, todo))))
-        for m, scores in scored.items():
-            scores.flags.writeable = False
-            self._means.setdefault(m, _finite_mean(scores, "a pinned set's scores"))
+        those the row lacks."""
+        kept = self._row.arrays
+        scored = dict(self._scored(m for m in masks if m not in kept))
         return [scored[m] if m in scored else kept[m] for m in masks]
-
-    def keep_path(self, path: Iterable[int]) -> None:
-        """Add a walk's means, and its arrays of `path`, to the row's slot."""
-        if self._row:
-            self._row.means.update(self._means)
-            self._row.arrays.update((m, self._walked[m]) for m in path)
 
     def means(self, masks: Iterable[int], ahead: Iterable[Iterable[int]] = ()) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
@@ -172,21 +184,7 @@ class RelaxedValues:
             self._means.update(zip(closed, self._closed_form(closed)))
             todo = [m for m in todo if m == self.full]
         if todo:
-            offered: list[int] = []  # as handed over, the order of the scores
-            seen: set[int] = set()
-
-            def handed(sets: Iterable[int]) -> Iterator[list[np.ndarray]]:
-                for m in sets:
-                    if m not in seen and m not in self._means:
-                        seen.add(m)
-                        offered.append(m)
-                        yield self._hybrid(m)
-
-            for i, scores in enumerate(self.predictor.scores_of(handed(todo), map(handed, ahead))):
-                self._means[offered[i]] = _finite_mean(scores, "a pinned set's scores")
-                if self._walked is not None:
-                    scores.flags.writeable = False
-                    self._walked[offered[i]] = scores
+            dict(self._scored(todo, ahead))  # caches each scored set's mean
         return [self._means[m] for m in masks]
 
     @cached_property
@@ -208,7 +206,7 @@ class RelaxedValues:
         with np.errstate(over="ignore", invalid="ignore"):
             values = base + pinned @ terms
         if not np.all(np.isfinite(values)):
-            raise ModelError("predictor produced non-finite scores")
+            raise ModelError("a pinned set's relaxed prediction overflows; rescale the response")
         return values.tolist()
 
 
@@ -293,7 +291,7 @@ def relaxation_trace(
     values = RelaxedValues(predictor, dataset, x_new)
     start = values.full if direction == DOWN else 0
     masks = list(accumulate((1 << int(j) for j in order), xor, initial=start))
-    # the sets a walk did not leave in the row's slot go to the scorer together;
+    # the sets no walk left in the row go to the scorer together;
     # the full set's one row x_new is the score of each of its n hybrid rows
     scores = values.arrays(masks)
     scores = [np.repeat(s, values.n) if m == values.full else s for m, s in zip(masks, scores)]

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,7 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explainkit import cli
-from explainkit.cli import SUBCOMMANDS, _canonical_json, export_json, parse_args, run
+from explainkit.cli import (
+    MAX_PERMUTATIONS,
+    MAX_SIZE,
+    SUBCOMMANDS,
+    _canonical_json,
+    export_json,
+    parse_args,
+    run,
+)
 from explainkit.errors import UsageError
 
 from conftest import WINE_CSV, fixture_command, overflowing_table
@@ -53,6 +62,22 @@ class TestParsing:
     def test_command_without_external_rejected(self):
         with pytest.raises(UsageError):
             parse_args(["breakdown", *wine_args("--row", "1"), "--", "cmd"])
+
+    @pytest.mark.parametrize(
+        "argv, flag, bound",
+        [
+            (["live"], "--size", MAX_SIZE),
+            (["shapley", "--method", "sample"], "--permutations", MAX_PERMUTATIONS),
+        ],
+    )
+    def test_upper_bounds(self, capsys, argv, flag, bound):
+        # parsing only: a run past the bound stops before it loads the data
+        subcommand, *flags = argv
+        cfg = parse_args([subcommand, *wine_args("--row", "5", *flags, flag, str(bound))])
+        assert getattr(cfg, flag[2:]) == bound
+        assert run([subcommand, *wine_args("--row", "5", *flags, flag, str(bound + 1))]) == 1
+        expected = f"usage error: {flag} must be between {0 if flag == '--size' else 2} and {bound}"
+        assert capsys.readouterr() == ("", expected + "\n")
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -674,6 +699,17 @@ def test_the_plot_is_rendered_only_for_svg_or_text(tmp_path, monkeypatch, subcom
     assert (tmp_path / "out.txt").read_text() == docs[0].text_fallback
 
 
+def test_surrogate_standard_errors_that_overflow_end_in_one_error_line(tmp_path, capsys):
+    # a feature of scale 1e-200: the surrogate's standard errors overflow, which
+    # more rows would not mend, so the line gives no "increase size" advice
+    data = tmp_path / "tiny.csv"
+    data.write_text("a,y\n" + "".join(f"{k * 1e-200!r},{k % 3}\n" for k in range(1, 9)))
+    argv = ["live", "--data", str(data), "--response", "y", "--row", "1", "--size", "40"]
+    assert run([*argv, "--model", "kernel-ridge"]) == 2
+    expected = "error: least-squares standard errors overflow; rescale the data\n"
+    assert capsys.readouterr() == ("", expected)
+
+
 # relaxed means, fits and local predictions near the float limit overflow
 OVERFLOW_CSV = b"a,b,y\n1,2,1e308\n2,1,-1e308\n3,5,1e308\n4,4,1\n5,3,6\n6,6,2\n"
 OVERFLOW_RUNS = [
@@ -723,3 +759,61 @@ def test_overflowing_tables_keep_the_exit_code_contract(tmp_path, capsys, data):
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1
             else:
                 assert err == ""
+
+
+# A derandomized fuzz of the exit-code contract: small tables with awkward
+# cells, crossed with every subcommand and scorer kind, run in process.
+FUZZ_TABLES = {
+    "extreme": OVERFLOW_CSV,
+    "huge-feature": b"a,b,y\n1e300,1,2\n-1e300,2,3\n5e299,3,1\n-1e300,4,5\n1e300,0,4\n",
+    "tiny": b"a,b,y\n1e-300,5e-324,1e-300\n2e-300,0,-1e-300\n3e-300,5e-324,2e-300\n4e-300,0,0\n",
+    "constant": b"a,b,y\n1,2,3\n1,2,3\n1,2,3\n1,2,3\n1,2,3\n",
+    "constant-feature": b"a,b,y\n1,2,3\n1,5,4\n1,1,9\n1,0,2\n1,3,6\n",
+    "duplicate": b"a,b,y\n1,2,3\n1,2,3\n2,1,4\n2,1,4\n3,3,9\n3,3,9\n",
+    "two-rows": b"a,b,y\n1,2,3\n2,1,4\n",
+    "ragged": b"a,b,y\n1,2,3\n2,1\n3,3,9\n",
+    "quoted": b'a,b,y\n"1",lo,3\n2,"x,y",4\n3,"q""z",9\n0,lo,1\n2,"x,y",6\n',
+    "non-utf8": b"a,b,y\n1,\xff,3\n2,1,4\n3,3,9\n",
+    "non-finite": b"a,b,y\n1,nan,3\n2,inf,4\n3,-inf,9\n0,1,1\n2,2,6\n",
+    "signed-zero": b"a;b;y\n\n-0.0;0;0\n0.0;-0;-0.0\n1;2;3\n  \n2;1;-0.0\n3;3;9\n",
+    # 8 features over 12 rows: exact Shapley scores 256 pinned sets
+    "wide": b",".join(b"x%d" % j for j in range(8)) + b",y\n" + b"".join(
+        b",".join(b"%d" % ((i * i * (j + 2) + 3 * j + i) % 13) for j in range(9)) + b"\n"
+        for i in range(12)
+    ),
+}
+# the external scorer spawns a process per payload, so it runs on these only
+FUZZ_EXTERNAL = ("extreme", "tiny", "duplicate")
+FUZZ_RUNS = [
+    ["breakdown", "--direction", "up"],
+    ["breakdown", "--direction", "down", "--baseline", "intercept", "--svg", "f.svg"],
+    ["shapley", "--method", "exact", "--text", "f.txt"],
+    ["shapley", "--method", "sample", "--permutations", "4"],
+    ["live", "--size", "20"],
+    ["live", "--size", "20", "--white-box", "lasso", "--json", "f.json", "--text", "f.txt"],
+    ["trace", "--direction", "up"],
+    ["trace", "--direction", "down", "--svg", "f.svg", "--text", "f.txt"],
+]
+FUZZ_SCORER = [sys.executable, "-I", "-S", *fixture_command("linear_scorer.py", "1", "2", "-1")[1:]]
+
+
+@pytest.mark.parametrize("table", sorted(FUZZ_TABLES))
+def test_fuzzed_tables_keep_the_exit_code_contract(tmp_path, monkeypatch, table):
+    (tmp_path / "t.csv").write_bytes(FUZZ_TABLES[table])
+    monkeypatch.chdir(tmp_path)
+    models = [["--model", "ols"], ["--model", "kernel-ridge"]]
+    if table in FUZZ_EXTERNAL:
+        models.append(["--model", "external", "--", *FUZZ_SCORER])
+    for model in models:
+        for subcommand, *flags in FUZZ_RUNS:
+            argv = [subcommand, "--data", "t.csv", "--response", "y", "--row", "2", *flags]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([*argv, *model])  # an exception out of `run` fails the test
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2), argv
+            if code:
+                assert out == "" and err.count("\n") == 1, (argv, model, err)
+                assert err.startswith("usage error: " if code == 1 else "error: "), err
+            else:
+                assert err == "", (argv, model, err)

@@ -747,7 +747,7 @@ def test_surrogate_numbers_that_overflow_are_model_errors():
     model = fit_kernel_ridge(ds, "y", 1.0, 0.1)
     local = add_predictions(sample_locally(ds, ds.observation(0), "y", 40, 1), model)
     # a feature of scale 1e-200: the inverse of R, so the standard errors, overflow
-    with pytest.raises(ModelError, match="^the surrogate's standard errors overflow"):
+    with pytest.raises(ModelError, match="^least-squares standard errors overflow; rescale"):
         fit_explanation(local, "ols")
     # responses of +-1e200 have a finite mean, but their squares overflow
     spread = replace(local, response=np.where(np.arange(40) % 2, 1e200, -1e200))

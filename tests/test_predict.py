@@ -92,6 +92,13 @@ class TestFitOls:
         m = fit_ols(overflowing_table(), "y")
         assert np.all(np.isfinite(m.coefficients)) and np.isfinite(m.intercept)
 
+    def test_standard_errors_that_overflow_are_a_model_error(self):
+        # the residual sum of squares overflows, so the standard errors are not finite
+        rows = [(7.0, 5.0, 3.0), (6.0, 9.0, 4.0), (2.0, 1e200, 1e308), (2.0, 6.0, 4.0)]
+        ds = dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, rows, "y")
+        with pytest.raises(ModelError, match="^least-squares standard errors overflow; rescale"):
+            fit_ols(ds, "y")
+
     def test_rank_deficiency_names_column(self):
         rows = [(x, 2 * x, x + 1.0) for x in range(6)]
         ds = dataset_from_rows(["a", "b", "y"], ["numeric"] * 3, rows, "y")

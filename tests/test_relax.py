@@ -244,7 +244,7 @@ def test_non_finite_closed_form_is_a_model_error():
     ds = make_regression(2, 10, seed=4)
     schema = ds.schema()
     model = LinearModel(schema, Encoder.for_schema(schema), 0.0, np.full(2, 1e308), np.zeros(2))
-    with pytest.raises(ModelError, match="^predictor produced non-finite scores$"):
+    with pytest.raises(ModelError, match="^a pinned set's relaxed prediction overflows; rescale"):
         ag_break(model, ds, np.full(2, 2.0))
 
 
@@ -679,14 +679,15 @@ def test_row_cap_splits_payloads(per_mask_results, monkeypatch, cap, payloads):
 
 
 @pytest.mark.parametrize(
-    "budget, spares", [(5_000, [False, False]), (0, [True, True, True, False, False])]
+    "budget, spares", [(5_000, [False]), (0, [True, True, True, False, False])]
 )
 def test_a_spare_starts_only_where_another_payload_is_known_to_follow(
     monkeypatch, budget, spares
 ):
-    # a walk whose every set fits in one payload starts no spare; one that
-    # left a layer out starts one at each payload but its last; the trace
-    # after either is not announced, so it spawns afresh and starts none
+    # a walk whose every set fits in one payload starts no spare, and leaves
+    # every set the trace needs in the row; one that left a layer out starts
+    # one at each payload but its last, and the trace after it is not
+    # announced, so it spawns afresh and starts none
     monkeypatch.setattr(predict, "LOOKAHEAD_ROWS", budget)
     f = _external(CountingExternal, *LINEAR_SCORER)
     EXPLANATIONS["ag-break-up"](f)
@@ -852,6 +853,58 @@ def test_trace_along_the_down_path_scores_nothing(request, setup):
     assert sent[before:] == []
 
 
+TRACE_ORDERS = ([2, 0, 4, 1, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 3, 0, 4, 2])
+
+
+@pytest.fixture(scope="module")
+def fresh_traces():
+    """Each trace of BATCH_ROW along TRACE_ORDERS, both ways, on a fresh predictor."""
+    return {
+        (tuple(order), direction): _dump(relaxation_trace(
+            _external(CountingExternal, *LINEAR_SCORER), BATCH_TABLE, BATCH_ROW, order, direction
+        ))
+        for order in TRACE_ORDERS for direction in ("down", "up")
+    }
+
+
+@pytest.mark.parametrize("budget", [5_000, 50, 0])
+def test_traces_after_a_walk_match_fresh_ones(fresh_traces, monkeypatch, budget):
+    # the Up walk leaves every set it scored in the row, its candidates and
+    # lookahead sets too; traces along any order read them as a fresh trace
+    # would score them, and with every set scored (5,000 rows) score nothing
+    monkeypatch.setattr(predict, "LOOKAHEAD_ROWS", budget)
+    f = _external(CountingExternal, *LINEAR_SCORER)
+    EXPLANATIONS["ag-break-up"](f)
+    walked = list(f.payloads)
+    for (order, direction), fresh in fresh_traces.items():
+        assert _dump(relaxation_trace(f, BATCH_TABLE, BATCH_ROW, order, direction)) == fresh
+    assert budget < 5_000 or f.payloads == walked
+
+
+def test_calls_of_the_kernel_ridge_request_sequence():
+    # Up, Down, the trace along Down's path and sampled Shapley, as a
+    # `krr-attrib` request makes them: the calls and rows each one scores
+    ds = make_regression(5, 40, seed=12, noise=0.3)
+    f = CountingPredictor(fit_kernel_ridge(ds, "y", gamma=0.5, ridge=0.1))
+    x, counts = ds.observation(5), []
+
+    def counted(explain):
+        calls, rows = f.calls, sum(f.rows)
+        result = explain()
+        counts.append((f.calls - calls, sum(f.rows) - rows))
+        return result
+
+    counted(lambda: ag_break(f, ds, x, direction="up"))
+    down = counted(lambda: ag_break(f, ds, x, direction="down", baseline_mode="intercept"))
+    counted(lambda: relaxation_trace(f, ds, x, _down_order(down, ds), "down"))
+    rng = np.random.Generator(np.random.PCG64(3))
+    counted(lambda: shapley_sampled(f, ds, x, 8, rng, baseline_mode="intercept"))
+    # each walk scores 15 sets of 40 rows and the one-row full set, one call
+    # each; the trace finds Down's path in the row; Shapley's permutations
+    # reach 6 sets that neither walk scored
+    assert counts == [(16, 601), (16, 601), (0, 0), (6, 240)]
+
+
 def _trace_calls_after_down_walk(walked, traced):
     """Scorer calls of a trace along the Down path, made after a Down walk;
     each is (predictor, dataset, x) and `traced` may share `walked`'s f."""
@@ -983,5 +1036,5 @@ def test_background_means_that_overflow_are_a_model_error():
     ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, [(1.5e308, 0.0), (1.5e308, 1.0)], "y")
     encoder = Encoder.for_schema(ONE_FEATURE)
     model = LinearModel(ONE_FEATURE, encoder, 0.0, np.array([1e-300]), np.zeros(1))
-    with pytest.raises(ModelError, match="^predictor produced non-finite scores$"):
+    with pytest.raises(ModelError, match="^a pinned set's relaxed prediction overflows; rescale"):
         ag_break(model, ds, (1.0,))

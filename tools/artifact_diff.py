@@ -27,10 +27,13 @@ batch to a multiple of 4 rows, so at either size a row gets the same bits
 whatever batch it is scored in (unpadded, most batch sizes gave other last
 bits at both); this setup scores kernel blocks of 20 rows, where the
 200-row one has blocks of 160. The `kernel-ridge` and `external` setups
-add one library-level run each: one process makes Up, Down, the trace
-along Down's path and sampled Shapley in turn, so the later calls meet
-what the earlier ones left in the relaxed-value slot of `explainkit.relax`
-(one CLI run per process meets it only in `trace`). That makes 41 runs.
+add two library-level runs each, so later calls meet what earlier ones
+left in the relaxed-value slot of `explainkit.relax` (one CLI run per
+process meets it only in `trace`). In one, a process makes Up, Down, the
+trace along Down's path and sampled Shapley in turn. In the other, it
+makes Up, then the Down trace along the fixed order `OFF_PATH_ORDER`,
+which is Down's path in neither setup, so the trace reads score arrays
+the Up walk scored off its own path. That makes 43 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
@@ -92,11 +95,12 @@ KRR_WINE_CASES = ("breakdown-down", "trace-up", "trace-down")
 
 ARTIFACTS = ("exit", "json", "svg", "text", "stdout", "stderr")
 
-# the library-level run: the setups that have one, and its script, which
-# takes the JSON output path and then `explain trace` arguments
-LIBRARY_CASE = "library-sequence"
+# the library-level runs: the setups that have them, and each one's script,
+# which takes the JSON output path and then `explain trace` arguments
 LIBRARY_SETUPS = ("kernel-ridge", "external")
-LIBRARY_RUN = """\
+# a Down release order of the three subset features that neither setup's Down takes
+OFF_PATH_ORDER = [2, 1, 0]
+LIBRARY_START = """\
 import json, sys
 import numpy as np
 from explainkit import ag_break, load_csv, relaxation_trace, shapley_sampled
@@ -108,15 +112,25 @@ dataset = load_csv(config.data, response_name=config.response)
 x = _resolve_observation(config, dataset)
 predictor = _build_predictor(config, dataset)
 up = ag_break(predictor, dataset, x, direction="up")
+"""
+LIBRARY_END = """\
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump({k: v.to_json_dict() for k, v in results.items()}, fh, sort_keys=True, indent=2)
+"""
+LIBRARY_RUNS = {
+    "library-sequence": LIBRARY_START + """\
 down = ag_break(predictor, dataset, x, direction="down", baseline_mode="intercept")
 index_of = {name: j for j, name in enumerate(dataset.feature_names)}
 order = [index_of[e.feature] for e in down.feature_entries()][::-1]
 trace = relaxation_trace(predictor, dataset, x, order, "down")
 sampled = shapley_sampled(predictor, dataset, x, 200, np.random.Generator(np.random.PCG64(3)))
 results = {"up": up, "down": down, "trace": trace, "shapley-sampled": sampled}
-with open(out, "w", encoding="utf-8") as fh:
-    json.dump({k: v.to_json_dict() for k, v in results.items()}, fh, sort_keys=True, indent=2)
-"""
+""" + LIBRARY_END,
+    "library-off-path": LIBRARY_START + f"""\
+trace = relaxation_trace(predictor, dataset, x, {OFF_PATH_ORDER!r}, "down")
+results = {{"up": up, "trace": trace}}
+""" + LIBRARY_END,
+}
 
 
 def _git(*args: str) -> bytes:
@@ -184,7 +198,8 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
             if case in cases:
                 runs.append((f"{setup}/{case}", [*args, *common, "--model", model], tail))
         if setup in LIBRARY_SETUPS:
-            runs.append((f"{setup}/{LIBRARY_CASE}", ["trace", *common, "--model", model], tail))
+            for case in LIBRARY_RUNS:
+                runs.append((f"{setup}/{case}", ["trace", *common, "--model", model], tail))
     return runs
 
 
@@ -198,8 +213,8 @@ def run_all(tree: Path, out_root: Path, work: Path, runs) -> dict[str, dict[str,
         out.mkdir(parents=True)
         case = name.split("/")[1]
         files = {"json": out / "result.json"}
-        if case == LIBRARY_CASE:
-            command = ["-c", LIBRARY_RUN, str(files["json"]), *args]
+        if case in LIBRARY_RUNS:
+            command = ["-c", LIBRARY_RUNS[case], str(files["json"]), *args]
         else:
             if case not in JSON_ONLY:
                 files.update(svg=out / "figure.svg", text=out / "figure.txt")
