@@ -50,10 +50,10 @@ UP = "up"
 
 @dataclass(eq=False)
 class _Row:
-    """What is scored of one row: relaxed means, and read-only score arrays
-    of the sets walks scored (the full set's of one row), by mask. Both only
-    gain values deterministic given the key, so concurrent calls may share
-    them. An engine's private row has no key."""
+    """What is scored of one row, by mask: relaxed means, and read-only score
+    arrays of every set walks scored, an external scorer's lookahead sets too
+    (the full set's of one row). Both only gain values deterministic given
+    the key, so concurrent calls may share them. A private row has no key."""
 
     predictor: weakref.ref | None = None  # the key: the predictor, held weakly,
     background: list[np.ndarray] = field(default_factory=list)  # the columns, by identity,
@@ -110,7 +110,9 @@ class RelaxedValues:
     ):
         schema = dataset.schema()
         if schema != predictor.schema:
-            raise SchemaError("predictor schema does not match the dataset's feature columns")
+            raise SchemaError(
+                "predictor schema does not match the dataset's feature columns"
+            )
         self.predictor = predictor
         self.schema = schema
         self.x_new = schema.validate_observation(x_new)
@@ -143,9 +145,10 @@ class RelaxedValues:
     def _scored(self, masks: Iterable[int], ahead: Iterable = ()) -> Iterator[tuple]:
         """(mask, read-only scores) of each set one `scores_of` call scores: the
         sets `masks`, then those of the layers `ahead` this engine has no mean
-        for. Means are cached here and in the row; a walk keeps arrays there."""
+        for. Each mean is cached here and in the row as its set is scored."""
         offered: list[int] = []  # as handed over, the order of the scores
         seen: set[int] = set()
+
         def handed(sets: Iterable[int], cached=()) -> Iterator[list[np.ndarray]]:
             for m in sets:
                 if m not in seen and m not in cached:
@@ -159,16 +162,13 @@ class RelaxedValues:
             scores.flags.writeable = False
             mean = self._means.setdefault(m, _finite_mean(scores, "a pinned set's scores"))
             self._row.means.setdefault(m, mean)
-            if self._walk:
-                self._row.arrays[m] = scores
             yield m, scores
 
     def arrays(self, masks: Sequence[int]) -> list[np.ndarray]:
         """Read-only scores of the hybrid rows of each mask, scoring together
         those the row lacks."""
-        kept = self._row.arrays
-        scored = dict(self._scored(m for m in masks if m not in kept))
-        return [scored[m] if m in scored else kept[m] for m in masks]
+        scored = dict(self._scored(m for m in masks if m not in self._row.arrays))
+        return [scored[m] if m in scored else self._row.arrays[m] for m in masks]
 
     def means(self, masks: Iterable[int], ahead: Iterable[Iterable[int]] = ()) -> list[float]:
         """Relaxed predictions for the pinned sets `masks`, each computed once;
@@ -184,7 +184,9 @@ class RelaxedValues:
             self._means.update(zip(closed, self._closed_form(closed)))
             todo = [m for m in todo if m == self.full]
         if todo:
-            dict(self._scored(todo, ahead))  # caches each scored set's mean
+            for m, scores in self._scored(todo, ahead):
+                if self._walk:  # else each array goes once its mean is cached
+                    self._row.arrays[m] = scores
         return [self._means[m] for m in masks]
 
     @cached_property

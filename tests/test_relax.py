@@ -905,6 +905,32 @@ def test_calls_of_the_kernel_ridge_request_sequence():
     assert counts == [(16, 601), (16, 601), (0, 0), (6, 240)]
 
 
+class HoldingPredictor(ScoredPredictor):
+    """Wraps a model and records, as it scores each batch, how many of the
+    score arrays it returned before are still alive."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.returned = []
+        self.alive = []
+
+    def score_columns(self, columns):
+        self.alive.append(sum(ref() is not None for ref in self.returned))
+        scores = super().score_columns(columns)
+        self.returned.append(weakref.ref(scores))
+        return scores
+
+
+def test_means_keep_no_score_array():
+    # exact Shapley asks for all 2^p sets in one call; each array goes once
+    # its mean is cached, so when a set is scored only the last one is alive
+    ds = make_regression(5, 40, seed=12, noise=0.3)
+    f = HoldingPredictor(fit_kernel_ridge(ds, "y", gamma=0.5, ridge=0.1))
+    RelaxedValues(f, ds, ds.observation(3)).means(range(1 << 5))
+    assert len(f.alive) == 32 and max(f.alive) <= 1
+    assert all(ref() is None for ref in f.returned)
+
+
 def _trace_calls_after_down_walk(walked, traced):
     """Scorer calls of a trace along the Down path, made after a Down walk;
     each is (predictor, dataset, x) and `traced` may share `walked`'s f."""
