@@ -17,7 +17,7 @@ import math
 import numbers
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -465,12 +465,12 @@ PAYLOAD_ROWS = 32_768
 LOOKAHEAD_ROWS = 5_000
 
 
-def _reap(procs: list[subprocess.Popen | None]) -> None:
-    """Kill and reap every process of `procs` (None: no process), and empty it."""
-    for proc in filter(None, procs):
+def _reap(procs: list[tuple[subprocess.Popen, IO[bytes]] | None]) -> None:
+    """Kill and reap each (process, stdout file) of `procs` (None: none), and empty it."""
+    for proc, out in filter(None, procs):
         proc.kill()
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
-            pipe.close()
+        for stream in (proc.stdin, proc.stderr, out):
+            stream.close()
         proc.wait()
     procs.clear()
 
@@ -505,10 +505,11 @@ class ExternalPredictor(Predictor):
     `score_columns` takes the oldest, or starts one. A predictor starts one
     process per payload, but that process reads its files, environment and
     working directory one payload early, and two are alive while such a
-    payload is scored. Waiting processes have pipes for all three streams,
-    are killed and reaped after any error, on garbage collection and at
-    exit, and if orphaned read an empty stdin. `timeout` counts from when
-    the payload is sent.
+    payload is scored. Waiting processes have pipes for stdin and stderr and
+    an unlinked temporary file as stdout, read once after the exit (so a
+    scorer may flush every line), are killed and reaped after any error, on
+    garbage collection and at exit, and if orphaned read an empty stdin.
+    `timeout` counts from when the payload is sent.
     """
 
     schema: FeatureSchema
@@ -568,28 +569,39 @@ class ExternalPredictor(Predictor):
         row = b",".join([b"%s"] * len(columns)) + b"\n"
         return (header.replace(b"%", b"%%") + b"\n" + row * n) % tuple(fields.ravel())
 
-    def _spawn(self) -> subprocess.Popen:
-        """A new process of the command; if none starts, every started one is reaped."""
+    def _spawn(self) -> tuple[subprocess.Popen, IO[bytes]]:
+        """A new process of the command and the temporary file that is its
+        stdout; if none starts, every started one is reaped."""
+        import contextlib
         import subprocess
+        import tempfile
 
         pipe = subprocess.PIPE
-        try:
-            return subprocess.Popen(list(self.command), stdin=pipe, stdout=pipe, stderr=pipe)
-        except OSError as exc:
-            _reap(self._started)
-            raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
+        with contextlib.ExitStack() as opened:  # closes the file unless a process took it
+            try:
+                out = opened.enter_context(tempfile.TemporaryFile())
+                proc = subprocess.Popen(list(self.command), stdin=pipe, stdout=out, stderr=pipe)
+            except OSError as exc:
+                _reap(self._started)
+                raise ScorerError(f"cannot spawn {self.command[0]!r}: {exc}") from exc
+            opened.pop_all()
+        return proc, out
 
     def score_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         import subprocess
 
-        n, started, proc = len(columns[0]), self._started, None
+        n, started, spawned = len(columns[0]), self._started, None
         try:
-            proc = started.pop(0) if started else self._spawn()
+            spawned = started.pop(0) if started else self._spawn()
+            proc, out = spawned
             try:
-                stdout, stderr = proc.communicate(self._payload(columns), self.timeout)
+                _, stderr = proc.communicate(self._payload(columns), self.timeout)
             except subprocess.TimeoutExpired as exc:
                 name, seconds = self.command[0], self.timeout
                 raise ScorerError(f"scorer {name!r} timed out after {seconds:g} s") from exc
+            with out:
+                out.seek(0)
+                stdout = out.read()
             stderr = stderr.decode("utf-8", errors="replace")
 
             def failure(message: str) -> ScorerError:
@@ -604,19 +616,19 @@ class ExternalPredictor(Predictor):
             lines = [ln for ln in stdout.splitlines() if ln.strip()]
             if len(lines) != n:
                 raise failure(f"scorer returned {len(lines)} scores for {n} rows")
-            out = np.empty(n, dtype=float)
+            scores = np.empty(n, dtype=float)
             for i, ln in enumerate(lines):
                 try:
-                    out[i] = float(ln)
+                    scores[i] = float(ln)
                 except ValueError:
                     raise failure(f"unparsable score line {ln!r}")
-            if not np.all(np.isfinite(out)):
+            if not np.all(np.isfinite(scores)):
                 raise ScorerError("scorer produced non-finite scores")
         except BaseException:
-            started.append(proc)
+            started.append(spawned)
             _reap(started)
             raise
-        return out
+        return scores
 
 
 def external_scorer(

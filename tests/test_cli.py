@@ -219,6 +219,27 @@ class TestRunBreakdown:
         assert err.startswith("error: ")
         assert message in err
 
+    def test_a_temporary_file_that_cannot_be_made_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,y\n1,2,3\n2,1,4\n3,3,9\n0,1,1\n")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        code = run(
+            [
+                "breakdown",
+                "--data", str(small),
+                "--response", "y",
+                "--row", "1",
+                "--model", "external",
+                "--",
+                *fixture_command("identity_first_column.py"),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot spawn ") and err.count("\n") == 1
+        assert "No such file or directory" in err
+
 
     def test_hung_scorer_times_out_with_exit_2(self, tmp_path, capsys):
         small = tmp_path / "small.csv"

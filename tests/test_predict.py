@@ -4,6 +4,7 @@ import gc
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -525,19 +526,47 @@ class TestExternalScorer:
             external_scorer(command, _schema(1), timeout).score_rows([(1.0,)])
 
     def test_a_failed_spare_spawn_reaps_the_process_started(self, monkeypatch):
-        started, popen = [], subprocess.Popen
-
-        def spawn(*args, **kwargs):
-            if started:
-                raise OSError("no second process")
-            started.append(popen(*args, **kwargs))
-            return started[0]
-
-        monkeypatch.setattr(subprocess, "Popen", spawn)
+        started = _second_spawn_fails(monkeypatch)
         p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
         with pytest.raises(ScorerError, match="cannot spawn"):
             _score_ahead(p, [(1.0,)])
         assert started[0].returncode is not None
+        assert p._started == []
+
+    def test_a_scorer_that_flushes_every_line_costs_no_wake_up_per_line(self, monkeypatch):
+        # under `python -u` the scorer writes each of its 5,000 scores alone
+        command = fixture_command("linear_scorer.py", "0.25", "1.5", "-2.0", "0.75")
+        columns = _random_columns(3, 5000, seed=73)
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        buffered = external_scorer(command, _schema(3)).scores(columns)
+        flushing = external_scorer([command[0], "-u", *command[1:]], _schema(3))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+        scores = flushing.scores(columns)
+        switches = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - before
+        assert np.array_equal(scores, buffered)
+        assert switches < 500, switches
+
+    def test_scores_printed_after_stderr_closes_are_read(self):
+        p = external_scorer(fixture_command("late_output_scorer.py"), _schema(1))
+        rows = [(float(i),) for i in range(50)]
+        assert p.score_rows(rows).tolist() == [row[0] for row in rows]
+
+    @pytest.mark.parametrize(
+        "path", ["good", "failing", "timeout", "unspawnable", "spare-spawn", "collected"]
+    )
+    def test_no_file_descriptor_is_left_open(self, monkeypatch, tmp_path, path):
+        before = _open_fds()
+        _FD_PATHS[path](monkeypatch, tmp_path)
+        assert _open_fds() == before
+
+    def test_a_temporary_file_that_cannot_be_made_is_a_scorer_error(self, monkeypatch, tmp_path):
+        p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
+        assert _score_ahead(p, [(1.0,)]).tolist() == [1.0]
+        [(spare, _)] = p._started
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(ScorerError, match="^cannot spawn .*No such file or directory"):
+            _score_ahead(p, [(1.0,)])  # the spawn of the next payload's process fails
+        assert spare.returncode is not None
         assert p._started == []
 
     def test_output_not_utf8(self):
@@ -715,6 +744,74 @@ def _announced(predictor, columns):
         patch.setattr(predict, "LOOKAHEAD_ROWS", 0)
         [scores] = predictor.scores_of([columns], [[columns]])
     return scores
+
+
+def _second_spawn_fails(monkeypatch):
+    """Lets `subprocess.Popen` start one process and raise OSError after it;
+    returns the list that holds the process started."""
+    started, popen = [], subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        if started:
+            raise OSError("no second process")
+        started.append(popen(*args, **kwargs))
+        return started[0]
+
+    monkeypatch.setattr(subprocess, "Popen", spawn)
+    return started
+
+
+def _open_fds():
+    """How many file descriptors this process holds, or None where /proc
+    does not list them."""
+    fds = Path("/proc/self/fd")
+    return len(os.listdir(fds)) if fds.is_dir() else None
+
+
+def _fd_good(monkeypatch, tmp_path):
+    p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
+    assert _score_ahead(p, [(1.0,)]).tolist() == [1.0]
+    assert p.score_rows([(2.0,)]).tolist() == [2.0]  # the spare's payload
+
+
+def _fd_failing(monkeypatch, tmp_path):
+    _scorer_error(external_scorer(fixture_command("failing_scorer.py"), _schema(1)), [(1.0,)])
+
+
+def _fd_timeout(monkeypatch, tmp_path):
+    python, script = fixture_command("sleeping_scorer.py")
+    command = [python, "-I", "-S", script, str(tmp_path / "pids")]
+    _scorer_error(external_scorer(command, _schema(1), timeout=0.5), [(1.0,)])
+
+
+def _fd_unspawnable(monkeypatch, tmp_path):
+    _scorer_error(external_scorer(["/nonexistent/binary-xyz"], _schema(1)), [(1.0,)])
+
+
+def _fd_spare_spawn(monkeypatch, tmp_path):
+    _second_spawn_fails(monkeypatch)
+    p = external_scorer(fixture_command("identity_first_column.py"), _schema(1))
+    with pytest.raises(ScorerError, match="cannot spawn"):
+        _score_ahead(p, [(1.0,)])
+
+
+def _fd_collected(monkeypatch, tmp_path):
+    p = external_scorer(_recorder(tmp_path / "payload"), _schema(1))
+    assert _score_ahead(p, [(1.0,)]).tolist() == [0.0]
+    assert len(p._started) == 1  # the spare waits for a payload
+    del p
+    gc.collect()
+
+
+# every way a scorer call ends, for `test_no_file_descriptor_is_left_open`
+_FD_PATHS = {
+    "good": _fd_good,
+    "failing": _fd_failing,
+    "timeout": _fd_timeout,
+    "unspawnable": _fd_unspawnable,
+    "spare-spawn": _fd_spare_spawn,
+    "collected": _fd_collected,
+}
 
 
 def _scorer_error(predictor, rows):

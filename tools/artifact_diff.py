@@ -33,7 +33,9 @@ process meets it only in `trace`). In one, a process makes Up, Down, the
 trace along Down's path and sampled Shapley in turn. In the other, it
 makes Up, then the Down trace along the fixed order `OFF_PATH_ORDER`,
 which is Down's path in neither setup, so the trace reads score arrays
-the Up walk scored off its own path. That makes 43 runs.
+the Up walk scored off its own path. A sixth setup, `external-flushing`,
+runs the same scorer as `python -u`, so it writes every score with its own
+write, for breakdown up and trace up only. That makes 45 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
@@ -92,6 +94,8 @@ EXPLANATIONS = (
 JSON_ONLY = {"live-lasso"}
 # the cases of the full-table kernel-ridge setup; the others take far longer there
 KRR_WINE_CASES = ("breakdown-down", "trace-up", "trace-down")
+# the cases of the setup whose scorer flushes every line
+FLUSHING_CASES = ("breakdown-up", "trace-up")
 
 ARTIFACTS = ("exit", "json", "svg", "text", "stdout", "stderr")
 
@@ -183,6 +187,7 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
     """(run name, explain arguments, external command) for every run."""
     wine, subset, labelled, scorer = write_inputs(work)
     command = ["--", sys.executable, str(scorer), *SCORER_COEFFICIENTS]
+    flushing = ["--", sys.executable, "-u", str(scorer), *SCORER_COEFFICIENTS]
     every = tuple(case for case, _ in EXPLANATIONS)
     setups = (
         ("ols", "ols", wine, 5, [], every),
@@ -190,6 +195,7 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
         ("external", "external", subset, 3, command, every),
         ("ols-labelled", "ols", labelled, 3, [], every),
         ("kernel-ridge-wine", "kernel-ridge", wine, 5, [], KRR_WINE_CASES),
+        ("external-flushing", "external", subset, 3, flushing, FLUSHING_CASES),
     )
     runs = []
     for setup, model, data, row, tail, cases in setups:
