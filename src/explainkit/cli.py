@@ -1,12 +1,12 @@
 """Command-line entry point: `explain <subcommand> [flags] [-- external cmd]`.
 
 Subcommands tie the pipeline together: load data, build or wrap a scorer,
-run an explanation method, and write JSON / SVG / text artifacts. Runs are
-reproducible: the seed is always materialized (default 42) and the full
-configuration is echoed into every JSON output.
+run an explanation method, and write JSON / SVG / text artifacts. A flag the
+run would not read is a usage error. Runs are reproducible: the JSON output
+echoes every flag the run read, defaults filled in (the seed defaults to 42).
 
-Exit codes: 0 success, 1 usage error, 2 data or model error. Diagnostics
-go to standard error.
+Exit codes: 0 success, 1 usage error, 2 data or model error; diagnostics go
+to standard error.
 """
 
 from __future__ import annotations
@@ -33,89 +33,108 @@ SUBCOMMANDS = ("breakdown", "shapley", "live", "trace")
 # 0.53 KB per local row on wine (p = 11), so either bound is about 0.6 GB there.
 MAX_PERMUTATIONS = MAX_SIZE = 1_000_000
 
+# Every flag once: its argparse keywords, the subcommands that take it, and the
+# (flag, value) under which a run reads it (None: always; a condition on a flag
+# the subcommand does not take holds, so `live` always reads --seed).
+FLAGS = {
+    "--data": (dict(required=True, help="CSV file to explain against"), SUBCOMMANDS, None),
+    "--response": (dict(required=True, help="response column name"), SUBCOMMANDS, None),
+    "--row": (dict(type=int, help="1-indexed row to explain"), SUBCOMMANDS, None),
+    "--observation": (dict(help="inline feature values, comma separated"), SUBCOMMANDS, None),
+    "--model": (dict(choices=["ols", "kernel-ridge", "external"], default="ols"),
+                SUBCOMMANDS, None),
+    "--scorer-timeout": (dict(type=float, metavar="SECONDS"), SUBCOMMANDS, ("--model", "external")),
+    "--gamma": (dict(type=float, default=1.0), SUBCOMMANDS, ("--model", "kernel-ridge")),
+    "--ridge": (dict(type=float, default=0.1), SUBCOMMANDS, ("--model", "kernel-ridge")),
+    "--direction": (dict(choices=["up", "down"], default="up"), ("breakdown", "trace"), None),
+    "--baseline": (dict(choices=["zero", "intercept"], default="zero"),
+                   ("breakdown", "shapley"), None),
+    "--up-distance": (dict(choices=["to-baseline", "to-fnew"], default="to-baseline"),
+                      ("breakdown", "trace"), ("--direction", "up")),
+    "--size": (dict(type=int, default=500), ("live",), None),
+    "--white-box": (dict(choices=["ols", "lasso"], default="ols"), ("live",), None),
+    "--lambda": (dict(type=float, dest="lambda_"), ("live",), ("--white-box", "lasso")),
+    "--method": (dict(choices=["exact", "sample"], default="exact"), ("shapley",), None),
+    "--permutations": (dict(type=int, default=1000), ("shapley",), ("--method", "sample")),
+    "--seed": (dict(type=int, default=42), ("shapley", "live"), ("--method", "sample")),
+    "--json": (dict(dest="json_path"), SUBCOMMANDS, None),
+    "--svg": (dict(dest="svg_path"), SUBCOMMANDS, None),
+    "--text": (dict(dest="text_path"), SUBCOMMANDS, None),
+}
+_DESTS = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, (kw, _, _) in FLAGS.items()}
+# what a given flag's value must be beyond its type
+RULES = {
+    "--scorer-timeout": (lambda t: 0 < t < math.inf, "a positive number of seconds"),
+    "--size": (lambda n: 0 <= n <= MAX_SIZE, f"between 0 and {MAX_SIZE}"),
+    "--permutations": (lambda n: 2 <= n <= MAX_PERMUTATIONS, f"between 2 and {MAX_PERMUTATIONS}"),
+    "--seed": (lambda n: n >= 0, "nonnegative"),
+    **dict.fromkeys(("--gamma", "--ridge", "--lambda"), (math.isfinite, "finite")),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(message)
 
 
+def _reads(config: argparse.Namespace, flag: str) -> bool:
+    """Whether a run of `config`, which holds its subcommand's flags, reads `flag`."""
+    _, takes, needs = FLAGS[flag]
+    return config.subcommand in takes and (
+        needs is None or getattr(config, _DESTS[needs[0]], needs[1]) == needs[1]
+    )
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="explain", description=__doc__)
+    parser = _Parser(prog="explain", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--data", required=True, help="CSV file to explain against")
-        p.add_argument("--response", required=True, help="response column name")
-        p.add_argument("--row", type=int, help="1-indexed row to explain")
-        p.add_argument("--observation", help="inline feature values, comma separated")
-        p.add_argument(
-            "--model", choices=["ols", "kernel-ridge", "external"], default="ols"
-        )
-        p.add_argument("--scorer-timeout", type=float, dest="scorer_timeout", metavar="SECONDS")
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--ridge", type=float, default=0.1)
-        p.add_argument("--direction", choices=["up", "down"], default="up")
-        p.add_argument("--baseline", choices=["zero", "intercept"], default="zero")
-        p.add_argument(
-            "--up-distance",
-            choices=["to-baseline", "to-fnew"],
-            default="to-baseline",
-            dest="up_distance",
-        )
-        p.add_argument("--size", type=int, default=500)
-        p.add_argument("--white-box", choices=["ols", "lasso"], default="ols", dest="white_box")
-        p.add_argument("--lambda", type=float, default=None, dest="lambda_")
-        p.add_argument("--method", choices=["exact", "sample"], default="exact")
-        p.add_argument("--permutations", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--json", dest="json_path")
-        p.add_argument("--svg", dest="svg_path")
-        p.add_argument("--text", dest="text_path")
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag, (keywords, takes, _) in FLAGS.items():
+            if name in takes:  # None marks a flag not given; parse_args fills defaults
+                p.add_argument(flag, **{**keywords, "default": None})
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed flags, plus `external_command`: the words after `--`, or None."""
-    argv = list(argv)
-    external_command: tuple[str, ...] | None = None
+    """The subcommand's flags, defaults filled in, plus `external_command`:
+    the words after `--`, or None. A flag given where the run would not read
+    it is a usage error."""
+    argv, external_command = list(argv), None
     if "--" in argv:
         split = argv.index("--")
-        external_command = tuple(argv[split + 1 :])
-        argv = argv[:split]
+        argv, external_command = argv[:split], tuple(argv[split + 1 :])
         if not external_command:
             raise UsageError("nothing follows '--'")
     ns = _build_parser().parse_args(argv)
+    given = [flag for flag in FLAGS if getattr(ns, _DESTS[flag], None) is not None]
+    for flag, (keywords, takes, _) in FLAGS.items():
+        if ns.subcommand in takes and flag not in given:
+            setattr(ns, _DESTS[flag], keywords.get("default"))
+    for flag in given:
+        if not _reads(ns, flag):
+            raise UsageError("{} is read only with {} {}".format(flag, *FLAGS[flag][2]))
+        if flag in RULES and not RULES[flag][0](getattr(ns, _DESTS[flag])):
+            raise UsageError(f"{flag} must be {RULES[flag][1]}")
 
     if ns.model == "external" and not external_command:
         raise UsageError("--model external requires '-- <command ...>'")
     if ns.model != "external" and external_command:
         raise UsageError("'-- <command>' is only valid with --model external")
-    if ns.scorer_timeout is not None and not 0 < ns.scorer_timeout < math.inf:
-        raise UsageError("--scorer-timeout must be a positive number of seconds")
     if (ns.row is None) == (ns.observation is None):
         raise UsageError("exactly one of --row or --observation is required")
-    if not 0 <= ns.size <= MAX_SIZE:
-        raise UsageError(f"--size must be between 0 and {MAX_SIZE}")
-    if ns.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-    if not all(math.isfinite(v) for v in (ns.gamma, ns.ridge, ns.lambda_ or 0.0)):
-        raise UsageError("--gamma, --ridge and --lambda must be finite")
-    sampled = ns.subcommand == "shapley" and ns.method == "sample"
-    if sampled and not 2 <= ns.permutations <= MAX_PERMUTATIONS:
-        raise UsageError(f"--permutations must be between 2 and {MAX_PERMUTATIONS}")
 
     ns.external_command = external_command
     return ns
 
 
 def _echo(config: argparse.Namespace) -> dict:
-    """The configuration as echoed into the JSON envelope."""
-    out = vars(config).copy()
-    out["lambda"] = out.pop("lambda_")
-    # how long a spawn may run bounds the run, not what it computes
-    del out["scorer_timeout"]
+    """The flags the run read, as echoed into the JSON envelope, but for the
+    timeout: how long a spawn may run bounds the run, not what it computes."""
+    out = {_DESTS[f].rstrip("_"): getattr(config, _DESTS[f]) for f in FLAGS if _reads(config, f)}
+    out.pop("scorer_timeout", None)
     command = config.external_command
-    out["external_command"] = list(command) if command else None
+    out.update(subcommand=config.subcommand, external_command=list(command) if command else None)
     return out
 
 
@@ -220,7 +239,6 @@ def _surrogate_json(fit, white_box: str) -> dict:
 
 
 def _resolve_observation(config: argparse.Namespace, dataset) -> tuple:
-    schema = dataset.schema()
     if config.row is not None:
         if not (1 <= config.row <= dataset.n_rows):
             raise UsageError(
@@ -229,7 +247,7 @@ def _resolve_observation(config: argparse.Namespace, dataset) -> tuple:
         return dataset.observation(config.row - 1)
     cells = config.observation.split(",")
     try:
-        return schema.validate_observation(cells)
+        return dataset.schema().validate_observation(cells)
     except ExplainError as exc:
         raise UsageError(f"bad --observation: {exc}") from exc
 
@@ -240,11 +258,6 @@ def _build_predictor(config: argparse.Namespace, dataset):
     if config.model == "kernel-ridge":
         return fit_kernel_ridge(dataset, dataset.response_index, config.gamma, config.ridge)
     return external_scorer(list(config.external_command), dataset.schema(), config.scorer_timeout)
-
-
-def _feature_order_from_entries(attribution, schema) -> list[int]:
-    index_of = {name: j for j, name in enumerate(schema.names)}
-    return [index_of[e.feature] for e in attribution.feature_entries()]
 
 
 def _execute(config: argparse.Namespace):
@@ -301,7 +314,7 @@ def _execute(config: argparse.Namespace):
         baseline_mode="intercept",
         up_distance=config.up_distance,
     )
-    order = _feature_order_from_entries(attribution, dataset.schema())
+    order = [dataset.feature_names.index(e.feature) for e in attribution.feature_entries()]
     if config.direction == "down":
         order = list(reversed(order))  # release least important first
     trace = relaxation_trace(predictor, dataset, x_new, order, config.direction)
@@ -330,12 +343,7 @@ def run(argv: list[str]) -> int:
     try:
         config = parse_args(argv)
         result, plot = _execute(config)
-        envelope = {
-            "version": __version__,
-            "seed": config.seed,
-            "config": _echo(config),
-            "result": result,
-        }
+        envelope = {"version": __version__, "config": _echo(config), "result": result}
         _write_outputs(config, envelope, plot)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

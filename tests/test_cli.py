@@ -39,9 +39,10 @@ def wine_args(*extra):
 class TestParsing:
     def test_defaults_materialized(self):
         cfg = parse_args(["breakdown", *wine_args("--row", "5")])
-        assert cfg.seed == 42
         assert cfg.direction == "up"
         assert cfg.baseline == "zero"
+        assert not hasattr(cfg, "seed")  # a breakdown draws nothing
+        assert parse_args(["live", *wine_args("--row", "5")]).seed == 42
 
     def test_row_and_observation_mutually_exclusive(self):
         with pytest.raises(UsageError):
@@ -84,6 +85,85 @@ class TestParsing:
             parse_args(["breakdown", *wine_args("--row", "1", "--frobnicate")])
 
 
+def _value(flag):
+    """A value argparse takes for `flag`: its first choice, else 1."""
+    return str(cli.FLAGS[flag][0].get("choices", [1])[0])
+
+
+# (subcommand, flag) for each flag read only under a condition on a flag the
+# subcommand also takes
+CONDITIONAL = [
+    (subcommand, flag)
+    for flag, (_, takes, needs) in cli.FLAGS.items()
+    if needs
+    for subcommand in takes
+    if subcommand in cli.FLAGS[needs[0]][1]
+]
+COMMON = {"data", "response", "row", "observation", "model", "json_path", "svg_path", "text_path"}
+
+
+class TestFlagTable:
+    # parsing only: each usage error comes before the data is loaded
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(self, capsys, subcommand):
+        untaken = [flag for flag, (_, takes, _) in cli.FLAGS.items() if subcommand not in takes]
+        assert untaken
+        for flag in untaken:
+            assert run([subcommand, *wine_args("--row", "5"), flag, _value(flag)]) == 1, flag
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("usage error: ") and flag in err
+
+    @pytest.mark.parametrize("subcommand, flag", CONDITIONAL)
+    def test_a_conditional_flag_is_read_only_under_its_condition(self, capsys, subcommand, flag):
+        keywords, _, (on, value) = cli.FLAGS[flag]
+        other = next(v for v in cli.FLAGS[on][0]["choices"] if v != value)
+        argv = [subcommand, *wine_args("--row", "5")]
+        assert run([*argv, on, other, flag, _value(flag)]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {flag} is read only with {on} {value}\n")
+        unmet = parse_args([*argv, on, other])
+        met = parse_args([*argv, on, value, *(["--", "cmd"] if value == "external" else [])])
+        assert not cli._reads(unmet, flag) and cli._reads(met, flag)
+        assert getattr(met, cli._DESTS[flag]) == keywords.get("default")
+
+    def test_live_always_reads_the_seed(self):
+        config = parse_args(["live", *wine_args("--row", "5", "--seed", "3")])
+        assert config.seed == 3 and cli._reads(config, "--seed")
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (["breakdown"], {"direction", "baseline", "up_distance"}),
+            (["breakdown", "--direction", "down"], {"direction", "baseline"}),
+            (["breakdown", "--model", "kernel-ridge"],
+             {"gamma", "ridge", "direction", "baseline", "up_distance"}),
+            (["shapley"], {"baseline", "method"}),
+            (["shapley", "--method", "sample"], {"baseline", "method", "permutations", "seed"}),
+            (["live"], {"size", "white_box", "seed"}),
+            (["live", "--white-box", "lasso"], {"size", "white_box", "seed", "lambda"}),
+            (["trace", "--direction", "down"], {"direction"}),
+        ],
+    )
+    def test_the_envelope_echoes_the_flags_the_run_reads(self, argv, read):
+        config = parse_args([*argv, *wine_args("--row", "5")])
+        expected = COMMON | read | {"subcommand", "external_command"}
+        assert cli._echo(config).keys() == expected
+
+    def test_a_flag_is_given_by_its_full_name(self, capsys):
+        sampled = ["shapley", *wine_args("--row", "5"), "--method", "sample"]
+        breakdown = ["breakdown", *wine_args("--row", "5")]
+        assert parse_args([*sampled, "--permutations", "9"]).permutations == 9
+        assert parse_args([*breakdown, "--model", "ols"]).model == "ols"
+        for argv in ([*sampled, "--perm", "9"], [*breakdown, "--m", "ols"]):
+            assert run(argv) == 1
+            expected = f"usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+            assert capsys.readouterr() == ("", expected)
+
+    def test_the_fuzz_draws_every_flag_but_data(self):
+        assert FLAG_VALUES.keys() == cli.FLAGS.keys() - {"--data"}
+
+
 class TestRunBreakdown:
     def test_wine_intercept_baseline(self, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -107,7 +187,7 @@ class TestRunBreakdown:
             e["contribution"] for e in result["entries"]
         )
         assert telescoped == pytest.approx(result["final_prediction"], rel=1e-9)
-        assert doc["seed"] == 42
+        assert "seed" not in doc and "seed" not in doc["config"]
         assert doc["version"]
         assert doc["config"]["subcommand"] == "breakdown"
 
@@ -598,47 +678,56 @@ CSV_BYTES = st.one_of(
     ),
 )
 
-FLAGS = st.lists(
-    st.one_of(*[st.tuples(st.just(f), v) for f, v in FLAG_VALUES.items()]), max_size=5
-)
+
+def _drawn_flags(subcommand):
+    """Flag lists for `subcommand`. Each flag is drawn three times as often
+    from the flags `subcommand` takes (per `cli.FLAGS`) as from all, and a flag
+    read only under a condition mostly follows the flag and value that meet
+    it, so most runs get past parsing and some give a flag the run would not
+    read."""
+    own = [flag for flag in FLAG_VALUES if subcommand in cli.FLAGS[flag][1]]
+
+    def given(flag):
+        needs = cli.FLAGS[flag][2]
+        met = needs and subcommand in cli.FLAGS[needs[0]][1]
+        before = st.sampled_from([[], [needs], [needs]]) if met else st.just([])
+        return st.tuples(before, FLAG_VALUES[flag]).map(lambda t: [*t[0], (flag, t[1])])
+
+    drawn = st.sampled_from([*own, *own, *own, *FLAG_VALUES]).flatmap(given)
+    return st.lists(drawn, max_size=5).map(lambda groups: [p for g in groups for p in g])
+
+
+COMMANDS = st.sampled_from(SUBCOMMANDS).flatmap(lambda s: st.tuples(st.just(s), _drawn_flags(s)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    data=CSV_BYTES,
-    subcommand=st.sampled_from(SUBCOMMANDS),
-    flags=FLAGS,
-    scorer=st.sampled_from([None, *SCORERS]),
-)
-@example(data=b"a,y\n\xff,1\n2,3\n", subcommand="breakdown", flags=[], scorer=None)
+@given(data=CSV_BYTES, command=COMMANDS, scorer=st.sampled_from([None, *SCORERS]))
+@example(data=b"a,y\n\xff,1\n2,3\n", command=("breakdown", []), scorer=None)
 @example(
     data=SMALL_CSV,
-    subcommand="live",
-    flags=[("--white-box", "lasso"), ("--lambda", "nan")],
+    command=("live", [("--white-box", "lasso"), ("--lambda", "nan")]),
     scorer=None,
 )
 @example(
     data=SMALL_CSV,
-    subcommand="shapley",
-    flags=[("--method", "sample"), ("--seed", "-1")],
+    command=("shapley", [("--method", "sample"), ("--seed", "-1")]),
     scorer=None,
 )
-@example(data=SMALL_CSV, subcommand="live", flags=[("--seed", "-1")], scorer=None)
+@example(data=SMALL_CSV, command=("live", [("--seed", "-1")]), scorer=None)
 @example(
-    data=b"y\n1\n2\n3\n", subcommand="breakdown", flags=[("--model", "kernel-ridge")],
-    scorer=None,
+    data=b"y\n1\n2\n3\n", command=("breakdown", [("--model", "kernel-ridge")]), scorer=None
 )
-@example(data=SMALL_CSV, subcommand="trace", flags=[], scorer="nan")
+@example(data=SMALL_CSV, command=("trace", []), scorer="nan")
 @example(
     data=SMALL_CSV,
-    subcommand="live",
-    flags=[("--white-box", "lasso"), ("--size", "2"), ("--seed", "8")],
+    command=("live", [("--white-box", "lasso"), ("--size", "2"), ("--seed", "8")]),
     scorer=None,
 )
-def test_cli_exit_code_contract(data, subcommand, flags, scorer):
+def test_cli_exit_code_contract(data, command, scorer):
     """Whatever the CSV bytes, flags and scorer, `run` returns 0, 1 or 2,
     never raises, and on failure prints nothing on stdout and its own
     diagnostic on stderr (an external scorer's stderr follows it)."""
+    subcommand, flags = command
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "wb") as fh:

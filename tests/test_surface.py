@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import explainkit
+from explainkit import cli
 
 from conftest import fixture_command
 
@@ -27,6 +28,20 @@ def test_readme_library_surface_runs(monkeypatch):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(REPO_ROOT)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_flag_table_matches_the_cli():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| ([a-z, ]+) \| ([^|]*)\|$", section, re.MULTILINE)
+    documented = {
+        flag: (set(takes.split(", ")), tuple(condition.strip(" `").split()) or None)
+        for flag, takes, condition in rows
+    }
+    assert len(rows) == len(documented)
+    assert documented == {
+        flag: (set(takes), needs) for flag, (_, takes, needs) in cli.FLAGS.items()
+    }
 
 
 # standard-library modules explainkit never runs on import: xml.sax pulls in
