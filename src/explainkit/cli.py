@@ -99,14 +99,21 @@ def _build_parser() -> _Parser:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """The subcommand's flags, defaults filled in, plus `external_command`:
     the words after `--`, or None. A flag given where the run would not read
-    it is a usage error."""
+    it is a usage error. A word after a flag is its value even when it starts
+    with `-` (`--observation -0.5,1`), unless it is a flag itself."""
     argv, external_command = list(argv), None
     if "--" in argv:
         split = argv.index("--")
         argv, external_command = argv[:split], tuple(argv[split + 1 :])
         if not external_command:
             raise UsageError("nothing follows '--'")
-    ns = _build_parser().parse_args(argv)
+    words: list[str] = []
+    for word in argv:
+        if words and words[-1] in FLAGS and word.startswith("-") and word not in FLAGS:
+            words[-1] = f"{words[-1]}={word}"
+        else:
+            words.append(word)
+    ns = _build_parser().parse_args(words)
     given = [flag for flag in FLAGS if getattr(ns, _DESTS[flag], None) is not None]
     for flag, (keywords, takes, _) in FLAGS.items():
         if ns.subcommand in takes and flag not in given:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, ModelError, SchemaError
 from .predict import Encoder, LinearModel, Predictor, _finite_mean, _fit_least_squares, _standardize
-from .tabular import CATEGORICAL, Cell, Dataset, FeatureSchema, empirical_draw
+from .tabular import CATEGORICAL, Cell, Dataset, FeatureSchema
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,31 +67,31 @@ def sample_locally(
     a uniform subset of `size` features is drawn first and each row perturbs
     one uniformly chosen feature from that subset. Replacement values come
     from the feature's empirical distribution, so a draw may coincide with
-    the original value. Deterministic per seed.
+    the original value. Deterministic per seed: the draws are those of a
+    loop over the rows that draws each row's feature (`rng.integers(0, p)`,
+    or `rng.integers(0, size)` into the subset; row i < p owns feature i)
+    and then its value (`tabular.empirical_draw`), taken in one call.
     """
     if size < 0:
         raise DataError("size must be nonnegative")
     base = dataset.with_response(response)
     schema = base.schema()
     x_new = schema.validate_observation(x_new)
-    p = schema.n_features
+    p, n = schema.n_features, base.n_rows
     rng = np.random.Generator(np.random.PCG64(seed))
 
     cols = schema.repeat(x_new, size)
-
-    def perturb(row: int, feature: int) -> None:
-        cols[feature][row] = empirical_draw(base, base.feature_indices[feature], rng)
-
     if p <= size:
-        for i in range(p):
-            perturb(i, i)
-        for i in range(p, size):
-            perturb(i, int(rng.integers(0, p)))
+        draws = rng.integers(0, np.array([n] * p + [p, n] * (size - p), dtype=np.int64))
+        features = np.concatenate([np.arange(p), draws[p::2]])
+        rows = np.concatenate([draws[:p], draws[p + 1 :: 2]])
     else:
         chosen = np.sort(rng.choice(p, size=size, replace=False))
-        for i in range(size):
-            perturb(i, int(chosen[rng.integers(0, size)]))
-    for col in cols:
+        draws = rng.integers(0, np.array([size, n] * size, dtype=np.int64))
+        features, rows = chosen[draws[::2]], draws[1::2]
+    for f, col in enumerate(cols):
+        perturbed = features == f
+        col[perturbed] = base.columns[base.feature_indices[f]].values[rows[perturbed]]
         col.flags.writeable = False
 
     return LocalDataset(
@@ -125,11 +125,12 @@ LAMBDA_GRID_POINTS = 50
 # A path on k columns may take KNOT_CAP_PER_COLUMN * (k + 1) steps; the knot
 # count is finite but exponential in the worst case (Mairal & Yu 2012).
 KNOT_CAP_PER_COLUMN = 8
+_EPS = np.finfo(float).eps
 
 
 def _roundoff(scale, k: int):
     """The roundoff bound for k columns: 2^10 (k + 1) machine epsilons of `scale`."""
-    return 1024.0 * (k + 1) * np.finfo(float).eps * scale
+    return 1024.0 * (k + 1) * _EPS * scale
 
 
 def _lasso_knots(x: np.ndarray, y: np.ndarray, lambda_min: float) -> tuple[np.ndarray, ...]:
@@ -152,30 +153,34 @@ def _lasso_knots(x: np.ndarray, y: np.ndarray, lambda_min: float) -> tuple[np.nd
     n, k = x.shape
     gram, corr = x.T @ x / n, x.T @ y / n
     diag = np.diag(gram)
-    lam = float(np.max(np.abs(corr), initial=0.0))
-    beta, signs = np.zeros(k), np.zeros(k)
+    spanned, abs_corr = _roundoff(diag, k), np.abs(corr)
+    lam = float(np.max(abs_corr, initial=0.0))
+    # row j holds column j's right-hand sides [c_j, s_j, G_j.]; `signs` views column 1
+    rhs = np.column_stack([corr, np.zeros(k), gram.T])
+    beta, signs = np.zeros(k), rhs[:, 1]
     lams, betas, cap = [lam], [beta], KNOT_CAP_PER_COLUMN * (k + 1)
     for _ in range(cap):
         if lam <= lambda_min:
             break
-        a = np.flatnonzero(signs)
+        a = signs.nonzero()[0]
         ga = gram[:, a]
-        sol = np.linalg.solve(gram[np.ix_(a, a)], np.column_stack([corr[a], signs[a], ga.T]))
+        sol = np.linalg.solve(gram[a[:, None], a], rhs[a])
         u, d = sol[:, 0], sol[:, 1]  # b_A = u - lam d
         p, q = corr - ga @ u, ga @ d  # correlations c - G b = p + lam q
-        free = (signs == 0) & (diag - np.einsum("ji,ij->j", ga, sol[:, 2:]) > _roundoff(diag, k))
+        free = (signs == 0) & (diag - np.einsum("ji,ij->j", ga, sol[:, 2:]) > spanned)
         den = np.where(free & (p != 0.0), 1.0 - np.sign(p) * q, 0.0)
-        events = np.where(den > 0.0, np.abs(p) / np.where(den > 0.0, den, 1.0), -1.0)
+        rising = den > 0.0
+        events = np.where(rising, np.abs(p) / np.where(rising, den, 1.0), -1.0)
         leaving = signs[a] * d < 0.0
         events[a[leaving]] = u[leaving] / d[leaving]
-        j = int(np.argmax(events))
+        j = int(events.argmax())
         step = min(lam, max(float(events[j]), lambda_min))
         if step < lam:
             lam, beta = step, np.zeros(k)
             beta[a] = u - lam * d
             if lam > lambda_min and signs[j]:
                 beta[j] = 0.0
-            terms = np.abs(corr) + np.abs(ga) @ (np.abs(u) + lam * np.abs(d))
+            terms = abs_corr + np.abs(ga) @ (np.abs(u) + lam * np.abs(d))
             _certify(gram, corr, beta, signs, lam, _roundoff(terms, k))
             lams.append(lam)
             betas.append(beta)
@@ -237,7 +242,8 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
     """
     n, k = x.shape
     # with no varying column x has no columns, and lambda_max is 0
-    lambda_max = float(np.max(np.abs(x.T @ (y - y.mean())), initial=0.0)) / n
+    centred = y - _finite_mean(y, "the local predictions")
+    lambda_max = float(np.max(np.abs(x.T @ centred), initial=0.0)) / n
     if lambda_max == 0.0:
         return 0.0
     grid = _lambda_grid(lambda_max)
@@ -247,7 +253,7 @@ def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
         train = fold_of != f
         if train.all() or not train.any():
             continue
-        mu = y[train].mean()
+        mu = _finite_mean(y[train], "the local predictions")
         coefficients = _read_path(*_lasso_knots(x[train], y[train] - mu, grid[-1]), grid)
         with np.errstate(over="ignore", invalid="ignore"):
             errors += np.sum((y[~train] - mu - coefficients @ x[~train].T) ** 2, axis=1)
@@ -268,8 +274,8 @@ def fit_explanation(
     unpenalized intercept, reporting coefficients on the original scale.
     When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
     Raises ModelError when the rows are too few for the white box (for "ols"
-    the message adds "increase size"), or the predictions' mean, a column's
-    spread or the least-squares fit overflows.
+    the message adds "increase size"), or the predictions' mean or squared
+    deviations, a column's spread or the least-squares fit overflow.
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -282,6 +288,8 @@ def fit_explanation(
     encoded = encoder.encode_columns(list(local.feature_values))
     y = local.response
     y_mean = _finite_mean(y, "the local predictions") if len(y) else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tss = float(np.sum((y - y_mean) ** 2))
 
     if white_box == "ols":
         advice = " (local dataset may be degenerate; increase size)"
@@ -295,6 +303,8 @@ def fit_explanation(
         if len(y) < 2:
             raise ModelError("need at least 2 rows to fit a lasso surrogate")
         means, scales, z = _standardize(encoded, encoder.encoded_names)
+        if not math.isfinite(tss):  # the path's sums of the centred predictions would too
+            raise ModelError("the surrogate's squared errors overflow; rescale the response")
         usable = scales > 0
         if lambda_ is None:
             lambda_ = _cross_validate_lambda(z[:, usable], y)
@@ -302,15 +312,15 @@ def fit_explanation(
         beta[usable] = lasso_coordinate_descent(z[:, usable], y - y_mean, lambda_).coefficients
         beta[usable] /= scales[usable]
         model = LinearModel(local.schema, encoder, y_mean - float(means @ beta), beta, means)
-    return SurrogateFit(model, float(lambda_), _nonzero_features(model), _r_squared(model, local))
+    r2 = _r_squared(model, local, tss)
+    return SurrogateFit(model, float(lambda_), _nonzero_features(model), r2)
 
 
-def _r_squared(model: LinearModel, local: LocalDataset) -> float:
+def _r_squared(model: LinearModel, local: LocalDataset, tss: float) -> float:
     y = local.response
     pred = model.scores(list(local.feature_values))
     with np.errstate(over="ignore", invalid="ignore"):
         rss = float(np.sum((y - pred) ** 2))
-        tss = float(np.sum((y - y.mean()) ** 2))
     if not math.isfinite(rss + tss):
         raise ModelError("the surrogate's squared errors overflow; rescale the response")
     if tss == 0.0:

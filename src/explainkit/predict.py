@@ -217,9 +217,14 @@ class LinearModel(Predictor):
 
 
 def _finite_mean(values: np.ndarray, what: str) -> float:
-    """The mean of `values`, or ModelError naming `what` where it overflows."""
+    """The mean of `values`, or ModelError naming `what` where it overflows.
+    Where the sum overflows but the mean need not, the values are summed
+    scaled by an exact power of two no smaller than their count."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(values))
+        if not math.isfinite(mean):
+            scale = 2.0 ** len(values).bit_length()
+            mean = float(np.mean(values / scale)) * scale
     if not math.isfinite(mean):
         raise ModelError(f"the mean of {what} overflows; rescale the response")
     return mean

@@ -242,10 +242,12 @@ class TraceStep:
 
     @property
     def mean(self) -> float:
-        """The mean score; that of equal scores (the full step's n copies of
-        f(x_new)) is their score, which `np.mean` may miss in the last bits."""
+        """The mean score, as the engine takes it; that of equal scores (the
+        full step's n copies of f(x_new)) is their score, which `np.mean` may
+        miss in the last bits."""
         scores = self.scores
-        return float(scores[0] if scores.min() == scores.max() else np.mean(scores))
+        equal = scores.min() == scores.max()
+        return float(scores[0]) if equal else _finite_mean(scores, "a pinned set's scores")
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,6 +59,8 @@ def _x_scale(lo: float, hi: float):
         pad = (hi - lo) * 0.05
         lo, hi = lo - pad, hi + pad
     span = hi - lo
+    if not math.isfinite(span):
+        raise ModelError("the plot's value range overflows; rescale the response")
     inner = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 
     def to_x(v: float) -> float:
@@ -203,12 +205,14 @@ def render_forest(fit: SurrogateFit) -> PlotDocument:
 
 
 def _silverman_bandwidth(scores: np.ndarray) -> float:
+    """Silverman's rule; inf or nan where the scores' spread overflows."""
     if scores.min() == scores.max():  # np.std may give them about 1e-16
         return 0.0
     n = len(scores)
-    sd = float(np.std(scores))
-    q75, q25 = np.percentile(scores, [75, 25])
-    iqr = float(q75 - q25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(scores))
+        q75, q25 = np.percentile(scores, [75, 25])
+        iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * n ** (-0.2)
 
@@ -217,10 +221,12 @@ def _density(scores: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarr
     # one (grid x scores) array, updated in place; squaring before halving
     # rounds as halving first would, since scaling by a power of two is exact
     # except where exp of the result is 1 or 0 either way. exp is slow where
-    # it underflows; exp(-750) is 0, so zero those arguments and results
+    # it underflows; exp(-750) is 0, so zero those arguments and results,
+    # which takes in those whose square overflows
     z = grid[:, None] - scores[None, :]
-    z /= bandwidth
-    z *= z
+    with np.errstate(over="ignore"):
+        z /= bandwidth
+        z *= z
     z *= -0.5
     underflow = z < -750.0
     np.putmask(z, underflow, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from explainkit import (
     SchemaError,
     add_predictions,
     dataset_from_rows,
+    empirical_draw,
     fit_explanation,
     fit_kernel_ridge,
     fit_ols,
@@ -41,7 +43,51 @@ def orthonormal_design(n, k, seed):
     return float(np.sqrt(n)) * q[:, :k]
 
 
+def looped_neighbourhood(ds, x, response, size, seed):
+    """`sample_locally` as a loop of scalar draws in the order its docstring
+    gives: each row's feature (row i < p owns feature i), then its value."""
+    base = ds.with_response(response)
+    schema = base.schema()
+    p = schema.n_features
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cols = schema.repeat(schema.validate_observation(x), size)
+    chosen = np.sort(rng.choice(p, size=size, replace=False)) if p > size else None
+    for i in range(size):
+        if chosen is not None:
+            feature = int(chosen[rng.integers(0, size)])
+        else:
+            feature = i if i < p else int(rng.integers(0, p))
+        cols[feature][i] = empirical_draw(base, base.feature_indices[feature], rng)
+    return cols
+
+
+def mixed_table():
+    """Seven rows of four numeric features and one categorical, `g`."""
+    rng = np.random.Generator(np.random.PCG64(160))
+    rows = [(*rng.normal(size=2), "lmh"[i % 3], *rng.normal(size=3)) for i in range(7)]
+    kinds = ["numeric", "numeric", "categorical", "numeric", "numeric", "numeric"]
+    return dataset_from_rows(["a", "b", "g", "c", "d", "y"], kinds, rows, "y")
+
+
 class TestSampleLocally:
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_draws_are_those_of_the_per_draw_loop(self, wine, seed):
+        """Bit for bit and cell type for cell type, on both branches (p > size
+        and p <= size); a numpy that drew an array of bounds otherwise than
+        one scalar call per bound would fail here."""
+        for ds, response, row in ((mixed_table(), "y", 2), (wine, "quality", 4)):
+            p = ds.n_features
+            for size in (0, 1, p - 1, p, p + 1, 3 * p + 2):
+                local = sample_locally(ds, ds.observation(row), response, size, seed)
+                want = looped_neighbourhood(ds, ds.observation(row), response, size, seed)
+                for got, expected in zip(local.feature_values, want, strict=True):
+                    assert got.dtype == expected.dtype
+                    assert [type(v) for v in got] == [type(v) for v in expected]
+                    if got.dtype == object:
+                        assert got.tolist() == expected.tolist()
+                    else:
+                        assert got.tobytes() == expected.tobytes()
+
     def test_size_zero(self, wine):
         local = sample_locally(wine, wine.observation(4), "quality", size=0, seed=1)
         assert local.n_rows == 0
@@ -615,6 +661,16 @@ def assert_kkt(x, y, lam, beta, tol):
             assert abs(gj) <= lam + tol
 
 
+# (explained wine row, sample seed): sha256 of the knots' bytes
+KNOT_DIGESTS = {
+    (0, 1): "8c0747619174533fc9de70a86028d40d39adbdcebf833b673e79a8a0b444ca22",
+    (4, 2): "a26bcf9f172233975294bc2d6464bba35164e6be2733535ba2e08ccb33f786a6",
+    (9, 3): "aabb6833de1328befad7379a63608ce1e019a4fca484939eb1ab29c509883aaf",
+    (20, 4): "445daa5abb9b47e08f765d07b1bd440d8317a1ba8b9d9d9c9b244485f882d727",
+    (100, 5): "7dc3ae113657b21c166135cca00effd2ce56feecfdcb9150d4913f912995aeea",
+}
+
+
 class TestLassoKnots:
     @pytest.mark.parametrize("p, size, seed", PATH_CASES)
     def test_kkt_at_every_knot(self, p, size, seed):
@@ -678,6 +734,55 @@ class TestLassoKnots:
         monkeypatch.setattr(live, "KNOT_CAP_PER_COLUMN", 0)
         with pytest.raises(ConvergenceError, match="steps"):
             lasso_coordinate_descent(x, y, 0.0)
+
+    def test_every_knot_is_certified_to_its_roundoff_bound(self, monkeypatch):
+        """Each knot below lambda_max goes through `_certify` once, with the
+        tolerance 2^10 (k + 1) eps (|c| + |G_.A| (|u| + lam |d|))."""
+        z, y, _, _ = standardized(kernel_ridge_local(4, 100, 302))
+        k = z.shape[1]
+        calls = []
+        monkeypatch.setattr(live, "_certify", lambda *args: calls.append(list(map(np.copy, args))))
+        lams, _ = _lasso_knots(z, y - y.mean(), 0.0)
+        assert [float(call[4]) for call in calls] == lams[1:].tolist()
+        for gram, corr, _, signs, lam, tol in calls:
+            a = np.flatnonzero(signs)
+            u, d = np.linalg.solve(gram[np.ix_(a, a)], np.column_stack([corr[a], signs[a]])).T
+            terms = np.abs(corr) + np.abs(gram[:, a]) @ (np.abs(u) + lam * np.abs(d))
+            assert tol == pytest.approx(2.0**10 * (k + 1) * np.finfo(float).eps * terms, rel=1e-9)
+
+    def test_a_column_just_off_the_span_joins(self):
+        """A column whose distance from the others' span is about 100 times
+        the spanned-column bound is free to join; y needs it, so the path
+        ends in the exact fit at lambda 0, up to the roundoff of a Gram
+        matrix whose condition number is about 1e10."""
+        rng = np.random.Generator(np.random.PCG64(153))
+        a, b, w = rng.normal(size=(3, 60))
+        x = np.column_stack([a, b, a + 1e-5 * w])
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = x[:, 0] + x[:, 1] + w
+        y = y - y.mean()
+        lams, betas = _lasso_knots(x, y, 0.0)
+        assert lams[-1] == 0.0 and np.all(betas[-1] != 0.0)
+        assert x @ betas[-1] == pytest.approx(y, abs=1e-3)
+
+    @pytest.mark.parametrize("row, seed", sorted(KNOT_DIGESTS))
+    def test_knots_keep_their_bits(self, wine, row, seed):
+        """The full data's path and each CV fold's on a seeded wine
+        neighbourhood, whose response is a fixed nonlinear function of three
+        features; the digests were recorded with numpy 2.4.6 on
+        scipy-openblas 0.3.31."""
+        local = sample_locally(wine, wine.observation(row), "quality", size=150, seed=seed)
+        alcohol, sulphates, volatile = (
+            local.feature_values[wine.feature_names.index(name)]
+            for name in ("alcohol", "sulphates", "volatile_acidity")
+        )
+        z, y, _, _ = standardized(replace(local, response=alcohol * sulphates - np.log1p(volatile)))
+        grid, folds = training_folds(z, y)
+        digest = hashlib.sha256()
+        for xt, yt in [(z, y - y.mean()), *folds]:
+            lams, betas = _lasso_knots(xt, yt, grid[-1])
+            digest.update(lams.tobytes() + betas.tobytes())
+        assert digest.hexdigest() == KNOT_DIGESTS[row, seed]
 
     def test_duplicate_columns_keep_the_first(self):
         """Columns equal up to sign tie at every lambda, and the lasso

@@ -1000,3 +1000,25 @@ def test_error_path(case):
     call, error, message = ERROR_PATHS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_mean_whose_sum_stays_finite_keeps_its_bits(values):
+    values = np.array(values)
+    assert predict._finite_mean(values, "x") == float(np.mean(values))
+
+
+@pytest.mark.parametrize("values, mean", [
+    ([1.5e308, 1.5e308], 1.5e308),
+    ([1.7e308, 1.7e308, -1.7e308], 1.7e308 / 3.0),
+    ([1.7e308] * 5, 1.7e308),
+])
+def test_a_mean_whose_sum_overflows_is_scaled(values, mean):
+    assert predict._finite_mean(np.array(values), "x") == pytest.approx(mean, rel=1e-15)
+
+
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [np.nan, 1.0], [1.7e308, -np.inf]])
+def test_a_mean_of_non_finite_values_is_refused(values):
+    with pytest.raises(ModelError, match="^the mean of x overflows; rescale the response"):
+        predict._finite_mean(np.array(values), "x")

@@ -1050,11 +1050,14 @@ ONE_FEATURE = FeatureSchema(("a",), ("numeric",), (None,))
 
 
 @pytest.mark.parametrize("explain", [ag_break, lambda *args: relaxation_trace(*args, [0])])
-def test_a_mean_score_that_overflows_is_a_model_error(explain):
-    # each score is finite, but the mean of two 1.5e308 overflows
+def test_a_mean_score_whose_sum_overflows_is_representable(explain):
+    # the sum of two 1.5e308 overflows, but their mean is 1.5e308
     ds = dataset_from_rows(["a", "y"], ["numeric"] * 2, [(1.0, 0.0), (2.0, 0.0)], "y")
-    with pytest.raises(ModelError, match="^the mean of a pinned set's scores overflows"):
-        explain(ConstantPredictor(ONE_FEATURE, 1.5e308), ds, (1.0,))
+    doc = explain(ConstantPredictor(ONE_FEATURE, 1.5e308), ds, (1.0,)).to_json_dict()
+    if "steps" in doc:
+        assert [step["mean"] for step in doc["steps"]] == [1.5e308, 1.5e308]
+    else:
+        assert doc["final_prediction"] == doc["entries"][0]["contribution"] == 1.5e308
 
 
 def test_background_means_that_overflow_are_a_model_error():

@@ -356,3 +356,21 @@ class TestGoldenFiles:
 def test_a_trace_without_steps_is_a_model_error():
     with pytest.raises(ModelError, match="^trace has no steps$"):
         render_trace(RelaxationTrace("down", ("a",), ()))
+
+
+def test_a_trace_whose_range_overflows_is_a_model_error():
+    scores = np.array([-1.7e308, 1.7e308])
+    trace = RelaxationTrace("up", ("a",), (TraceStep(frozenset(), None, scores),))
+    with pytest.raises(ModelError, match="^the plot's value range overflows; rescale the"):
+        render_trace(trace)
+
+
+def test_scores_whose_spread_overflows_draw_a_rect(recwarn):
+    # their squared deviations overflow and their quartiles coincide, so the
+    # bandwidth is inf: the density is 0 on the whole grid
+    scores = np.array([0.0] * 6 + [1e155, -1e155])
+    assert _silverman_bandwidth(scores) == math.inf
+    trace = RelaxationTrace("up", ("a",), (TraceStep(frozenset(), None, scores),))
+    svg = render_trace(trace).svg_text
+    assert "<rect" in svg and "<polygon" not in svg
+    assert not recwarn.list

@@ -35,7 +35,10 @@ makes Up, then the Down trace along the fixed order `OFF_PATH_ORDER`,
 which is Down's path in neither setup, so the trace reads score arrays
 the Up walk scored off its own path. A sixth setup, `external-flushing`,
 runs the same scorer as `python -u`, so it writes every score with its own
-write, for breakdown up and trace up only. That makes 45 runs.
+write, for breakdown up and trace up only. The `--model ols` wine setup
+adds one lasso `live` run of 8 rows, fewer than its 11 features, so the
+neighbourhood first draws a subset of the features; the other setups have
+3 or 4 features. That makes 46 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
@@ -87,11 +90,14 @@ EXPLANATIONS = (
                          "--seed", "3"]),
     ("live-ols", ["live", "--size", "300", "--seed", "5"]),
     ("live-lasso", ["live", "--white-box", "lasso", "--size", "300", "--seed", "5"]),
+    ("live-lasso-few-rows", ["live", "--white-box", "lasso", "--size", "8", "--seed", "5"]),
     ("trace-up", ["trace", "--direction", "up"]),
     ("trace-down", ["trace", "--direction", "down"]),
 )
 # a lasso surrogate has no standard errors, hence no forest plot or text table
-JSON_ONLY = {"live-lasso"}
+JSON_ONLY = {"live-lasso", "live-lasso-few-rows"}
+# the cases of the `--model ols` wine setup alone: fewer rows than features
+WINE_OLS_CASES = ("live-lasso-few-rows",)
 # the cases of the full-table kernel-ridge setup; the others take far longer there
 KRR_WINE_CASES = ("breakdown-down", "trace-up", "trace-down")
 # the cases of the setup whose scorer flushes every line
@@ -188,9 +194,9 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
     wine, subset, labelled, scorer = write_inputs(work)
     command = ["--", sys.executable, str(scorer), *SCORER_COEFFICIENTS]
     flushing = ["--", sys.executable, "-u", str(scorer), *SCORER_COEFFICIENTS]
-    every = tuple(case for case, _ in EXPLANATIONS)
+    every = tuple(case for case, _ in EXPLANATIONS if case not in WINE_OLS_CASES)
     setups = (
-        ("ols", "ols", wine, 5, [], every),
+        ("ols", "ols", wine, 5, [], every + WINE_OLS_CASES),
         ("kernel-ridge", "kernel-ridge", subset, 3, [], every),
         ("external", "external", subset, 3, command, every),
         ("ols-labelled", "ols", labelled, 3, [], every),
