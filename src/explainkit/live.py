@@ -113,8 +113,9 @@ def add_predictions(local: LocalDataset, predictor: Predictor) -> LocalDataset:
 
 @dataclass(frozen=True, eq=False)
 class LassoResult:
-    """One lasso fit; `n_sweeps` counts the steps its path took to reach its
-    lambda, one per knot below lambda_max."""
+    """One lasso fit of `lasso_coordinate_descent`; `n_sweeps` counts the knots
+    its path took below lambda_max to reach its lambda. A CV fit makes none: it
+    reads the whole table's path walked in the folds' stack."""
 
     coefficients: np.ndarray
     n_sweeps: int
@@ -133,11 +134,17 @@ def _roundoff(scale, k: int):
     return 1024.0 * (k + 1) * _EPS * scale
 
 
-def _lasso_knots(x: np.ndarray, y: np.ndarray, lambda_min: float) -> tuple[np.ndarray, ...]:
+def _moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One lasso problem: its Gram matrix X'X/n and correlations X'y/n."""
+    return x.T @ x / len(x), x.T @ y / len(x)
+
+
+def _lasso_knots(problems, lambda_min: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Knots of the path of min (1/2n)||y - X b||^2 + lam ||b||_1, linear in
-    lam between them: lambdas falling from lambda_max = max |X'y|/n to
-    `lambda_min`, and coefficients. The homotopy of Osborne, Presnell &
-    Turlach 2000 (LARS with its lasso modification, Efron et al. 2004).
+    lam between them, for each of a stack of `_moments` over the same k
+    columns: lambdas falling from lambda_max = max |X'y|/n to `lambda_min`,
+    and coefficients. The homotopy of Osborne, Presnell & Turlach 2000
+    (LARS with its lasso modification, Efron et al. 2004).
 
     With G = X'X/n, c = X'y/n and active set A with signs s, b_A = G_AA^-1
     (c_A - lam s_A). The next knot is where an active coefficient reaches 0
@@ -145,63 +152,67 @@ def _lasso_knots(x: np.ndarray, y: np.ndarray, lambda_min: float) -> tuple[np.nd
     joins), the lower column first on a tie. A column within `_roundoff` of
     the active columns' span never joins, since its correlation follows
     theirs (Tibshirani 2013): of columns equal up to sign, or beyond the
-    rank of X, the path keeps the first. Every knot is checked by
-    `_certify`, correlation j to `_roundoff` of the terms it is made of,
-    |c_j| + sum_i |G_ji| (|u_i| + lam |d_i|) where b_A = u - lam d. More
-    than `KNOT_CAP_PER_COLUMN` (k + 1) steps is ConvergenceError.
+    rank of X, the path keeps the first. The problems walk in lockstep, one
+    batched solve per step, each problem's system G_AA on its active block
+    and the identity on its inactive columns, so a path has the same bits
+    alone and in any stack. Every knot is checked by `_certify`, correlation
+    j to `_roundoff` of the terms it is made of, |c_j| + sum_i |G_ji| (|u_i|
+    + lam |d_i|) where b_A = u - lam d. A stack raises ConvergenceError when
+    a problem takes more than `KNOT_CAP_PER_COLUMN` (k + 1) steps.
     """
-    n, k = x.shape
-    gram, corr = x.T @ x / n, x.T @ y / n
-    diag = np.diag(gram)
-    spanned, abs_corr = _roundoff(diag, k), np.abs(corr)
-    lam = float(np.max(abs_corr, initial=0.0))
-    # row j holds column j's right-hand sides [c_j, s_j, G_j.]; `signs` views column 1
-    rhs = np.column_stack([corr, np.zeros(k), gram.T])
-    beta, signs = np.zeros(k), rhs[:, 1]
-    lams, betas, cap = [lam], [beta], KNOT_CAP_PER_COLUMN * (k + 1)
+    gram, corr = (np.array(a) for a in zip(*problems))
+    m, k = corr.shape
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    spanned, abs_corr, abs_gram = _roundoff(diag, k), np.abs(corr), np.abs(gram)
+    lam = np.max(abs_corr, axis=1, initial=0.0)
+    # row j of a problem holds column j's right-hand sides [c_j, s_j, G_j.]; `signs` views column 1
+    rhs = np.concatenate([corr[..., None], np.zeros((m, k, 1)), gram.transpose(0, 2, 1)], axis=2)
+    signs, rows, eye = rhs[..., 1], np.arange(m), np.eye(k)
+    paths, cap = [[(top, np.zeros(k))] for top in lam], KNOT_CAP_PER_COLUMN * (k + 1)
     for _ in range(cap):
-        if lam <= lambda_min:
+        if not (lam > lambda_min).any():
             break
-        a = signs.nonzero()[0]
-        ga = gram[:, a]
-        sol = np.linalg.solve(gram[a[:, None], a], rhs[a])
-        u, d = sol[:, 0], sol[:, 1]  # b_A = u - lam d
-        p, q = corr - ga @ u, ga @ d  # correlations c - G b = p + lam q
-        free = (signs == 0) & (diag - np.einsum("ji,ij->j", ga, sol[:, 2:]) > spanned)
+        active = signs != 0.0
+        system = np.where(active[:, :, None] & active[:, None, :], gram, eye)
+        sol = np.linalg.solve(system, np.where(active[..., None], rhs, 0.0))
+        u, d = sol[..., 0], sol[..., 1]  # b_A = u - lam d, and 0 off A
+        p = corr - (gram @ u[..., None])[..., 0]  # correlations c - G b = p + lam q
+        q = (gram @ d[..., None])[..., 0]
+        free = ~active & (diag - np.einsum("mji,mij->mj", gram, sol[..., 2:]) > spanned)
         den = np.where(free & (p != 0.0), 1.0 - np.sign(p) * q, 0.0)
         rising = den > 0.0
         events = np.where(rising, np.abs(p) / np.where(rising, den, 1.0), -1.0)
-        leaving = signs[a] * d < 0.0
-        events[a[leaving]] = u[leaving] / d[leaving]
-        j = int(events.argmax())
-        step = min(lam, max(float(events[j]), lambda_min))
-        if step < lam:
-            lam, beta = step, np.zeros(k)
-            beta[a] = u - lam * d
-            if lam > lambda_min and signs[j]:
-                beta[j] = 0.0
-            terms = abs_corr + np.abs(ga) @ (np.abs(u) + lam * np.abs(d))
-            _certify(gram, corr, beta, signs, lam, _roundoff(terms, k))
-            lams.append(lam)
-            betas.append(beta)
-        if lam > lambda_min:
-            signs[j] = 0.0 if signs[j] else np.sign(p[j])
-    if lam > lambda_min:
+        np.divide(u, d, out=events, where=signs * d < 0.0)
+        j = events.argmax(axis=1)
+        step = np.minimum(lam, np.maximum(events[rows, j], lambda_min))
+        moved = step < lam
+        lam = np.where(moved, step, lam)
+        beta, go = u - lam[:, None] * d, lam > lambda_min
+        leaving = go & active[rows, j]
+        beta[rows[leaving], j[leaving]] = 0.0
+        if moved.any():
+            weights = np.abs(u) + lam[:, None] * np.abs(d)
+            terms = abs_corr + (abs_gram @ weights[..., None])[..., 0]
+            _certify(*(a[moved] for a in (gram, corr, beta, signs, lam, _roundoff(terms, k))))
+            for i in moved.nonzero()[0]:
+                paths[i].append((lam[i], beta[i]))
+        signs[rows[go], j[go]] = np.where(leaving, 0.0, np.sign(p[rows, j]))[go]
+    if (lam > lambda_min).any():
         raise ConvergenceError(f"lasso path did not reach lambda {lambda_min!r} in {cap} steps")
-    return np.array(lams), np.array(betas)
+    return [(np.array(lams), np.array(betas)) for lams, betas in (zip(*path) for path in paths)]
 
 
 def _certify(gram, corr, beta, signs, lam, tol) -> None:
-    """KKT conditions at a knot, or ModelError: each active correlation is lam
-    times its sign s, each active coefficient has sign s or is 0, and no
-    inactive correlation exceeds lam, with `tol` for the correlations."""
-    r = corr - gram @ beta
+    """KKT conditions at a stack of knots, one lam each, or ModelError: each
+    active correlation is lam times its sign s, to `tol`; each active
+    coefficient has sign s or is 0; no inactive correlation exceeds lam + `tol`."""
+    r, lam = corr - (gram @ beta[..., None])[..., 0], lam[:, None]
     active_bad = (np.abs(r - lam * signs) > tol) | (signs * beta < 0)
     bad = np.where(signs != 0, active_bad, np.abs(r) > lam + tol)
     if bad.any():
-        j = int(np.argmax(bad))
-        raise ModelError(f"lasso knot fails its optimality check at lambda {lam!r}: "
-                         f"column {j} has correlation {r[j]!r} and coefficient {beta[j]!r}")
+        i, j = np.argwhere(bad)[0]
+        raise ModelError(f"lasso knot fails its optimality check at lambda {float(lam[i, 0])!r}: "
+                         f"column {j} has correlation {r[i, j]!r} and coefficient {beta[i, j]!r}")
 
 
 def _read_path(lams: np.ndarray, betas: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -216,13 +227,13 @@ def _read_path(lams: np.ndarray, betas: np.ndarray, query: np.ndarray) -> np.nda
 
 def lasso_coordinate_descent(x: np.ndarray, y: np.ndarray, lambda_: float) -> LassoResult:
     """The lasso solution at `lambda_`, read off the exact path of
-    `_lasso_knots` (the name is that of the coordinate descent it replaced).
-    Expects standardized columns and centred y; `n_sweeps` counts the path's
-    steps down to `lambda_`."""
+    `_lasso_knots`, a stack of one (the name is that of the coordinate
+    descent it replaced). Expects standardized columns and centred y;
+    `n_sweeps` counts the path's steps down to `lambda_`."""
     lambda_ = float(lambda_)
     if not lambda_ >= 0.0:
         raise ModelError("lambda must be nonnegative")
-    lams, betas = _lasso_knots(x, y, lambda_)
+    [(lams, betas)] = _lasso_knots([_moments(x, y)], lambda_)
     return LassoResult(_read_path(lams, betas, np.array([lambda_]))[0], len(lams) - 1)
 
 
@@ -230,34 +241,40 @@ def _lambda_grid(lambda_max: float) -> np.ndarray:
     return np.geomspace(lambda_max, 1e-4 * lambda_max, LAMBDA_GRID_POINTS)
 
 
-def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> float:
-    """Pick lambda by `CV_FOLDS`-fold CV on a `LAMBDA_GRID_POINTS` log grid down from lambda_max.
+def _cross_validate_lambda(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Pick lambda by `CV_FOLDS`-fold CV on a `LAMBDA_GRID_POINTS` log grid
+    down from lambda_max; returns it and the whole table's coefficients there.
 
     Fold assignment is row index modulo `CV_FOLDS`; a fold whose training or
-    validation part is empty is skipped. Each fold's path goes down to the
-    grid's smallest lambda once, and every grid lambda is read off it. The
-    pick is the largest lambda whose total error is within `_roundoff` of
-    the least, relative to the total at lambda_max: errors that differ by
-    roundoff alone tie, and the larger lambda wins.
+    validation part is empty is skipped. The folds' paths and the whole
+    table's walk in one stack of `_lasso_knots` down to the grid's smallest
+    lambda, each problem's moments built from its own rows in turn; every
+    grid lambda is read off each fold's path, and the coefficients off the
+    whole table's at the pick. The pick is the largest lambda whose total
+    error is within `_roundoff` of the least, relative to the total at
+    lambda_max: errors that differ by roundoff alone tie, and the larger
+    lambda wins.
     """
     n, k = x.shape
     # with no varying column x has no columns, and lambda_max is 0
-    centred = y - _finite_mean(y, "the local predictions")
-    lambda_max = float(np.max(np.abs(x.T @ centred), initial=0.0)) / n
+    whole = _moments(x, y - _finite_mean(y, "the local predictions"))
+    lambda_max = float(np.max(np.abs(whole[1]), initial=0.0))
     if lambda_max == 0.0:
-        return 0.0
+        return 0.0, np.zeros(k)
     grid = _lambda_grid(lambda_max)
     fold_of = np.arange(n) % CV_FOLDS
+    folds = [t for t in (fold_of != f for f in range(CV_FOLDS)) if t.any() and not t.all()]
+    mus = [_finite_mean(y[train], "the local predictions") for train in folds]
+    *fold_paths, whole_path = _lasso_knots(
+        [_moments(x[train], y[train] - mu) for train, mu in zip(folds, mus)] + [whole], grid[-1]
+    )
     errors = np.zeros(len(grid))
-    for f in range(CV_FOLDS):
-        train = fold_of != f
-        if train.all() or not train.any():
-            continue
-        mu = _finite_mean(y[train], "the local predictions")
-        coefficients = _read_path(*_lasso_knots(x[train], y[train] - mu, grid[-1]), grid)
+    for train, mu, path in zip(folds, mus, fold_paths):
+        coefficients = _read_path(*path, grid)
         with np.errstate(over="ignore", invalid="ignore"):
             errors += np.sum((y[~train] - mu - coefficients @ x[~train].T) ** 2, axis=1)
-    return float(grid[np.argmax(errors <= errors.min() + _roundoff(errors[0], k))])
+    lambda_ = float(grid[np.argmax(errors <= errors.min() + _roundoff(errors[0], k))])
+    return lambda_, _read_path(*whole_path, np.array([lambda_]))[0]
 
 
 def fit_explanation(
@@ -272,10 +289,11 @@ def fit_explanation(
     least-squares fit `predict.fit_ols` makes; "lasso" solves the
     L1-penalized problem on the same encoding, standardized, with an
     unpenalized intercept, reporting coefficients on the original scale.
-    When lambda is unset for lasso, it is chosen by 5-fold cross-validation.
-    Raises ModelError when the rows are too few for the white box (for "ols"
-    the message adds "increase size"), or the predictions' mean or squared
-    deviations, a column's spread or the least-squares fit overflow.
+    Unset, lambda is picked by 5-fold CV, whose stack also walks the whole
+    table's path, read at the pick. Raises ModelError when the rows are too
+    few for the white box (for "ols" the message adds "increase size"), or
+    the predictions' mean or squared deviations, a column's spread or the
+    least-squares fit overflow.
     """
     if local.response is None:
         raise DataError("attach predictions before fitting an explanation")
@@ -306,10 +324,11 @@ def fit_explanation(
         if not math.isfinite(tss):  # the path's sums of the centred predictions would too
             raise ModelError("the surrogate's squared errors overflow; rescale the response")
         usable = scales > 0
-        if lambda_ is None:
-            lambda_ = _cross_validate_lambda(z[:, usable], y)
         beta = np.zeros(encoder.n_encoded)
-        beta[usable] = lasso_coordinate_descent(z[:, usable], y - y_mean, lambda_).coefficients
+        if lambda_ is None:
+            lambda_, beta[usable] = _cross_validate_lambda(z[:, usable], y)
+        else:
+            beta[usable] = lasso_coordinate_descent(z[:, usable], y - y_mean, lambda_).coefficients
         beta[usable] /= scales[usable]
         model = LinearModel(local.schema, encoder, y_mean - float(means @ beta), beta, means)
     r2 = _r_squared(model, local, tss)

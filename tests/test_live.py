@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +24,8 @@ from explainkit import (
     sample_locally,
 )
 import explainkit.live as live
-from explainkit.live import _certify, _lambda_grid, _lasso_knots, _read_path
-from explainkit.predict import Encoder, LinearModel
+from explainkit.live import _certify, _lambda_grid, _lasso_knots, _moments, _read_path
+from explainkit.predict import Encoder, LinearModel, _standardize
 
 from conftest import make_regression, overflowing_table
 
@@ -527,21 +528,24 @@ SMALL_CASES = [(1, 2, 401), (3, 2, 402), (1, 3, 403), (1, 4, 404), (2, 4, 405)]
 UNDERDETERMINED_CASES = [(3, 3, 400), (3, 3, 412), (4, 3, 403), (4, 4, 402)]
 
 
+def constant_in_a_training_fold():
+    """A local table whose first column varies only on rows 0, 5, 10, ...:
+    fold 0's validation part, so it is constant in fold 0's training part."""
+    ds = make_regression(3, 60, seed=77, noise=0.3)
+    black_box = fit_kernel_ridge(ds, 3, gamma=0.5, ridge=1e-2)
+    local = sample_locally(ds, ds.observation(5), "y", size=100, seed=77)
+    x1 = np.full(local.n_rows, local.origin[0], dtype=float)
+    x1[::5] = ds.feature_columns()[0].values[:20]
+    return add_predictions(replace(local, feature_values=(x1, *local.feature_values[1:])), black_box)
+
+
 class TestLassoPath:
     @pytest.mark.parametrize("p, size, seed", PATH_CASES + SMALL_CASES)
     def test_cv_picks_the_cold_start_lambda(self, p, size, seed):
         assert_cv_picks_the_cold_start_lambda(kernel_ridge_local(p, size, seed))
 
     def test_cv_with_a_column_constant_in_one_training_fold(self):
-        ds = make_regression(3, 60, seed=77, noise=0.3)
-        black_box = fit_kernel_ridge(ds, 3, gamma=0.5, ridge=1e-2)
-        local = sample_locally(ds, ds.observation(5), "y", size=100, seed=77)
-        # x1 varies only on rows 0, 5, 10, ...: fold 0's validation part
-        x1 = np.full(local.n_rows, local.origin[0], dtype=float)
-        x1[::5] = ds.feature_columns()[0].values[:20]
-        local = add_predictions(
-            replace(local, feature_values=(x1, *local.feature_values[1:])), black_box
-        )
+        local = constant_in_a_training_fold()
         z, _, usable, _ = standardized(local)
         assert usable[0] and np.ptp(z[np.arange(local.n_rows) % 5 != 0, 0]) == 0.0
         assert_cv_picks_the_cold_start_lambda(local)
@@ -643,12 +647,18 @@ class TestLassoPathEquivalence:
         grid, folds = training_folds(z, y)
         assert folds
         for xt, yt in folds:
-            path = _read_path(*_lasso_knots(xt, yt, grid[-1]), grid)
+            path = _read_path(*one_path(xt, yt, grid[-1]), grid)
             start = None
             for lam, b in zip(grid, path):
                 start, _ = coordinate_descent(xt, yt, float(lam), start=start)
                 assert xt @ b == pytest.approx(xt @ start, abs=1e-8)
                 assert np.abs(b).sum() == pytest.approx(np.abs(start).sum(), abs=1e-8)
+
+
+def one_path(x, y, lambda_min):
+    """The knots of one problem's path, walked as a stack of one."""
+    [path] = _lasso_knots([_moments(x, y)], lambda_min)
+    return path
 
 
 def assert_kkt(x, y, lam, beta, tol):
@@ -663,11 +673,11 @@ def assert_kkt(x, y, lam, beta, tol):
 
 # (explained wine row, sample seed): sha256 of the knots' bytes
 KNOT_DIGESTS = {
-    (0, 1): "8c0747619174533fc9de70a86028d40d39adbdcebf833b673e79a8a0b444ca22",
-    (4, 2): "a26bcf9f172233975294bc2d6464bba35164e6be2733535ba2e08ccb33f786a6",
-    (9, 3): "aabb6833de1328befad7379a63608ce1e019a4fca484939eb1ab29c509883aaf",
-    (20, 4): "445daa5abb9b47e08f765d07b1bd440d8317a1ba8b9d9d9c9b244485f882d727",
-    (100, 5): "7dc3ae113657b21c166135cca00effd2ce56feecfdcb9150d4913f912995aeea",
+    (0, 1): "c65830ab803f514738f769fe4be4b41398f403b87684d593d217b0e78eff429c",
+    (4, 2): "a3d33c921e49d2f84996ee9bc29b2629b014ef6d1ac9f47bbe4bd8804dca5445",
+    (9, 3): "a37b44eb29680ee2931cbabf1c99fa2fb7bc8aa48459d810ba83b875c0dcd1d7",
+    (20, 4): "4c3989e4fd0c219883a2318e5cd89f4f25f49ef47a914f2f5ccd580b4a57930a",
+    (100, 5): "be476a671aa73f728be14cb3afafc8f3d9649ed70d72fad2104506cfa08addc5",
 }
 
 
@@ -680,7 +690,7 @@ class TestLassoKnots:
         z, y, _, _ = standardized(kernel_ridge_local(p, size, seed))
         grid, folds = training_folds(z, y)
         for xt, yt in [(z, y - y.mean()), *folds]:
-            lams, betas = _lasso_knots(xt, yt, grid[-1])
+            lams, betas = one_path(xt, yt, grid[-1])
             assert lams[0] == pytest.approx(np.max(np.abs(xt.T @ yt)) / len(yt), rel=1e-15)
             assert np.all(betas[0] == 0.0) and lams[-1] == grid[-1]
             assert np.all(np.diff(lams) < 0.0)
@@ -698,7 +708,7 @@ class TestLassoKnots:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = x @ np.array([1.0, -1.0, 0.5]) + rng.normal(0.0, 0.1, 50)
         y = y - y.mean()
-        lams, betas = _lasso_knots(x, y, 0.0)
+        lams, betas = one_path(x, y, 0.0)
         assert lams[-1] == 0.0
         for lam, beta in zip(lams, betas):
             assert_kkt(x, y, lam, beta, 1e-12)
@@ -707,7 +717,7 @@ class TestLassoKnots:
     def test_the_path_is_linear_between_knots(self):
         z, y, _, _ = standardized(kernel_ridge_local(4, 100, 302))
         y = y - y.mean()
-        lams, betas = _lasso_knots(z, y, 0.0)
+        lams, betas = one_path(z, y, 0.0)
         for hi, lo, b_hi, b_lo in zip(lams, lams[1:], betas, betas[1:]):
             mid = 0.5 * (hi + lo)
             assert_kkt(z, y, mid, 0.5 * (b_hi + b_lo), 1e-12)
@@ -722,10 +732,10 @@ class TestLassoKnots:
         lam = 0.25
         beta = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0)
         signs = np.sign(beta)
-        _certify(gram, corr, beta, signs, lam, 1e-12)
+        _certify(gram[None], corr[None], beta[None], signs[None], np.array([lam]), 1e-12)
         for wrong in (beta * (1 + 1e-9), -beta, np.zeros(3)):
             with pytest.raises(ModelError, match="optimality"):
-                _certify(gram, corr, wrong, signs, lam, 1e-12)
+                _certify(gram[None], corr[None], wrong[None], signs[None], np.array([lam]), 1e-12)
 
     def test_reaching_the_knot_cap_is_a_convergence_error(self, monkeypatch):
         x = orthonormal_design(40, 3, seed=151)
@@ -742,9 +752,11 @@ class TestLassoKnots:
         k = z.shape[1]
         calls = []
         monkeypatch.setattr(live, "_certify", lambda *args: calls.append(list(map(np.copy, args))))
-        lams, _ = _lasso_knots(z, y - y.mean(), 0.0)
-        assert [float(call[4]) for call in calls] == lams[1:].tolist()
-        for gram, corr, _, signs, lam, tol in calls:
+        lams, _ = one_path(z, y - y.mean(), 0.0)
+        # each call stacks the problems that took a knot, here the one problem
+        assert all(len(call[4]) == 1 for call in calls)
+        assert [float(call[4][0]) for call in calls] == lams[1:].tolist()
+        for gram, corr, _, signs, lam, tol in (list(map(np.squeeze, call)) for call in calls):
             a = np.flatnonzero(signs)
             u, d = np.linalg.solve(gram[np.ix_(a, a)], np.column_stack([corr[a], signs[a]])).T
             terms = np.abs(corr) + np.abs(gram[:, a]) @ (np.abs(u) + lam * np.abs(d))
@@ -761,9 +773,27 @@ class TestLassoKnots:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = x[:, 0] + x[:, 1] + w
         y = y - y.mean()
-        lams, betas = _lasso_knots(x, y, 0.0)
+        lams, betas = one_path(x, y, 0.0)
         assert lams[-1] == 0.0 and np.all(betas[-1] != 0.0)
         assert x @ betas[-1] == pytest.approx(y, abs=1e-3)
+
+    def test_a_column_barely_off_the_span_never_joins(self):
+        """Column 0 lies off the span of the active columns 1 and 2 by a
+        residual diagonal of about 0.04 times the spanned-column bound, inside
+        it, so it never joins, though y = x_0 + x_1 needs it: the path ends at
+        lambda 0 without the exact fit. A bound 1e-3 times as large lets it join."""
+        rng = np.random.Generator(np.random.PCG64(154))
+        a, b, w = rng.normal(size=(3, 60))
+        x = np.column_stack([a, b, a + 2e-7 * w])
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = x[:, 0] + x[:, 1]
+        gram, corr = _moments(x, y)
+        residual = gram[0, 0] - gram[0, 1:] @ np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+        assert 0.01 < residual / live._roundoff(gram[0, 0], 3) < 0.1
+        lams, betas = one_path(x, y, 0.0)
+        assert lams[-1] == 0.0 and np.all(betas[:, 0] == 0.0) and np.all(betas[-1, 1:] != 0.0)
+        assert np.max(np.abs(y - x @ betas[-1])) > 1e-7
+        assert_kkt(x, y, 0.0, betas[-1], 1e-12)
 
     @pytest.mark.parametrize("row, seed", sorted(KNOT_DIGESTS))
     def test_knots_keep_their_bits(self, wine, row, seed):
@@ -771,16 +801,11 @@ class TestLassoKnots:
         neighbourhood, whose response is a fixed nonlinear function of three
         features; the digests were recorded with numpy 2.4.6 on
         scipy-openblas 0.3.31."""
-        local = sample_locally(wine, wine.observation(row), "quality", size=150, seed=seed)
-        alcohol, sulphates, volatile = (
-            local.feature_values[wine.feature_names.index(name)]
-            for name in ("alcohol", "sulphates", "volatile_acidity")
-        )
-        z, y, _, _ = standardized(replace(local, response=alcohol * sulphates - np.log1p(volatile)))
+        z, y, _, _ = standardized(wine_neighbourhood(wine, row, 150, seed))
         grid, folds = training_folds(z, y)
         digest = hashlib.sha256()
-        for xt, yt in [(z, y - y.mean()), *folds]:
-            lams, betas = _lasso_knots(xt, yt, grid[-1])
+        problems = [_moments(xt, yt) for xt, yt in [(z, y - y.mean()), *folds]]
+        for lams, betas in _lasso_knots(problems, grid[-1]):
             digest.update(lams.tobytes() + betas.tobytes())
         assert digest.hexdigest() == KNOT_DIGESTS[row, seed]
 
@@ -801,6 +826,125 @@ class TestLassoKnots:
             assert x @ fit.coefficients == pytest.approx(x @ cd, abs=1e-8)
             assert np.abs(fit.coefficients).sum() == pytest.approx(np.abs(cd).sum(), abs=1e-8)
             assert_kkt(x, y, lam, fit.coefficients, 1e-12)
+
+
+def cv_problems(z, y):
+    """The stack `_cross_validate_lambda` walks: each fold's moments, then
+    the whole table's, with the grid's smallest lambda."""
+    grid, folds = training_folds(z, y)
+    return [_moments(xt, yt) for xt, yt in [*folds, (z, y - y.mean())]], grid[-1]
+
+
+def path_bytes(path):
+    lams, betas = path
+    return lams.tobytes(), betas.tobytes()
+
+
+class TestLassoStack:
+    @pytest.mark.parametrize("p, size, seed", PATH_CASES[:6] + SMALL_CASES + UNDERDETERMINED_CASES)
+    def test_each_path_has_the_same_bits_alone_and_in_the_stack(self, p, size, seed):
+        z, y, _, _ = standardized(kernel_ridge_local(p, size, seed))
+        problems, lambda_min = cv_problems(z, y)
+        stacked = _lasso_knots(problems, lambda_min)
+        for problem, path in zip(problems, stacked):
+            assert path_bytes(_lasso_knots([problem], lambda_min)[0]) == path_bytes(path)
+        assert [path_bytes(path) for path in _lasso_knots(problems[::-1], lambda_min)] == [
+            path_bytes(path) for path in stacked[::-1]
+        ]
+
+    def test_problems_that_finish_at_different_steps(self):
+        """The CV stack of a local table whose first column is constant in
+        fold 0's training part, with a zero response that takes no step and a
+        path on which column 0 leaves and joins again, so the problems finish
+        after 0 to 5 steps; each keeps its bits alone."""
+        z, y, _, _ = standardized(constant_in_a_training_fold())
+        assert np.ptp(z[np.arange(len(y)) % 5 != 0, 0]) == 0.0
+        problems, lambda_min = cv_problems(z, y)
+        problems += [_moments(z, np.zeros(len(y))), self.rejoining()]
+        stacked = _lasso_knots(problems, lambda_min)
+        assert len({len(lams) for lams, _ in stacked}) >= 3
+        assert len(stacked[-2][0]) == 1 and len(stacked[-1][0]) == 6
+        for problem, path in zip(problems, stacked):
+            assert path_bytes(_lasso_knots([problem], lambda_min)[0]) == path_bytes(path)
+
+    @staticmethod
+    def rejoining():
+        """Three columns, two correlated at about 0.95; column 0 joins,
+        leaves and joins again with the other sign: 5 steps down to 0."""
+        rng = np.random.Generator(np.random.PCG64(9))
+        x = rng.normal(size=(30, 3))
+        x[:, 2] = 0.9 * x[:, 0] + 0.3 * x[:, 2]
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = 2.0 * x @ rng.normal(size=3) + rng.normal(0.0, 0.3, 30)
+        return _moments(x, y - y.mean())
+
+    def test_a_stack_with_one_problem_past_the_cap_raises(self, monkeypatch):
+        """With a cap of 4 steps on 3 columns the rejoining path (5 steps)
+        fails alone and in any stack; a 3-step path alone does not."""
+        x = orthonormal_design(40, 3, seed=151)
+        three = _moments(x, x @ np.array([1.5, -0.5, 2.0]))
+        monkeypatch.setattr(live, "KNOT_CAP_PER_COLUMN", 1)
+        assert len(_lasso_knots([three], 0.0)[0][0]) == 4
+        for stack in ([self.rejoining()], [three, self.rejoining()], [self.rejoining(), three]):
+            with pytest.raises(ConvergenceError, match="4 steps"):
+                _lasso_knots(stack, 0.0)
+
+
+def lasso_design(local):
+    """The standardized varying columns `fit_explanation` hands the lasso,
+    the mask of varying columns and their scales."""
+    encoder = Encoder.for_schema(local.schema, {})
+    _, scales, z = _standardize(encoder.encode_columns(list(local.feature_values)), encoder.encoded_names)
+    usable = scales > 0
+    return z[:, usable], usable, scales[usable]
+
+
+def wine_neighbourhood(wine, row, size, seed):
+    """A seeded wine neighbourhood scored by a fixed nonlinear function of three features."""
+    local = sample_locally(wine, wine.observation(row), "quality", size=size, seed=seed)
+    alcohol, sulphates, volatile = (
+        local.feature_values[wine.feature_names.index(name)]
+        for name in ("alcohol", "sulphates", "volatile_acidity")
+    )
+    return replace(local, response=alcohol * sulphates - np.log1p(volatile))
+
+
+class TestCrossValidatedFit:
+    def assert_final_fit_is_the_one_lambda_fit(self, local):
+        """The CV fit's coefficients, read off the whole table's path in the
+        CV stack, against `lasso_coordinate_descent` and `fit_explanation`
+        at the picked lambda, both walked alone down to it."""
+        fit = fit_explanation(local, white_box="lasso")
+        z, usable, scales = lasso_design(local)
+        y = local.response
+        one = lasso_coordinate_descent(z, y - y.mean(), fit.lambda_).coefficients
+        coefficients = np.asarray(fit.model.coefficients)
+        assert coefficients[usable] * scales == pytest.approx(one, abs=1e-12, rel=0.0)
+        explicit = fit_explanation(local, white_box="lasso", lambda_=fit.lambda_)
+        assert explicit.selected_features == fit.selected_features
+        assert np.asarray(explicit.model.coefficients) == pytest.approx(coefficients, abs=1e-12, rel=0.0)
+        assert explicit.model.intercept == pytest.approx(fit.model.intercept, abs=1e-12, rel=0.0)
+
+    @pytest.mark.parametrize("row, seed", [(0, 1), (4, 2), (9, 3), (100, 5)])
+    def test_on_bench_style_neighbourhoods(self, wine, row, seed):
+        self.assert_final_fit_is_the_one_lambda_fit(wine_neighbourhood(wine, row, 500, seed))
+
+    @pytest.mark.parametrize("p, size, seed", SMALL_CASES + UNDERDETERMINED_CASES)
+    def test_on_tiny_neighbourhoods(self, p, size, seed):
+        self.assert_final_fit_is_the_one_lambda_fit(kernel_ridge_local(p, size, seed))
+
+    def test_memory_per_local_row(self, wine, wine_ols):
+        """A CV lasso fit on 40,000 local rows of the wine fixture (11
+        features) peaks at no more than 0.6 KB per row under tracemalloc."""
+        size = 40_000
+        local = add_predictions(sample_locally(wine, wine.observation(3), "quality", size, 8), wine_ols)
+        tracemalloc.start()
+        try:
+            fit_explanation(local, white_box="lasso")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * size
 
 
 def sweep_local(p, size, seed):

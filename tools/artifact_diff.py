@@ -38,7 +38,9 @@ runs the same scorer as `python -u`, so it writes every score with its own
 write, for breakdown up and trace up only. The `--model ols` wine setup
 adds one lasso `live` run of 8 rows, fewer than its 11 features, so the
 neighbourhood first draws a subset of the features; the other setups have
-3 or 4 features. That makes 46 runs.
+3 or 4 features. It also adds one lasso `live` run at the given
+`--lambda 0.05`, whose path is walked alone rather than in the
+cross-validation folds' stack. That makes 47 runs.
 
 Every difference is reported: exit code, JSON envelope (temporary paths
 normalised), SVG, text, stdout and stderr. The differing JSON leaves of a
@@ -91,13 +93,15 @@ EXPLANATIONS = (
     ("live-ols", ["live", "--size", "300", "--seed", "5"]),
     ("live-lasso", ["live", "--white-box", "lasso", "--size", "300", "--seed", "5"]),
     ("live-lasso-few-rows", ["live", "--white-box", "lasso", "--size", "8", "--seed", "5"]),
+    ("live-lasso-lambda", ["live", "--white-box", "lasso", "--lambda", "0.05", "--size", "300",
+                           "--seed", "5"]),
     ("trace-up", ["trace", "--direction", "up"]),
     ("trace-down", ["trace", "--direction", "down"]),
 )
 # a lasso surrogate has no standard errors, hence no forest plot or text table
-JSON_ONLY = {"live-lasso", "live-lasso-few-rows"}
-# the cases of the `--model ols` wine setup alone: fewer rows than features
-WINE_OLS_CASES = ("live-lasso-few-rows",)
+JSON_ONLY = {"live-lasso", "live-lasso-few-rows", "live-lasso-lambda"}
+# the cases of the `--model ols` wine setup alone: fewer rows than features, a given lambda
+WINE_OLS_CASES = ("live-lasso-few-rows", "live-lasso-lambda")
 # the cases of the full-table kernel-ridge setup; the others take far longer there
 KRR_WINE_CASES = ("breakdown-down", "trace-up", "trace-down")
 # the cases of the setup whose scorer flushes every line
